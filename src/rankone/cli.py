@@ -305,7 +305,7 @@ def _verify_singular(sched, out_dir: Path, lines: list[str], only=None) -> bool:
             raise ConfigError(f"{only} is not a singular target of this schedule")
         ratios = (only,)
     for c in ratios:
-        passing_pairs = []
+        passing = []
         for i, (name_a, a) in enumerate(family):
             for name_b, b in family[i:]:
                 try:
@@ -325,9 +325,9 @@ def _verify_singular(sched, out_dir: Path, lines: list[str], only=None) -> bool:
                 entry["pair"] = [name_a, name_b]
                 reports.append(entry)
                 if rep.passed:
-                    passing_pairs.append((name_a, a, name_b, b))
-        if passing_pairs:
-            ev = singularity_evidence(c, sched, passing_pairs)
+                    passing.append((name_a, name_b, rep))
+        if passing:
+            ev = singularity_evidence(c, passing)
             _write_json(
                 out_dir / f"evidence_{c.numerator}_{c.denominator}.json",
                 ev.to_dict(),

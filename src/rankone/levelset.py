@@ -4,8 +4,10 @@ A slab set is a union of full-width horizontal slabs of one tower,
 described by its stage and the interval set of its levels.  Everything the
 verification layer needs reduces to three exact computations:
 
-* pointwise correlations mu(T_t A /\\ B) via refine -> translate ->
-  intersect (with a float prefilter in front of the exact arithmetic);
+* pointwise correlations mu(T_t A /\\ B), evaluated at one time t on the
+  integer lattice: the offset-difference patterns within one base height
+  of t weight the overlaps of the pair's base intervals (no sweep, no
+  float prefilter);
 * exact piecewise-linear correlation profiles over a window, obtained by
   enumerating the per-stage column-offset difference patterns that can
   land in the window (a pruned DFS over the stage structure) and sweeping
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
-
-import numpy as np
 
 from .errors import HorizonExceeded, StageOutOfRange
 from .exactnum import IntervalSet, Rat, rat
@@ -92,18 +92,6 @@ def _levels_at(sched, s: SlabSet, j: int) -> tuple[tuple[Rat, Rat], ...]:
     return out
 
 
-def _float_bounds(sched, s: SlabSet, j: int) -> tuple[np.ndarray, np.ndarray]:
-    key = ("floats", s, j)
-    cached = sched.runtime_cache.get(key)
-    if cached is None:
-        lv = _levels_at(sched, s, j)
-        los = np.array([float(lo) for lo, _ in lv], dtype=np.float64)
-        his = np.array([float(hi) for _, hi in lv], dtype=np.float64)
-        cached = (los, his)
-        sched.runtime_cache[key] = cached
-    return cached
-
-
 def refine(s: SlabSet, j: int, sched) -> SlabSet:
     """The same measurable set written as slabs of a later tower."""
     if j < s.stage or j > sched.num_stages:
@@ -123,9 +111,13 @@ def min_valid_stage(s: SlabSet, t, sched) -> int:
         raise ValueError("negative times are handled by callers via symmetry")
     if s.levels.is_empty():
         return s.stage
+    # the top copy of tower j-1 sits at offsets(j-1)[3] inside tower j, so
+    # the slab's top edge moves up by exactly that offset per stage
+    top = s.levels.intervals[-1][1]
     for j in range(s.stage, sched.num_stages + 1):
-        lv = _levels_at(sched, s, j)
-        if lv[-1][1] + t <= sched.height(j):
+        if j > s.stage:
+            top += sched.offsets(j - 1)[3]
+        if top + t <= sched.height(j):
             return j
     raise HorizonExceeded(
         f"time {t} exceeds what the {sched.num_stages}-stage schedule absorbs"
@@ -145,30 +137,30 @@ def translate_exact(s: SlabSet, t, sched) -> SlabSet:
 
 
 def correlation(a: SlabSet, b: SlabSet, t, sched) -> Rat:
-    """Exact mu(T_t A /\\ B); negative t by the symmetry with (B, A, -t)."""
+    """Exact mu(T_t A /\\ B); negative t by the symmetry with (B, A, -t).
+
+    In tower j the refined copies of A and B sit at column offsets P and Q
+    above the pair stage k, and a copy pair overlaps as its base intervals
+    shifted by t - (Q - P).  Grouping the pairs by the pattern sum Q - P
+    (only those within one base height of t can overlap) turns the measure
+    into an integer sum over the base-interval pairs at stage k.
+    """
     t = rat(t)
     if t < 0:
         return correlation(b, a, -t, sched)
     j = max(min_valid_stage(a, t, sched), b.stage)
-    la = _levels_at(sched, a, j)
-    lb = _levels_at(sched, b, j)
-    alo_f, ahi_f = _float_bounds(sched, a, j)
-    blo_f, bhi_f = _float_bounds(sched, b, j)
-    tf = float(t)
-    pad = max(4.0, (abs(tf) + float(sched.height(j))) * 1e-14)
-    first = np.searchsorted(bhi_f, alo_f + (tf - pad), side="left")
-    last = np.searchsorted(blo_f, ahi_f + (tf + pad), side="right")
-    hits = np.nonzero(last > first)[0]
-    total = ZERO
-    for ai in hits:
-        alo, ahi = la[ai]
-        for bi in range(first[ai], last[ai]):
-            blo, bhi = lb[bi]
-            lo = max(alo + t, blo)
-            hi = min(ahi + t, bhi)
-            if lo < hi:
-                total += hi - lo
-    return sched.width(j) * total
+    k, scale, las, lbs = _lattice_pair(a, b, [t], sched)
+    t_s = int(t * scale)
+    h_s = int(sched.height(k) * scale)
+    total = 0
+    for delta, m in _pattern_sums(sched, k, j, scale, t_s - h_s, t_s + h_s).items():
+        shift = t_s - delta
+        for plo, phi in las:
+            for qlo, qhi in lbs:
+                overlap = min(phi + shift, qhi) - max(plo + shift, qlo)
+                if overlap > 0:
+                    total += m * overlap
+    return sched.width(j) * Fraction(total, scale)
 
 
 # --------------------------------------------------------------------------
@@ -263,6 +255,20 @@ def _scale_for(sched, extra: Iterable[Rat]) -> int:
     return scale
 
 
+def _lattice_pair(a: SlabSet, b: SlabSet, times: list[Rat], sched):
+    """Pair stage k, a lattice scale clearing ``times``, and the pair's
+    base intervals at stage k as scaled integers."""
+    k = max(a.stage, b.stage)
+    la = _levels_at(sched, a, k)
+    lb = _levels_at(sched, b, k)
+    scale = _scale_for(sched, times + [x for iv in la + lb for x in iv])
+
+    def scaled(levels):
+        return [(int(lo * scale), int(hi * scale)) for lo, hi in levels]
+
+    return k, scale, scaled(la), scaled(lb)
+
+
 def _stage_diff_values(sched, s: int, scale: int) -> list[tuple[int, int]]:
     """Sorted (value, multiplicity) of scaled offset differences at stage s."""
     key = ("diffs", s, scale)
@@ -322,14 +328,7 @@ def correlation_profile(a: SlabSet, b: SlabSet, window, sched) -> PiecewiseLinea
     if not 0 <= w_lo < w_hi:
         raise ValueError("window must satisfy 0 <= lo < hi")
     j = max(min_valid_stage(a, w_hi, sched), b.stage)
-    k = max(a.stage, b.stage)
-    la = _levels_at(sched, a, k)
-    lb = _levels_at(sched, b, k)
-    scale = _scale_for(
-        sched, [w_lo, w_hi] + [x for iv in la + lb for x in iv]
-    )
-    las = [(int(lo * scale), int(hi * scale)) for lo, hi in la]
-    lbs = [(int(lo * scale), int(hi * scale)) for lo, hi in lb]
+    k, scale, las, lbs = _lattice_pair(a, b, [w_lo, w_hi], sched)
     w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
     pad = int(sched.height(k) * scale)
     patterns = _pattern_sums(sched, k, j, scale, w_lo_s - pad, w_hi_s + pad)

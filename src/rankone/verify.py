@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import sici
 
 from .errors import (
     ConfigError,
@@ -41,6 +40,7 @@ from .levelset import (
     correlation_profile,
     find_dissipativity_witness,
     make_slab,
+    refine,
 )
 
 ZERO = Fraction(0)
@@ -236,13 +236,16 @@ class SingularityEvidence:
 
 
 def singularity_evidence(
-    c, sched, pairs: Sequence[tuple[str, SlabSet, str, SlabSet]]
+    c, reports: Sequence[tuple[str, str, WeakLimitReport]]
 ) -> SingularityEvidence:
-    """Summarize the obstruction sequences for pre-checked pairs."""
+    """Summarize the obstruction sequences of passing (name_a, name_b, report)s."""
     c = rat(c)
     entries: list[EvidenceEntry] = []
-    for name_a, a, name_b, b in pairs:
-        rep = check_weak_limits(a, b, c, sched)
+    for name_a, name_b, rep in reports:
+        if rep.c != c:
+            raise ValueError(
+                f"report for ({name_a}, {name_b}) is for c={rep.c}, not c={c}"
+            )
         if not rep.passed:
             raise RankOneError(
                 f"weak-limit check failed for ({name_a}, {name_b}); "
@@ -430,10 +433,8 @@ def perturbation_tolerance(a: SlabSet, b: SlabSet, sched, j: int) -> Rat:
     width w_j; the count is bounded by the slab edge counts at the pair's
     own stage.
     """
-    from .levelset import _levels_at
-
     k = max(a.stage, b.stage)
-    n_edges = 2 * len(_levels_at(sched, a, k)) + 2 * len(_levels_at(sched, b, k))
+    n_edges = 2 * len(refine(a, k, sched).levels) + 2 * len(refine(b, k, sched).levels)
     return Fraction(n_edges) * sched.width(j)
 
 
@@ -621,6 +622,8 @@ def _piece_cosine_integral(
 
 def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensitySamples:
     """Density samples witnessing absolute continuity for a dissipative ratio."""
+    from scipy.special import sici  # costly import, needed only here
+
     d = rat(d)
     grid = grid or DensityGrid()
     cert = check_dissipativity(d, sched)

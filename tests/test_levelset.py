@@ -1,7 +1,10 @@
+import inspect
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankone import (
     HorizonExceeded,
@@ -17,6 +20,8 @@ from rankone import (
     refine,
     translate_exact,
 )
+from rankone import levelset
+from rankone.construction import Schedule
 from rankone.levelset import PiecewiseLinear, find_dissipativity_witness
 from rankone.verify import default_pair_family
 
@@ -147,9 +152,8 @@ class TestCorrelation:
             assert correlation(y, y, c * h, desk) == F(1, 4)
 
     def test_fine_denominator_times_near_boundaries(self, desk):
-        # times a hair's breadth from copy boundaries stress the float
-        # prefilter in front of the exact arithmetic; the profile engine
-        # (pure integers) is the cross-check
+        # times a hair's breadth from copy boundaries need the fine
+        # denominator carried exactly; the profile sweep is the cross-check
         y = base_slab(desk)
         eps = F(1, 2**40)
         for j in (2, 3, 5):
@@ -171,6 +175,95 @@ class TestCorrelation:
                 for off in desk.offsets(j):
                     trace = lv.intersect(IntervalSet([(off, off + h)]))
                     assert desk.width(j + 1) * trace.total_length == m / 4
+
+
+class TestLatticeAgainstRefinement:
+    """The lattice point evaluator against refine -> translate -> intersect.
+
+    Each example works on a private copy of a schedule so that the
+    reference's refined level sets do not pile up in a shared cache.
+    """
+
+    @staticmethod
+    def reference(a, b, t, sched):
+        if t < 0:
+            a, b, t = b, a, -t
+        moved = translate_exact(a, t, sched)
+        j = max(moved.stage, b.stage)
+        inter = refine(moved, j, sched).levels.intersect(refine(b, j, sched).levels)
+        return sched.width(j) * inter.total_length
+
+    @staticmethod
+    def draw_slab(data, sched):
+        family = default_pair_family(sched)
+        if data.draw(st.booleans(), label="from family"):
+            return data.draw(st.sampled_from(family), label="slab")[1]
+        stage = data.draw(st.integers(1, 2), label="stage")
+        n = data.draw(st.sampled_from([2, 3, 8, 12]), label="grid")
+        cuts = data.draw(
+            st.lists(st.integers(0, n), min_size=2, max_size=6, unique=True),
+            label="cuts",
+        )
+        cuts.sort()
+        h = sched.height(stage)
+        pieces = [(h * lo / n, h * hi / n) for lo, hi in zip(cuts[::2], cuts[1::2])]
+        return make_slab(sched, stage, pieces)
+
+    @staticmethod
+    def draw_time(data, sched):
+        j = data.draw(st.integers(1, 6), label="tower")
+        kind = data.draw(st.sampled_from(["height", "stretched", "rational"]))
+        if kind == "height":
+            t = sched.height(j)
+        elif kind == "stretched":
+            t = sched.stage(j).ratio * sched.height(j)
+        else:
+            den = data.draw(st.sampled_from([1, 7, 2**10, 3 * 2**40]), label="den")
+            num = data.draw(st.integers(0, den), label="num")
+            t = sched.height(j) * F(num, den)
+        # nudges of about one base height put pattern sums at the edges of
+        # the band that can still overlap
+        eps = F(1, 2**40)
+        nudge = data.draw(st.sampled_from([0, F(1, 2), 1 - eps, 1, 1 + eps]))
+        t += data.draw(st.sampled_from([-1, 1]), label="nudge sign") * nudge
+        return -t if data.draw(st.booleans(), label="negative") else t
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_correlation_equals_reference(self, desk, desk_perturbed, broken, data):
+        shared = data.draw(st.sampled_from([desk, desk_perturbed, broken]))
+        sched = Schedule.from_json(shared.to_json())
+        a = self.draw_slab(data, sched)
+        b = self.draw_slab(data, sched)
+        t = self.draw_time(data, sched)
+        got = correlation(a, b, t, sched)
+        assert isinstance(got, F)
+        assert got == self.reference(a, b, t, sched)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_min_valid_stage_equals_refined_envelope(self, desk, data):
+        sched = Schedule.from_json(desk.to_json())
+        s = self.draw_slab(data, sched)
+
+        def room(j):  # the largest time tower j absorbs, read off the refinement
+            return sched.height(j) - refine(s, j, sched).levels.envelope()[1]
+
+        if data.draw(st.booleans(), label="at the edge"):
+            j = data.draw(st.integers(s.stage, 6), label="edge stage")
+            eps = data.draw(st.sampled_from([-F(1, 2**40), 0, F(1, 2**40)]))
+            t = max(room(j) + eps, F(0))
+        else:
+            t = abs(self.draw_time(data, sched))
+        expected = next(
+            j for j in range(s.stage, sched.num_stages + 1) if t <= room(j)
+        )
+        assert min_valid_stage(s, t, sched) == expected
+
+    def test_no_float_in_levelset(self):
+        source = inspect.getsource(levelset)
+        assert "numpy" not in source
+        assert "float(" not in source
 
 
 class TestProfile:

@@ -80,20 +80,23 @@ class TestWeakLimits:
 class TestSingularityEvidence:
     def test_base_pair_constant(self, desk):
         y = base_slab(desk)
-        ev = singularity_evidence(F(3, 2), desk, [("y", y, "y", y)])
+        rep = check_weak_limits(y, y, F(3, 2), desk)
+        ev = singularity_evidence(F(3, 2), [("y", "y", rep)])
         entry = ev.entries[0]
         assert entry.constant == F(1, 16)
         assert entry.informative
         assert all(v == F(1, 16) for _, v in entry.sequence)
         # consistency: the constant is the square of the factor target
-        rep = check_weak_limits(y, y, F(3, 2), desk)
         assert entry.constant == rep.target**2
+        with pytest.raises(ValueError):
+            singularity_evidence(F(5, 2), [("y", "y", rep)])
 
     def test_disjoint_pair_vacuous(self, desk):
         h1 = desk.height(1)
         a = make_slab(desk, 1, [(0, h1 / 2)])
         b = make_slab(desk, 1, [(h1 / 2, h1)])
-        ev = singularity_evidence(F(3, 2), desk, [("a", a, "b", b)])
+        rep = check_weak_limits(a, b, F(3, 2), desk)
+        ev = singularity_evidence(F(3, 2), [("a", "b", rep)])
         assert not ev.entries[0].informative
         assert not ev.informative
 
@@ -101,7 +104,8 @@ class TestSingularityEvidence:
         h1 = desk.height(1)
         a = make_slab(desk, 1, [(0, 3 * h1 / 4)])
         y = base_slab(desk)
-        ev = singularity_evidence(F(5, 2), desk, [("a", a, "y", y)])
+        rep = check_weak_limits(a, y, F(5, 2), desk)
+        ev = singularity_evidence(F(5, 2), [("a", "y", rep)])
         assert ev.entries[0].constant == (3 * F(1, 4) / 4) ** 2 > 0
 
 
