@@ -15,15 +15,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
-import jsonschema
 
 from .construction import (
-    GaugeSpec,
     PerturbationSpec,
     Schedule,
     StagePolicy,
     TargetSets,
-    TopSpacerRule,
     build_schedule,
 )
 from .errors import (
@@ -36,7 +33,12 @@ from .errors import (
     UncertifiedWindow,
 )
 from .exactnum import rat, rat_str
-from .levelset import correlation_profile, find_dissipativity_witness
+from .levelset import (
+    base_slab,
+    correlation,
+    correlation_profile,
+    find_dissipativity_witness,
+)
 from .oracle import oracle_correlation
 from .verify import (
     DensityGrid,
@@ -44,7 +46,9 @@ from .verify import (
     check_perturbed_limit,
     check_weak_limits,
     default_pair_family,
+    dissipativity_certificate,
     dissipativity_spot_check,
+    dissipativity_windows,
     hitting_report,
     singularity_evidence,
     spectral_density,
@@ -59,21 +63,12 @@ DEFAULT_CONFIG: dict = {
         "entry_stages": None,
     },
     "stages": 8,
-    "policy": {
-        "gauge": {"kind": "pow2", "floor": "16/1", "values": []},
-        "initial_multiplier": "1/1",
-        "escalation_factor": "2/1",
-        "max_retries": 40,
-        "top_spacer": {"mode": "multiplier", "collide_ratio": "2/1"},
-    },
+    "policy": StagePolicy().to_dict(),
     "perturbation": None,
     "certify": True,
-    "verify": {"spot_checks_per_window": 0},
-    "density": {"s_max": 200.0, "samples": 8001, "mass_s": 4000.0},
-    "oracle": {"triples": 12, "samples": 2000, "t_max_stage": 3},
 }
 
-_RAT = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
+_RAT = {"type": "string", "pattern": r"^-?\d+(/0*[1-9]\d*)?$"}
 
 CONFIG_SCHEMA: dict = {
     "type": "object",
@@ -127,31 +122,6 @@ CONFIG_SCHEMA: dict = {
             "properties": {"net_depth": {"type": "integer", "minimum": 1}},
         },
         "certify": {"type": "boolean"},
-        "verify": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "spot_checks_per_window": {"type": "integer", "minimum": 0}
-            },
-        },
-        "density": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "s_max": {"type": "number", "exclusiveMinimum": 0},
-                "samples": {"type": "integer", "minimum": 3},
-                "mass_s": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "oracle": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "triples": {"type": "integer", "minimum": 1},
-                "samples": {"type": "integer", "minimum": 1},
-                "t_max_stage": {"type": "integer", "minimum": 1},
-            },
-        },
     },
 }
 
@@ -167,6 +137,8 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | Path) -> dict:
+    import jsonschema  # costly import, needed only here
+
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -179,55 +151,14 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def targets_from_config(cfg: dict) -> TargetSets:
-    t = cfg["targets"]
-    entry = t.get("entry_stages")
-    try:
-        return TargetSets(
-            singular=tuple(rat(c) for c in t["singular"]),
-            dissipative=tuple(rat(d) for d in t.get("dissipative", [])),
-            entry_stages=(
-                tuple((rat(d), int(k)) for d, k in entry.items()) if entry else ()
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def policy_from_config(cfg: dict) -> StagePolicy:
-    p = cfg["policy"]
-    try:
-        return StagePolicy(
-            gauge=GaugeSpec(
-                kind=p["gauge"]["kind"],
-                floor=rat(p["gauge"]["floor"]),
-                values=tuple(rat(v) for v in p["gauge"]["values"]),
-            ),
-            initial_multiplier=rat(p["initial_multiplier"]),
-            escalation_factor=rat(p["escalation_factor"]),
-            max_retries=int(p["max_retries"]),
-            top_spacer=TopSpacerRule(
-                mode=p["top_spacer"]["mode"],
-                collide_ratio=rat(p["top_spacer"]["collide_ratio"]),
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def schedule_from_config(cfg: dict) -> Schedule:
-    perturbation = (
-        PerturbationSpec(net_depth=int(cfg["perturbation"]["net_depth"]))
-        if cfg.get("perturbation")
-        else None
-    )
     return build_schedule(
         rat(cfg["base_width"]),
         rat(cfg["base_height"]),
-        targets_from_config(cfg),
+        TargetSets.from_dict(cfg["targets"]),
         int(cfg["stages"]),
-        policy=policy_from_config(cfg),
-        perturbation=perturbation,
+        policy=StagePolicy.from_dict(cfg["policy"]),
+        perturbation=PerturbationSpec.from_dict(cfg["perturbation"]),
         certify=bool(cfg["certify"]),
     )
 
@@ -240,7 +171,7 @@ def _write_json(path: Path, payload) -> None:
 def _load_schedule(path: str) -> Schedule:
     try:
         return Schedule.from_json(Path(path).read_text())
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"cannot load schedule {path}: {exc}") from exc
 
 
@@ -361,66 +292,39 @@ def _worker_init(sched_json: str) -> None:
     _WORKER_SCHED = Schedule.from_json(sched_json)
 
 
-def _worker_window(args: tuple[str, int]) -> tuple[str, int, list]:
-    d_str, j = args
-    witness = find_dissipativity_witness(_WORKER_SCHED, rat(d_str), j)
-    return d_str, j, witness.to_pairs()
+def _worker_window(task: tuple[Fraction, int]):
+    d, j = task
+    return find_dissipativity_witness(_WORKER_SCHED, d, j)
 
 
 def _verify_dissipative(
     sched, out_dir: Path, jobs: int, spot: int, seed: int, lines: list[str], only=None
 ) -> bool:
-    reports = []
-    all_pass = True
     ratios = sched.targets.dissipative
     if only is not None:
         if only not in ratios:
             raise ConfigError(f"{only} is not a dissipative target of this schedule")
         ratios = (only,)
     if jobs > 1:
-        for d in ratios:
-            if not sched.windows_for(d):
-                raise UncertifiedWindow(
-                    f"schedule too short: no certified window for d={d}"
-                )
-        tasks = [(rat_str(d), j) for d in ratios for j in sched.windows_for(d)]
+        tasks = [(d, j) for d in ratios for j in dissipativity_windows(d, sched)]
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_worker_init, initargs=(sched.to_json(),)
         ) as pool:
-            results = list(pool.map(_worker_window, tasks))
-        by_ratio: dict[str, list] = {}
-        for d_str, j, witness_pairs in results:
-            by_ratio.setdefault(d_str, []).append((j, witness_pairs))
-        for d in ratios:
-            windows = [
-                {
-                    "window": j,
-                    "range": [rat_str(sched.height(j)), rat_str(sched.height(j + 1))],
-                    "empty": not pairs,
-                    "witness": pairs,
-                }
-                for j, pairs in sorted(by_ratio.get(rat_str(d), []))
-            ]
-            passed = all(w["empty"] for w in windows)
-            all_pass = all_pass and passed
-            reports.append(
-                {
-                    "ratio": rat_str(d),
-                    "entry_stage": sched.targets.entry_stage(d),
-                    "threshold": rat_str(sched.dissipativity_threshold(d)),
-                    "windows": windows,
-                    "passed": passed,
-                }
+            found = dict(zip(tasks, pool.map(_worker_window, tasks)))
+        certs = [
+            dissipativity_certificate(
+                d, sched, [found[d, j] for j in sched.windows_for(d)]
             )
+            for d in ratios
+        ]
     else:
-        for d in ratios:
-            cert = check_dissipativity(d, sched)
-            all_pass = all_pass and cert.passed
-            reports.append(cert.to_dict())
+        certs = [check_dissipativity(d, sched) for d in ratios]
+    all_pass = all(cert.passed for cert in certs)
+    reports = [cert.to_dict() for cert in certs]
     if spot > 0:
         rng = random.Random(seed)
-        for rep in reports:
-            res = dissipativity_spot_check(rat(rep["ratio"]), sched, spot, rng)
+        for cert, rep in zip(certs, reports):
+            res = dissipativity_spot_check(cert.d, sched, spot, rng)
             rep["spot_checks"] = {
                 "checked": res["checked"],
                 "failures": [[j, rat_str(t)] for j, t in res["failures"]],
@@ -456,7 +360,7 @@ def _verify_perturbed(sched, out_dir: Path, lines: list[str]) -> bool:
     all_pass = True
     for c in sched.targets.singular:
         seen: set = set()
-        for j in sched.certified_stages():
+        for j in sched.certified_windows():
             if sched.stage(j).ratio != c:
                 continue
             point = sched.delta_pair(j)
@@ -498,7 +402,7 @@ def _verify_perturbed(sched, out_dir: Path, lines: list[str]) -> bool:
 @click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
 @click.option("--jobs", default=1, type=int)
 @click.option("--seed", default=0, type=int)
-@click.option("--spot-checks", default=None, type=int, help="random times per window")
+@click.option("--spot-checks", default=0, type=int, help="random times per window")
 @click.option("--ratio", default=None, help="restrict to one target ratio (p/q)")
 def verify(schedule, which, out, jobs, seed, spot_checks, ratio):
     """Run certificates against a built schedule; exit 0 iff all pass."""
@@ -507,13 +411,14 @@ def verify(schedule, which, out, jobs, seed, spot_checks, ratio):
     try:
         sched = _load_schedule(schedule)
         only = rat(ratio) if ratio is not None else None
-        spot = spot_checks if spot_checks is not None else 0
         ok = True
         if which in ("singular", "all"):
             ok = _verify_singular(sched, out_dir, lines, only=only) and ok
         if which in ("dissipative", "all"):
             ok = (
-                _verify_dissipative(sched, out_dir, jobs, spot, seed, lines, only=only)
+                _verify_dissipative(
+                    sched, out_dir, jobs, spot_checks, seed, lines, only=only
+                )
                 and ok
             )
         if which == "perturbed" or (which == "all" and sched.perturbation is not None):
@@ -551,8 +456,6 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
     out_dir = Path(out)
     try:
         sched = _load_schedule(schedule)
-        from .levelset import base_slab
-
         y = base_slab(sched)
         lo = rat(t_min)
         hi = rat(t_max) if t_max is not None else sched.height(min(2, sched.num_stages))
@@ -585,20 +488,15 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
 @click.option("--schedule", "-s", default="out/schedule.json", type=click.Path())
 @click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
 @click.option("--ratio", "-d", default="2/1")
-@click.option("--s-max", default=None, type=float)
-@click.option("--samples", default=None, type=int)
-@click.option("--mass-s", default=None, type=float)
+@click.option("--s-max", default=DensityGrid.s_max, type=float)
+@click.option("--samples", default=DensityGrid.samples, type=int)
+@click.option("--mass-s", default=DensityGrid.mass_s, type=float)
 def density(schedule, out, ratio, s_max, samples, mass_s):
     """Spectral-density samples for a dissipative ratio (CSV + summary)."""
     out_dir = Path(out)
     try:
         sched = _load_schedule(schedule)
-        defaults = DEFAULT_CONFIG["density"]
-        grid = DensityGrid(
-            s_max=s_max if s_max is not None else defaults["s_max"],
-            samples=samples if samples is not None else defaults["samples"],
-            mass_s=mass_s if mass_s is not None else defaults["mass_s"],
-        )
+        grid = DensityGrid(s_max=s_max, samples=samples, mass_s=mass_s)
         dens = spectral_density(rat(ratio), sched, grid)
     except HorizonExceeded as exc:
         click.echo(f"horizon exceeded: {exc}", err=True)
@@ -625,23 +523,16 @@ def density(schedule, out, ratio, s_max, samples, mass_s):
 @main.command()
 @click.option("--schedule", "-s", default="out/schedule.json", type=click.Path())
 @click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
-@click.option("--triples", default=None, type=int)
-@click.option("--samples", default=None, type=int)
+@click.option("--triples", default=12, type=int)
+@click.option("--samples", default=2000, type=int)
 @click.option("--seed", default=0, type=int)
-@click.option("--t-max-stage", default=None, type=int)
+@click.option("--t-max-stage", default=3, type=int)
 def oracle(schedule, out, triples, samples, seed, t_max_stage):
     """Cross-check the exact engine against the orbit-simulation oracle."""
     out_dir = Path(out)
     try:
         sched = _load_schedule(schedule)
-        from .levelset import correlation
-        from .verify import default_pair_family
-
-        defaults = DEFAULT_CONFIG["oracle"]
-        triples = triples if triples is not None else defaults["triples"]
-        samples = samples if samples is not None else defaults["samples"]
-        t_stage = t_max_stage if t_max_stage is not None else defaults["t_max_stage"]
-        t_stage = min(t_stage, sched.num_stages)
+        t_stage = min(t_max_stage, sched.num_stages)
         family = default_pair_family(sched)
         rng = random.Random(seed)
         denom = 2**16

@@ -77,6 +77,23 @@ class TargetSets:
                 return k
         raise KeyError(f"{d} is not a dissipative target")
 
+    def to_dict(self) -> dict:
+        return {
+            "singular": [rat_str(c) for c in self.singular],
+            "dissipative": [rat_str(d) for d in self.dissipative],
+            "entry_stages": {rat_str(d): k for d, k in self.entry_stages},
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TargetSets":
+        """Parse a ``targets`` block; null entry stages and a missing
+        dissipative list take their defaults."""
+        return cls(
+            singular=tuple(d["singular"]),
+            dissipative=tuple(d.get("dissipative", ())),
+            entry_stages=tuple((d.get("entry_stages") or {}).items()),
+        )
+
 
 # --------------------------------------------------------------------------
 # build policy
@@ -152,6 +169,35 @@ class StagePolicy:
     def start_multiplier(self, j: int) -> Rat:
         return self.gauge.value(j) * self.initial_multiplier
 
+    def to_dict(self) -> dict:
+        return {
+            "gauge": {
+                "kind": self.gauge.kind,
+                "floor": rat_str(self.gauge.floor),
+                "values": [rat_str(v) for v in self.gauge.values],
+            },
+            "initial_multiplier": rat_str(self.initial_multiplier),
+            "escalation_factor": rat_str(self.escalation_factor),
+            "max_retries": self.max_retries,
+            "top_spacer": {
+                "mode": self.top_spacer.mode,
+                "collide_ratio": rat_str(self.top_spacer.collide_ratio),
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "StagePolicy":
+        gauge, top = d["gauge"], d["top_spacer"]
+        return cls(
+            gauge=GaugeSpec(
+                kind=gauge["kind"], floor=gauge["floor"], values=tuple(gauge["values"])
+            ),
+            initial_multiplier=d["initial_multiplier"],
+            escalation_factor=d["escalation_factor"],
+            max_retries=int(d["max_retries"]),
+            top_spacer=TopSpacerRule(mode=top["mode"], collide_ratio=top["collide_ratio"]),
+        )
+
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -167,6 +213,14 @@ class PerturbationSpec:
         step = Fraction(1, 2**self.net_depth)
         levels = [i * step for i in range(2**self.net_depth + 1)]
         return tuple((a, b) for a in levels for b in levels)
+
+    def to_dict(self) -> dict:
+        return {"net_depth": self.net_depth}
+
+    @classmethod
+    def from_dict(cls, d: dict | None) -> "PerturbationSpec | None":
+        """Parse a ``perturbation`` block; null or empty means none."""
+        return cls(net_depth=int(d["net_depth"])) if d else None
 
 
 # --------------------------------------------------------------------------
@@ -194,6 +248,8 @@ class StageParams:
     def __post_init__(self):
         s = self.spacers
         h = self.height
+        if len(s) != 4 or len(self.offsets) != 4:
+            raise ValueError("a stage needs four spacers and four offsets")
         if any(x < 0 for x in s):
             raise ValueError("spacer heights must be non-negative")
         if not (ZERO <= self.delta1 <= ONE and ZERO <= self.delta3 <= ONE):
@@ -334,9 +390,6 @@ class Schedule:
         """Window [h_j, h_{j+1}] is certifiable iff stage j+2 is built."""
         return list(range(1, self.num_stages - 1))
 
-    def certified_stages(self) -> list[int]:
-        return self.certified_windows()
-
     def windows_for(self, d) -> list[int]:
         k = self.targets.entry_stage(d)
         return [j for j in self.certified_windows() if j >= k]
@@ -371,28 +424,9 @@ class Schedule:
         return {
             "base_width": rat_str(self.base_width),
             "base_height": rat_str(self.base_height),
-            "targets": {
-                "singular": [rat_str(c) for c in self.targets.singular],
-                "dissipative": [rat_str(d) for d in self.targets.dissipative],
-                "entry_stages": {rat_str(d): k for d, k in self.targets.entry_stages},
-            },
-            "policy": {
-                "gauge": {
-                    "kind": self.policy.gauge.kind,
-                    "floor": rat_str(self.policy.gauge.floor),
-                    "values": [rat_str(v) for v in self.policy.gauge.values],
-                },
-                "initial_multiplier": rat_str(self.policy.initial_multiplier),
-                "escalation_factor": rat_str(self.policy.escalation_factor),
-                "max_retries": self.policy.max_retries,
-                "top_spacer": {
-                    "mode": self.policy.top_spacer.mode,
-                    "collide_ratio": rat_str(self.policy.top_spacer.collide_ratio),
-                },
-            },
-            "perturbation": (
-                {"net_depth": self.perturbation.net_depth} if self.perturbation else None
-            ),
+            "targets": self.targets.to_dict(),
+            "policy": self.policy.to_dict(),
+            "perturbation": self.perturbation.to_dict() if self.perturbation else None,
             "stages": [st.to_dict() for st in self.stages],
             "escalations": [e.to_dict() for e in self.escalations],
         }
@@ -402,33 +436,6 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
-        targets = TargetSets(
-            singular=tuple(rat(c) for c in d["targets"]["singular"]),
-            dissipative=tuple(rat(x) for x in d["targets"]["dissipative"]),
-            entry_stages=tuple(
-                (rat(k), int(v)) for k, v in d["targets"]["entry_stages"].items()
-            ),
-        )
-        pol = d["policy"]
-        policy = StagePolicy(
-            gauge=GaugeSpec(
-                kind=pol["gauge"]["kind"],
-                floor=rat(pol["gauge"]["floor"]),
-                values=tuple(rat(v) for v in pol["gauge"]["values"]),
-            ),
-            initial_multiplier=rat(pol["initial_multiplier"]),
-            escalation_factor=rat(pol["escalation_factor"]),
-            max_retries=int(pol["max_retries"]),
-            top_spacer=TopSpacerRule(
-                mode=pol["top_spacer"]["mode"],
-                collide_ratio=rat(pol["top_spacer"]["collide_ratio"]),
-            ),
-        )
-        perturbation = (
-            PerturbationSpec(net_depth=int(d["perturbation"]["net_depth"]))
-            if d.get("perturbation")
-            else None
-        )
         escalations = tuple(
             EscalationEvent(
                 window=int(e["window"]),
@@ -443,10 +450,10 @@ class Schedule:
         return cls(
             base_width=rat(d["base_width"]),
             base_height=rat(d["base_height"]),
-            targets=targets,
-            policy=policy,
+            targets=TargetSets.from_dict(d["targets"]),
+            policy=StagePolicy.from_dict(d["policy"]),
             stages=tuple(StageParams.from_dict(s) for s in d["stages"]),
-            perturbation=perturbation,
+            perturbation=PerturbationSpec.from_dict(d.get("perturbation")),
             escalations=escalations,
         )
 

@@ -19,13 +19,19 @@ Rat = Fraction
 
 
 def rat(value: int | str | Fraction) -> Rat:
-    """Coerce ints, Fractions or 'p/q' strings to an exact rational."""
+    """Coerce ints, Fractions or 'p/q' strings to an exact rational.
+
+    Malformed strings, a zero denominator included, raise ValueError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot build a rational from {value!r}")
 
 
@@ -147,10 +153,6 @@ class IntervalSet:
         if r <= 0:
             raise NonPositiveScale(f"scale factor must be positive, got {r}")
         return IntervalSet._wrap(tuple((lo * r, hi * r) for lo, hi in self._ivs))
-
-    def clip(self, lo, hi) -> "IntervalSet":
-        """Intersection with the single interval [lo, hi)."""
-        return self.intersect(IntervalSet.single(lo, hi))
 
     def envelope(self) -> tuple[Rat, Rat] | None:
         if not self._ivs:

@@ -288,6 +288,16 @@ def _stage_diff_values(sched, s: int, scale: int) -> list[tuple[int, int]]:
     return cached
 
 
+def _diffs_and_reach(sched, k: int, j: int, scale: int):
+    """Offset differences of stages k..j-1 and, per stage s, the largest
+    pattern sum |delta| that stages k..s can contribute."""
+    diffs = {s: _stage_diff_values(sched, s, scale) for s in range(k, j)}
+    reach: dict[int, int] = {k - 1: 0}
+    for s in range(k, j):
+        reach[s] = reach[s - 1] + max(abs(v) for v, _ in diffs[s])
+    return diffs, reach
+
+
 def _pattern_sums(
     sched, k: int, j: int, scale: int, lo: int, hi: int
 ) -> dict[int, int]:
@@ -297,10 +307,7 @@ def _pattern_sums(
     target band [lo, hi]; the pruning uses exact bounds on what the
     remaining (lower) stages can still contribute.
     """
-    diffs = {s: _stage_diff_values(sched, s, scale) for s in range(k, j)}
-    reach: dict[int, int] = {k - 1: 0}
-    for s in range(k, j):
-        reach[s] = reach[s - 1] + max(abs(v) for v, _ in diffs[s])
+    diffs, reach = _diffs_and_reach(sched, k, j, scale)
     level: dict[int, int] = {0: 1}
     for s in range(j - 1, k - 1, -1):
         rb = reach[s - 1]
@@ -424,10 +431,7 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
     e = int(h_base * scale)  # half-width of a base-pair trapezoid support
     p, q = d.numerator, d.denominator
 
-    diffs = {s: _stage_diff_values(sched, s, scale) for s in range(k, j1)}
-    reach: dict[int, int] = {k - 1: 0}
-    for s in range(k, j1):
-        reach[s] = reach[s - 1] + max(abs(v) for v, _ in diffs[s])
+    diffs, reach = _diffs_and_reach(sched, k, j1, scale)
 
     zband = (p + q) * e  # |q*(d*t - t')| bound for overlapping supports
 

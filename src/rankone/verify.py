@@ -19,9 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     ConfigError,
@@ -42,6 +40,9 @@ from .levelset import (
     make_slab,
     refine,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ZERO = Fraction(0)
 QUARTER = Fraction(1, 4)
@@ -144,7 +145,7 @@ def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> WeakLimitReport:
     if c not in sched.targets.singular:
         raise ValueError(f"{c} is not a singular target of this schedule")
     k = max(a.stage, b.stage)
-    matching = [j for j in sched.certified_stages() if sched.stage(j).ratio == c]
+    matching = [j for j in sched.certified_windows() if sched.stage(j).ratio == c]
     if len([j for j in matching if j > k]) < 2:
         raise NoMatchingStages(
             f"need at least two certified stages above {k} carrying c={c}"
@@ -313,35 +314,51 @@ class DissipativityCertificate:
         }
 
 
-def check_dissipativity(d, sched) -> DissipativityCertificate:
+def dissipativity_windows(d, sched) -> list[int]:
+    """The windows the d-certificate covers; at least one must be built."""
     d = rat(d)
     if d not in sched.targets.dissipative:
         raise ValueError(f"{d} is not a dissipative target of this schedule")
     windows = sched.windows_for(d)
     if not windows:
         raise UncertifiedWindow(
-            f"schedule too short: no certified window at or above stage "
-            f"{sched.targets.entry_stage(d)}"
+            f"schedule too short: no certified window for d={d} at or above "
+            f"stage {sched.targets.entry_stage(d)}"
         )
-    verdicts: list[WindowVerdict] = []
-    for j in windows:
-        witness = find_dissipativity_witness(sched, d, j)
-        verdicts.append(
-            WindowVerdict(
-                window=j,
-                lo=sched.height(j),
-                hi=sched.height(j + 1),
-                empty=witness.is_empty(),
-                witness=witness,
-            )
+    return windows
+
+
+def dissipativity_certificate(
+    d, sched, witnesses: Sequence[IntervalSet]
+) -> DissipativityCertificate:
+    """Assemble the d-certificate from the witnesses of its windows, in order."""
+    d = rat(d)
+    windows = dissipativity_windows(d, sched)
+    verdicts = tuple(
+        WindowVerdict(
+            window=j,
+            lo=sched.height(j),
+            hi=sched.height(j + 1),
+            empty=witness.is_empty(),
+            witness=witness,
         )
+        for j, witness in zip(windows, witnesses, strict=True)
+    )
     return DissipativityCertificate(
         d=d,
         entry_stage=sched.targets.entry_stage(d),
         threshold=sched.dissipativity_threshold(d),
-        windows=tuple(verdicts),
+        windows=verdicts,
         passed=all(v.empty for v in verdicts),
     )
+
+
+def check_dissipativity(d, sched) -> DissipativityCertificate:
+    d = rat(d)
+    witnesses = [
+        find_dissipativity_witness(sched, d, j) for j in dissipativity_windows(d, sched)
+    ]
+    return dissipativity_certificate(d, sched, witnesses)
 
 
 def dissipativity_spot_check(
@@ -448,7 +465,7 @@ def check_perturbed_limit(
         raise ValueError(f"({a_shift}, {b_shift}) is not a point of the dyadic net")
     matching = [
         j
-        for j in sched.certified_stages()
+        for j in sched.certified_windows()
         if sched.stage(j).ratio == c and sched.delta_pair(j) == (a_shift, b_shift)
     ]
     if not matching:
@@ -525,7 +542,7 @@ class SpectralDensitySamples:
 
     @property
     def min_density(self) -> float:
-        return float(np.min(self.density))
+        return float(self.density.min())
 
     def summary_dict(self) -> dict:
         return {
@@ -573,6 +590,8 @@ def _piece_cosine_integral(
     a: float, b: float, c0: float, c1: float, c2: float, s: np.ndarray
 ) -> np.ndarray:
     """Exact-per-piece integral of (c0 + c1 t + c2 t^2) cos(s t) over [a, b]."""
+    import numpy as np
+
     out = np.empty_like(s)
     small = np.abs(s) * max(abs(a), abs(b)) < 4.0
     big = ~small
@@ -622,7 +641,8 @@ def _piece_cosine_integral(
 
 def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensitySamples:
     """Density samples witnessing absolute continuity for a dissipative ratio."""
-    from scipy.special import sici  # costly import, needed only here
+    import numpy as np  # costly imports, needed only here
+    from scipy.special import sici
 
     d = rat(d)
     grid = grid or DensityGrid()

@@ -139,7 +139,7 @@ def test_criterion_5_perturbed_weak_limits(desk_perturbed):
     sched = desk_perturbed
     y = base_slab(sched)
     c = F(3, 2)
-    matching = [j for j in sched.certified_stages() if sched.stage(j).ratio == c]
+    matching = [j for j in sched.certified_windows() if sched.stage(j).ratio == c]
     realized = {sched.delta_pair(j): j for j in matching}
     net = sched.perturbation.points()
     final_two = matching[-2:]

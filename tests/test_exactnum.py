@@ -45,6 +45,11 @@ class TestRat:
         assert rat_str(F(5)) == "5/1"
         assert rat(rat_str(F(-7, 3))) == F(-7, 3)
 
+    @pytest.mark.parametrize("text", ["1/0", "-3/00", "x"])
+    def test_malformed_string_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            rat(text)
+
 
 class TestIntervalSetExamples:
     def test_adjacent_merge(self):

@@ -39,7 +39,7 @@ def test_random_family_certificates(spec):
     y = base_slab(sched)
 
     for c in targets.singular:
-        matching = [j for j in sched.certified_stages() if sched.stage(j).ratio == c]
+        matching = [j for j in sched.certified_windows() if sched.stage(j).ratio == c]
         if len([j for j in matching if j > 1]) < 2:
             continue
         rep = check_weak_limits(y, y, c, sched)

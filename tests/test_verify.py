@@ -169,7 +169,7 @@ class TestPerturbedLimits:
     def test_realized_points_pass_exactly(self, desk_perturbed):
         y = base_slab(desk_perturbed)
         realized = {}
-        for j in desk_perturbed.certified_stages():
+        for j in desk_perturbed.certified_windows():
             if desk_perturbed.stage(j).ratio == F(3, 2):
                 realized.setdefault(desk_perturbed.delta_pair(j), []).append(j)
         assert (F(0), F(1)) in realized and (F(1, 2), F(0)) in realized
