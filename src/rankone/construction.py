@@ -23,6 +23,13 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _int(value) -> int:
+    """An integer field of a loaded document; bool is no integer here."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 # --------------------------------------------------------------------------
 # target ratio sets
 
@@ -61,7 +68,7 @@ class TargetSets:
         if not self.entry_stages:
             entries = tuple((d, m + 2) for m, d in enumerate(dissipative))
         else:
-            entries = tuple((rat(d), int(k)) for d, k in self.entry_stages)
+            entries = tuple((rat(d), _int(k)) for d, k in self.entry_stages)
             known = {d for d, _ in entries}
             if known != set(dissipative):
                 raise ValueError("entry_stages must cover exactly the dissipative family")
@@ -194,7 +201,7 @@ class StagePolicy:
             ),
             initial_multiplier=d["initial_multiplier"],
             escalation_factor=d["escalation_factor"],
-            max_retries=int(d["max_retries"]),
+            max_retries=_int(d["max_retries"]),
             top_spacer=TopSpacerRule(mode=top["mode"], collide_ratio=top["collide_ratio"]),
         )
 
@@ -220,7 +227,7 @@ class PerturbationSpec:
     @classmethod
     def from_dict(cls, d: dict | None) -> "PerturbationSpec | None":
         """Parse a ``perturbation`` block; null or empty means none."""
-        return cls(net_depth=int(d["net_depth"])) if d else None
+        return cls(net_depth=_int(d["net_depth"])) if d else None
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +289,7 @@ class StageParams:
     @classmethod
     def from_dict(cls, d: dict) -> "StageParams":
         return cls(
-            index=int(d["index"]),
+            index=_int(d["index"]),
             ratio=rat(d["ratio"]),
             spacers=tuple(rat(x) for x in d["spacers"]),
             delta1=rat(d["delta1"]),
@@ -438,7 +445,7 @@ class Schedule:
     def from_dict(cls, d: dict) -> "Schedule":
         escalations = tuple(
             EscalationEvent(
-                window=int(e["window"]),
+                window=_int(e["window"]),
                 ratio=rat(e["ratio"]),
                 old_multiplier=rat(e["old_multiplier"]),
                 new_multiplier=rat(e["new_multiplier"]),

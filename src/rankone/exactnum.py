@@ -21,11 +21,12 @@ Rat = Fraction
 def rat(value: int | str | Fraction) -> Rat:
     """Coerce ints, Fractions or 'p/q' strings to an exact rational.
 
-    Malformed strings, a zero denominator included, raise ValueError.
+    Malformed strings, a zero denominator included, raise ValueError;
+    bools raise TypeError, although Python counts them as ints.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -19,13 +19,14 @@ verification layer needs reduces to three exact computations:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
 from .errors import HorizonExceeded, StageOutOfRange
-from .exactnum import IntervalSet, Rat, rat
+from .exactnum import IntervalSet, Rat, rat, rat_str
 
 ZERO = Fraction(0)
 
@@ -177,10 +178,7 @@ class PiecewiseLinear:
     def __post_init__(self):
         if len(self.breakpoints) != len(self.values) or len(self.breakpoints) < 2:
             raise ValueError("need matching breakpoint/value sequences")
-        if any(b <= a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if any(v < 0 for v in self.values):
-            raise ValueError("profile values must be non-negative")
+        _check_profile(self.breakpoints, self.values)
 
     @property
     def window(self) -> tuple[Rat, Rat]:
@@ -193,8 +191,6 @@ class PiecewiseLinear:
             return self.values[0]
         if t >= bp[-1]:
             return self.values[-1]
-        from bisect import bisect_right
-
         i = bisect_right(bp, t) - 1
         t0, t1 = bp[i], bp[i + 1]
         v0, v1 = self.values[i], self.values[i + 1]
@@ -224,8 +220,6 @@ class PiecewiseLinear:
         return IntervalSet(out)
 
     def to_dict(self) -> dict:
-        from .exactnum import rat_str
-
         return {
             "breakpoints": [rat_str(t) for t in self.breakpoints],
             "values": [rat_str(v) for v in self.values],
@@ -324,12 +318,23 @@ def _pattern_sums(
     return level
 
 
-def correlation_profile(a: SlabSet, b: SlabSet, window, sched) -> PiecewiseLinear:
-    """The exact function t -> mu(T_t A /\\ B) on [window.lo, window.hi].
+def _check_profile(breakpoints, values) -> None:
+    """A profile's breakpoints strictly increase and its values are >= 0."""
+    if any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    if any(v < 0 for v in values):
+        raise ValueError("profile values must be non-negative")
 
-    Every pair of refined copies contributes a trapezoid in t; copies are
-    grouped by their offset-difference pattern, so the work scales with
-    the number of patterns near the window, not with the copy count.
+
+def _lattice_profile(a: SlabSet, b: SlabSet, window, sched):
+    """The profile t -> mu(T_t A /\\ B) on the window, on the integer lattice.
+
+    Returns the pair's stage j, the lattice scale and the scaled integer
+    breakpoints and values: breakpoint x is the time x / scale and value v
+    the measure width(j) * v / scale.  Every pair of refined copies
+    contributes a trapezoid in t; copies are grouped by their
+    offset-difference pattern, so the work scales with the number of
+    patterns near the window, not with the copy count.
     """
     w_lo, w_hi = rat(window[0]), rat(window[1])
     if not 0 <= w_lo < w_hi:
@@ -340,66 +345,72 @@ def correlation_profile(a: SlabSet, b: SlabSet, window, sched) -> PiecewiseLinea
     pad = int(sched.height(k) * scale)
     patterns = _pattern_sums(sched, k, j, scale, w_lo_s - pad, w_hi_s + pad)
 
-    events: dict[int, int] = {}
-
-    def add(t: int, ds: int):
-        events[t] = events.get(t, 0) + ds
-
-    for delta, m in patterns.items():
-        for plo, phi in las:
-            for qlo, qhi in lbs:
-                t1 = delta + qlo - phi
-                t4 = delta + qhi - plo
+    # slope changes of the summed trapezoids; the window ends join as
+    # zero changes so that the sweep below passes them
+    events: dict[int, int] = {w_lo_s: 0, w_hi_s: 0}
+    get = events.get
+    for plo, phi in las:
+        for qlo, qhi in lbs:
+            # the trapezoid of a copy pair with pattern sum delta rises on
+            # [delta + c1, delta + c2], is flat to delta + c3, falls to delta + c4
+            c1, c4 = qlo - phi, qhi - plo
+            c2, c3 = sorted((qlo - plo, qhi - phi))
+            for delta, m in patterns.items():
+                t1, t4 = delta + c1, delta + c4
                 if t4 <= w_lo_s or t1 >= w_hi_s:
                     continue
-                d_a, d_b = qlo - plo, qhi - phi
-                t2, t3 = delta + min(d_a, d_b), delta + max(d_a, d_b)
-                add(t1, m)
-                add(t2, -m)
-                add(t3, -m)
-                add(t4, m)
+                t2, t3 = delta + c2, delta + c3
+                events[t1] = get(t1, 0) + m
+                events[t2] = get(t2, 0) - m
+                events[t3] = get(t3, 0) - m
+                events[t4] = get(t4, 0) + m
 
-    width = sched.width(j)
-    unit = width / scale  # one scaled length unit of overlap, as measure
-
-    ev = sorted((t, ds) for t, ds in events.items() if ds != 0)
-    # running value/slope at each event time
-    times: list[int] = []
-    values: list[int] = []
-    slopes: list[int] = []
-    v = 0
-    slope = 0
-    prev: int | None = None
-    for t, ds in ev:
-        if prev is not None:
-            v += slope * (t - prev)
-        times.append(t)
-        values.append(v)
+    # one sweep: the profile is zero before its first event and linear
+    # between events; interior events whose changes cancel are no breakpoint
+    bps: list[int] = []
+    vals: list[int] = []
+    value = slope = prev = 0
+    for t in sorted(events):
+        if t > w_hi_s:
+            break
+        ds = events[t]
+        value += slope * (t - prev)
         slope += ds
-        slopes.append(slope)
         prev = t
+        if t == w_lo_s or t == w_hi_s or (ds and t > w_lo_s):
+            bps.append(t)
+            vals.append(value)
+    _check_profile(bps, vals)
+    return j, scale, bps, vals
 
-    def value_at_scaled(t: int) -> int:
-        from bisect import bisect_right
 
-        i = bisect_right(times, t) - 1
-        if i < 0:
-            return 0
-        return values[i] + slopes[i] * (t - times[i])
-
-    bps: list[int] = [w_lo_s]
-    bps.extend(t for t in times if w_lo_s < t < w_hi_s)
-    bps.append(w_hi_s)
-    vals = [value_at_scaled(t) for t in bps]
+def correlation_profile(a: SlabSet, b: SlabSet, window, sched) -> PiecewiseLinear:
+    """The exact function t -> mu(T_t A /\\ B) on [window.lo, window.hi]."""
+    j, scale, bps, vals = _lattice_profile(a, b, window, sched)
+    unit = sched.width(j) / scale  # one scaled length unit of overlap, as measure
     return PiecewiseLinear(
         breakpoints=tuple(Fraction(t, scale) for t in bps),
-        values=tuple(val * unit for val in vals),
+        values=tuple(v * unit for v in vals),
     )
 
 
 def hitting_set(a: SlabSet, b: SlabSet, window, sched) -> IntervalSet:
-    """Exact support {t in window : mu(T_t A /\\ B) > 0}."""
-    return correlation_profile(a, b, window, sched).support()
+    """Exact support {t in window : mu(T_t A /\\ B) > 0}.
+
+    The same set as ``correlation_profile(...).support()``: the closure of
+    the positive pieces, merged where they touch, taken on the lattice.
+    """
+    _, scale, bps, vals = _lattice_profile(a, b, window, sched)
+    runs: list[list[int]] = []
+    for t0, t1, v0, v1 in zip(bps, bps[1:], vals, vals[1:]):
+        if v0 > 0 or v1 > 0:
+            if runs and runs[-1][1] == t0:
+                runs[-1][1] = t1
+            else:
+                runs.append([t0, t1])
+    return IntervalSet._wrap(
+        tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in runs)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -481,13 +492,22 @@ def window_landmarks(sched, j: int) -> dict[str, Rat]:
     }
 
 
-def annotate_landmark(sched, j: int, t: Rat) -> str:
-    """Label t with the nearest landmark if their ratio is within [1/2, 2]."""
-    best_name, best_ratio = "unresolved", None
-    for name, val in window_landmarks(sched, j).items():
-        if val <= 0:
+def annotate_landmark(landmarks: dict[str, Rat], t: Rat) -> str:
+    """Label t with the nearest landmark if their ratio is within [1/2, 2].
+
+    ``landmarks`` is ``window_landmarks(sched, j)``.  Ratios are compared
+    by cross-multiplying numerators and denominators; on a tie the first
+    landmark in dict order wins.
+    """
+    tn, td = t.numerator, t.denominator
+    best_name, best_num, best_den = "unresolved", 0, 0
+    for name, val in landmarks.items():
+        vn, vd = val.numerator, val.denominator
+        if vn <= 0:
             continue
-        r = t / val if t >= val else val / t
-        if r <= 2 and (best_ratio is None or r < best_ratio):
-            best_name, best_ratio = name, r
+        num, den = tn * vd, td * vn  # t / val
+        if num < den:
+            num, den = den, num  # val / t, the ratio that is >= 1
+        if num <= 2 * den and (best_den == 0 or num * best_den < best_num * den):
+            best_name, best_num, best_den = name, num, den
     return best_name

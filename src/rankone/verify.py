@@ -37,8 +37,10 @@ from .levelset import (
     correlation,
     correlation_profile,
     find_dissipativity_witness,
+    hitting_set,
     make_slab,
     refine,
+    window_landmarks,
 )
 
 if TYPE_CHECKING:
@@ -715,19 +717,18 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensi
 
 def hitting_report(sched, j: int, window=None) -> dict:
     """Exact hitting intervals on a window with landmark annotations."""
-    from .levelset import hitting_set
-
     y = base_slab(sched)
     if window is None:
         window = (sched.height(j), sched.height(j + 1))
     hits = hitting_set(y, y, window, sched)
+    landmarks = window_landmarks(sched, j)
     entries = []
     for lo, hi in hits:
         mid = (lo + hi) / 2
         entries.append(
             {
                 "interval": [rat_str(lo), rat_str(hi)],
-                "landmark": annotate_landmark(sched, j, mid),
+                "landmark": annotate_landmark(landmarks, mid),
             }
         )
     return {

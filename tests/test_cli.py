@@ -111,9 +111,12 @@ class TestLoaderErrors:
             ("verify", ("targets", "entry_stages"), ["2/1", 2]),
             ("verify", ("policy", "gauge"), None),
             ("build", ("base_width",), "1/0"),
+            ("verify", ("stages", 0, "multiplier"), True),
+            ("verify", ("stages", 0, "index"), True),
+            ("verify", ("stages", -1, "spacers", 3), True),
         ],
         ids=["stages-int", "spacer-1/0", "entry-stages-list", "gauge-null",
-             "base-width-1/0"],
+             "base-width-1/0", "multiplier-true", "index-true", "top-spacer-true"],
     )
     def test_malformed_input_exit_2(self, built, tmp_path, command, path, value):
         if command == "verify":

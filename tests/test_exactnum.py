@@ -50,6 +50,11 @@ class TestRat:
         with pytest.raises(ValueError):
             rat(text)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_raises_type_error(self, flag):
+        with pytest.raises(TypeError):
+            rat(flag)
+
 
 class TestIntervalSetExamples:
     def test_adjacent_merge(self):

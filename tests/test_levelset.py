@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankone import (
@@ -22,7 +22,12 @@ from rankone import (
 )
 from rankone import levelset
 from rankone.construction import Schedule
-from rankone.levelset import PiecewiseLinear, find_dissipativity_witness
+from rankone.levelset import (
+    PiecewiseLinear,
+    annotate_landmark,
+    find_dissipativity_witness,
+    window_landmarks,
+)
 from rankone.verify import default_pair_family
 
 
@@ -336,6 +341,102 @@ class TestProfile:
             correlation_profile(y, y, (-1, 1), desk)
         with pytest.raises(ValueError):
             correlation_profile(y, y, (2, 2), desk)
+
+
+class TestHittingSetAgainstSupport:
+    """The lattice support against ``correlation_profile(...).support()``."""
+
+    @staticmethod
+    def draw_window(data, sched, a, b):
+        tower = data.draw(st.integers(2, 4), label="tower")
+        reach = sched.height(tower)
+        kind = data.draw(st.sampled_from(["rational", "on events", "no events"]))
+        if kind == "rational":
+            den = data.draw(st.sampled_from([1, 7, 2**10]), label="den")
+            num = data.draw(st.integers(0, den - 1), label="lo num")
+            lo = F(0) if data.draw(st.booleans(), label="lo = 0") else reach * F(num, den)
+            return lo, lo + reach * F(data.draw(st.integers(1, den), label="len"), den)
+        # interior breakpoints of a profile are exactly its event times
+        bps = correlation_profile(a, b, (0, reach), sched).breakpoints
+        if kind == "on events":
+            i, k = sorted(
+                data.draw(
+                    st.lists(st.integers(0, len(bps) - 1), min_size=2, max_size=2,
+                             unique=True),
+                    label="ends",
+                )
+            )
+            return bps[i], bps[k]
+        i = data.draw(st.integers(0, len(bps) - 2), label="gap")
+        step = (bps[i + 1] - bps[i]) / 3
+        return bps[i] + step, bps[i] + 2 * step
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_hitting_set_equals_profile_support(self, desk, broken, data):
+        sched = data.draw(st.sampled_from([desk, broken]))
+        family = default_pair_family(sched)
+        a = data.draw(st.sampled_from(family), label="a")[1]
+        b = data.draw(st.sampled_from(family), label="b")[1]
+        window = self.draw_window(data, sched, a, b)
+        got = hitting_set(a, b, window, sched)
+        assert got == correlation_profile(a, b, window, sched).support()
+        assert all(isinstance(x, F) for iv in got for x in iv)
+
+
+class TestLandmarkLabels:
+    """Lattice landmark labels against the Fraction formula they replace."""
+
+    @staticmethod
+    def reference(landmarks, t):
+        best_name, best_ratio = "unresolved", None
+        for name, val in landmarks.items():
+            if val <= 0:
+                continue
+            r = t / val if t >= val else val / t
+            if r <= 2 and (best_ratio is None or r < best_ratio):
+                best_name, best_ratio = name, r
+        return best_name
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_labels_equal_reference(self, desk, broken, data):
+        if data.draw(st.booleans(), label="window landmarks"):
+            sched = data.draw(st.sampled_from([desk, broken]))
+            landmarks = window_landmarks(sched, data.draw(st.integers(1, 7)))
+        else:
+            values = st.fractions(min_value=-2, max_value=60, max_denominator=12)
+            drawn = data.draw(st.lists(values, min_size=1, max_size=4), label="values")
+            landmarks = dict(zip(["a", "b", "c", "d"], drawn))
+        val = data.draw(st.sampled_from(list(landmarks.values())), label="landmark")
+        kind = data.draw(st.sampled_from(["half", "double", "equal", "near", "rational"]))
+        if kind == "half":
+            t = val / 2
+        elif kind == "double":
+            t = 2 * val
+        elif kind == "equal":
+            t = val
+        elif kind == "near":  # just inside or outside the [1/2, 2] bounds
+            eps = F(1, 2**40) * data.draw(st.sampled_from([-1, 1]))
+            t = data.draw(st.sampled_from([val / 2, 2 * val])) + eps
+        else:
+            t = data.draw(st.fractions(min_value=0, max_value=120), label="t")
+        assume(t > 0)
+        assert annotate_landmark(landmarks, t) == self.reference(landmarks, t)
+
+    @pytest.mark.parametrize(
+        "landmarks, t, expected",
+        [
+            ({"low": F(1), "high": F(4)}, F(2), "low"),  # both ratios exactly 2
+            ({"high": F(4), "low": F(1)}, F(2), "high"),
+            ({"low": F(4), "high": F(9)}, F(6), "low"),  # both ratios 3/2
+            ({"x": F(3), "y": F(3)}, F(5, 2), "x"),  # equal landmarks
+            ({"low": F(1), "high": F(25, 4)}, F(5, 2), "unresolved"),  # both 5/2
+        ],
+    )
+    def test_ties_keep_the_first_landmark(self, landmarks, t, expected):
+        assert self.reference(landmarks, t) == expected
+        assert annotate_landmark(landmarks, t) == expected
 
 
 class TestPiecewiseLinear:

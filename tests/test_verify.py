@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -253,3 +255,14 @@ class TestHittingReport:
             "top_spacer",
             "unresolved",
         }
+
+    def test_broken_window_4_bytes_unchanged(self, broken):
+        # serialized as ``rankone profile --window`` writes it; the digest is
+        # that of the Fraction-based sweep, support and labels, which the
+        # lattice code must reproduce byte for byte
+        rep = hitting_report(broken, 4)
+        assert len(rep["intervals"]) == 6085
+        text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "719f08f33959b152c98d5bda43f9e58c7d888be0001a73d250b69e4dba264560"
+        )
