@@ -2,7 +2,8 @@
 
 Exit codes: 0 all requested certificates pass; 2 usage/config errors
 (including escalation exhaustion at build time); 3 certificate failure;
-4 flow time beyond the built horizon.
+4 flow time beyond the built horizon.  ``_EXIT_CODES`` maps every error a
+subcommand raises to its code; a failed certificate exits 3 explicitly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
     NoMatchingStages,
     NotDissipative,
     RankOneError,
-    UncertifiedWindow,
 )
 from .exactnum import rat, rat_str
 from .levelset import (
@@ -175,7 +175,28 @@ def _load_schedule(path: str) -> Schedule:
         raise ConfigError(f"cannot load schedule {path}: {exc}") from exc
 
 
-@click.group()
+_EXIT_CODES = (
+    (HorizonExceeded, 4, "horizon exceeded"),
+    (NotDissipative, 3, "not dissipative"),
+    (EscalationExhausted, 2, "escalation exhausted"),
+    ((RankOneError, ValueError), 2, "usage error"),
+)
+
+
+class _ExitCodeGroup(click.Group):
+    """Report a subcommand's error on stderr and exit with its code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (RankOneError, ValueError) as exc:
+            for kind, code, label in _EXIT_CODES:
+                if isinstance(exc, kind):
+                    click.echo(f"{label}: {exc}", err=True)
+                    sys.exit(code)
+
+
+@click.group(cls=_ExitCodeGroup)
 def main():
     """Exact verification lab for the cutting-and-stacking flow."""
 
@@ -186,15 +207,7 @@ def main():
 def build(config, out):
     """Build a schedule from a JSON config and write it with a build log."""
     out_dir = Path(out)
-    try:
-        cfg = load_config(config)
-        sched = schedule_from_config(cfg)
-    except EscalationExhausted as exc:
-        click.echo(f"escalation exhausted: {exc}", err=True)
-        sys.exit(2)
-    except (ConfigError, RankOneError, ValueError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    sched = schedule_from_config(load_config(config))
     (out_dir / "schedule.json").parent.mkdir(parents=True, exist_ok=True)
     (out_dir / "schedule.json").write_text(sched.to_json() + "\n")
     log = {
@@ -225,16 +238,40 @@ def _echo(lines: list[str], text: str) -> None:
     click.echo(text)
 
 
-def _verify_singular(sched, out_dir: Path, lines: list[str], only=None) -> bool:
+def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
+    """The certificate kinds ``verify`` runs, each with the ratios it checks.
+
+    On a perturbed schedule ``all`` skips the exact-quarter singular
+    checks, which cannot hold there.  ``ratio`` keeps the kinds whose
+    targets hold it (perturbed checks use the singular targets).
+    """
+    if which != "all":
+        kinds: tuple[str, ...] = (which,)
+    elif sched.perturbation is None:
+        kinds = ("singular", "dissipative")
+    else:
+        kinds = ("dissipative", "perturbed")
+    targets = sched.targets
+    plan = {
+        kind: targets.dissipative if kind == "dissipative" else targets.singular
+        for kind in kinds
+    }
+    if ratio is None:
+        return plan
+    only = rat(ratio)
+    plan = {kind: (only,) for kind, ratios in plan.items() if only in ratios}
+    if not plan:
+        raise ConfigError(
+            f"{only} is not a {' or '.join(kinds)} target of this schedule"
+        )
+    return plan
+
+
+def _verify_singular(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
     family = default_pair_family(sched)
     reports = []
     all_pass = True
     any_checked = False
-    ratios = sched.targets.singular
-    if only is not None:
-        if only not in ratios:
-            raise ConfigError(f"{only} is not a singular target of this schedule")
-        ratios = (only,)
     for c in ratios:
         passing = []
         for i, (name_a, a) in enumerate(family):
@@ -298,17 +335,13 @@ def _worker_window(task: tuple[Fraction, int]):
 
 
 def _verify_dissipative(
-    sched, out_dir: Path, jobs: int, spot: int, seed: int, lines: list[str], only=None
+    sched, ratios, out_dir: Path, jobs: int, spot: int, seed: int, lines: list[str]
 ) -> bool:
-    ratios = sched.targets.dissipative
-    if only is not None:
-        if only not in ratios:
-            raise ConfigError(f"{only} is not a dissipative target of this schedule")
-        ratios = (only,)
-    if jobs > 1:
-        tasks = [(d, j) for d in ratios for j in dissipativity_windows(d, sched)]
+    tasks = [(d, j) for d in ratios for j in dissipativity_windows(d, sched)]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(sched.to_json(),)
+            max_workers=workers, initializer=_worker_init, initargs=(sched.to_json(),)
         ) as pool:
             found = dict(zip(tasks, pool.map(_worker_window, tasks)))
         certs = [
@@ -351,14 +384,12 @@ def _verify_dissipative(
     return all_pass
 
 
-def _verify_perturbed(sched, out_dir: Path, lines: list[str]) -> bool:
-    if sched.perturbation is None:
-        raise ConfigError("schedule was built without perturbations")
+def _verify_perturbed(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
     family = default_pair_family(sched)
     y_name, y = family[0]
     reports = []
     all_pass = True
-    for c in sched.targets.singular:
+    for c in ratios:
         seen: set = set()
         for j in sched.certified_windows():
             if sched.stage(j).ratio != c:
@@ -367,10 +398,7 @@ def _verify_perturbed(sched, out_dir: Path, lines: list[str]) -> bool:
             if point in seen:
                 continue
             seen.add(point)
-            try:
-                rep = check_perturbed_limit(c, point[0], point[1], y, y, sched)
-            except NoMatchingStages:
-                continue
+            rep = check_perturbed_limit(c, point[0], point[1], y, y, sched)
             entry = rep.to_dict()
             entry["pair"] = [y_name, y_name]
             reports.append(entry)
@@ -400,35 +428,27 @@ def _verify_perturbed(sched, out_dir: Path, lines: list[str]) -> bool:
     default="all",
 )
 @click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
-@click.option("--jobs", default=1, type=int)
+@click.option("--jobs", default=1, type=click.IntRange(min=1))
 @click.option("--seed", default=0, type=int)
-@click.option("--spot-checks", default=0, type=int, help="random times per window")
-@click.option("--ratio", default=None, help="restrict to one target ratio (p/q)")
+@click.option("--spot-checks", default=0, type=click.IntRange(min=0),
+              help="random times per window")
+@click.option("--ratio", default=None,
+              help="keep the selected kinds whose targets hold this ratio (p/q)")
 def verify(schedule, which, out, jobs, seed, spot_checks, ratio):
     """Run certificates against a built schedule; exit 0 iff all pass."""
     out_dir = Path(out)
     lines: list[str] = []
-    try:
-        sched = _load_schedule(schedule)
-        only = rat(ratio) if ratio is not None else None
-        ok = True
-        if which in ("singular", "all"):
-            ok = _verify_singular(sched, out_dir, lines, only=only) and ok
-        if which in ("dissipative", "all"):
-            ok = (
-                _verify_dissipative(
-                    sched, out_dir, jobs, spot_checks, seed, lines, only=only
-                )
-                and ok
-            )
-        if which == "perturbed" or (which == "all" and sched.perturbation is not None):
-            ok = _verify_perturbed(sched, out_dir, lines) and ok
-    except HorizonExceeded as exc:
-        click.echo(f"horizon exceeded: {exc}", err=True)
-        sys.exit(4)
-    except (ConfigError, NoMatchingStages, UncertifiedWindow, ValueError) as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        sys.exit(2)
+    sched = _load_schedule(schedule)
+    plan = _verify_plan(sched, which, ratio)
+    ok = True
+    if "singular" in plan:
+        ok = _verify_singular(sched, plan["singular"], out_dir, lines) and ok
+    if "dissipative" in plan:
+        ok = _verify_dissipative(
+            sched, plan["dissipative"], out_dir, jobs, spot_checks, seed, lines
+        ) and ok
+    if "perturbed" in plan:
+        ok = _verify_perturbed(sched, plan["perturbed"], out_dir, lines) and ok
     verdict = (
         "PASS: all requested certificates hold"
         if ok
@@ -448,40 +468,33 @@ def verify(schedule, which, out, jobs, seed, spot_checks, ratio):
 @click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
 @click.option("--t-min", default="0/1")
 @click.option("--t-max", default=None, help="defaults to the height of tower 2")
-@click.option("--samples", default=512, type=int)
+@click.option("--samples", default=512, type=click.IntRange(min=1))
 @click.option("--window", "window_index", default=None, type=int,
               help="emit the hitting report for window [h_j, h_{j+1}]")
 def profile(schedule, out, t_min, t_max, samples, window_index):
     """Emit the exact self-correlation profile of the base slab as CSV."""
     out_dir = Path(out)
-    try:
-        sched = _load_schedule(schedule)
-        y = base_slab(sched)
-        lo = rat(t_min)
-        hi = rat(t_max) if t_max is not None else sched.height(min(2, sched.num_stages))
-        prof = correlation_profile(y, y, (lo, hi), sched)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rows = ["t,value"]
-        for i in range(samples + 1):
-            t = lo + (hi - lo) * Fraction(i, samples)
-            rows.append(f"{float(t):.12e},{float(prof.value_at(t)):.12e}")
-        (out_dir / "profile.csv").write_text("\n".join(rows) + "\n")
+    sched = _load_schedule(schedule)
+    y = base_slab(sched)
+    lo = rat(t_min)
+    hi = rat(t_max) if t_max is not None else sched.height(min(2, sched.num_stages))
+    prof = correlation_profile(y, y, (lo, hi), sched)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = ["t,value"]
+    for i in range(samples + 1):
+        t = lo + (hi - lo) * Fraction(i, samples)
+        rows.append(f"{float(t):.12e},{float(prof.value_at(t)):.12e}")
+    (out_dir / "profile.csv").write_text("\n".join(rows) + "\n")
+    _write_json(
+        out_dir / "profile.json",
+        {"t_min": rat_str(lo), "t_max": rat_str(hi), **prof.to_dict()},
+    )
+    if window_index is not None:
         _write_json(
-            out_dir / "profile.json",
-            {"t_min": rat_str(lo), "t_max": rat_str(hi), **prof.to_dict()},
+            out_dir / f"hitting_window_{window_index}.json",
+            hitting_report(sched, window_index),
         )
-        if window_index is not None:
-            _write_json(
-                out_dir / f"hitting_window_{window_index}.json",
-                hitting_report(sched, window_index),
-            )
-        click.echo(f"profile on [{lo}, {hi}]: {len(prof.breakpoints)} breakpoints")
-    except HorizonExceeded as exc:
-        click.echo(f"horizon exceeded: {exc}", err=True)
-        sys.exit(4)
-    except (ConfigError, RankOneError, ValueError) as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        sys.exit(2)
+    click.echo(f"profile on [{lo}, {hi}]: {len(prof.breakpoints)} breakpoints")
 
 
 @main.command()
@@ -494,19 +507,9 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
 def density(schedule, out, ratio, s_max, samples, mass_s):
     """Spectral-density samples for a dissipative ratio (CSV + summary)."""
     out_dir = Path(out)
-    try:
-        sched = _load_schedule(schedule)
-        grid = DensityGrid(s_max=s_max, samples=samples, mass_s=mass_s)
-        dens = spectral_density(rat(ratio), sched, grid)
-    except HorizonExceeded as exc:
-        click.echo(f"horizon exceeded: {exc}", err=True)
-        sys.exit(4)
-    except NotDissipative as exc:
-        click.echo(f"not dissipative: {exc}", err=True)
-        sys.exit(3)
-    except (ConfigError, RankOneError, ValueError) as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        sys.exit(2)
+    sched = _load_schedule(schedule)
+    grid = DensityGrid(s_max=s_max, samples=samples, mass_s=mass_s)
+    dens = spectral_density(rat(ratio), sched, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["s,density"]
     for s, v in zip(dens.frequencies, dens.density):
@@ -523,47 +526,40 @@ def density(schedule, out, ratio, s_max, samples, mass_s):
 @main.command()
 @click.option("--schedule", "-s", default="out/schedule.json", type=click.Path())
 @click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
-@click.option("--triples", default=12, type=int)
+@click.option("--triples", default=12, type=click.IntRange(min=1))
 @click.option("--samples", default=2000, type=int)
 @click.option("--seed", default=0, type=int)
 @click.option("--t-max-stage", default=3, type=int)
 def oracle(schedule, out, triples, samples, seed, t_max_stage):
     """Cross-check the exact engine against the orbit-simulation oracle."""
     out_dir = Path(out)
-    try:
-        sched = _load_schedule(schedule)
-        t_stage = min(t_max_stage, sched.num_stages)
-        family = default_pair_family(sched)
-        rng = random.Random(seed)
-        denom = 2**16
-        rows = ["name_a,name_b,t,exact,oracle,bound,ok"]
-        violations = 0
-        t_hi = sched.height(t_stage)
-        for _ in range(triples):
-            name_a, a = family[rng.randrange(len(family))]
-            name_b, b = family[rng.randrange(len(family))]
-            t = t_hi * Fraction(rng.randrange(denom), denom)
-            exact = correlation(a, b, t, sched)
-            est = oracle_correlation(a, b, t, samples, sched)
-            ok = abs(est.value - exact) <= est.bound
-            violations += 0 if ok else 1
-            rows.append(
-                f"{name_a},{name_b},{float(t):.12e},{float(exact):.12e},"
-                f"{float(est.value):.12e},{float(est.bound):.12e},{ok}"
-            )
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "oracle.csv").write_text("\n".join(rows) + "\n")
-        click.echo(
-            f"oracle: {triples - violations}/{triples} within the deterministic bound"
+    sched = _load_schedule(schedule)
+    t_stage = min(t_max_stage, sched.num_stages)
+    family = default_pair_family(sched)
+    rng = random.Random(seed)
+    denom = 2**16
+    rows = ["name_a,name_b,t,exact,oracle,bound,ok"]
+    violations = 0
+    t_hi = sched.height(t_stage)
+    for _ in range(triples):
+        name_a, a = family[rng.randrange(len(family))]
+        name_b, b = family[rng.randrange(len(family))]
+        t = t_hi * Fraction(rng.randrange(denom), denom)
+        exact = correlation(a, b, t, sched)
+        est = oracle_correlation(a, b, t, samples, sched)
+        ok = abs(est.value - exact) <= est.bound
+        violations += 0 if ok else 1
+        rows.append(
+            f"{name_a},{name_b},{float(t):.12e},{float(exact):.12e},"
+            f"{float(est.value):.12e},{float(est.bound):.12e},{ok}"
         )
-        if violations:
-            sys.exit(3)
-    except HorizonExceeded as exc:
-        click.echo(f"horizon exceeded: {exc}", err=True)
-        sys.exit(4)
-    except (ConfigError, RankOneError, ValueError) as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        sys.exit(2)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "oracle.csv").write_text("\n".join(rows) + "\n")
+    click.echo(
+        f"oracle: {triples - violations}/{triples} within the deterministic bound"
+    )
+    if violations:
+        sys.exit(3)
 
 
 if __name__ == "__main__":

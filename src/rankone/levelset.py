@@ -38,13 +38,6 @@ class SlabSet:
     stage: int
     levels: IntervalSet
 
-    def to_dict(self) -> dict:
-        return {"stage": self.stage, "levels": self.levels.to_pairs()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SlabSet":
-        return cls(stage=int(d["stage"]), levels=IntervalSet.from_pairs(d["levels"]))
-
 
 def make_slab(sched, stage: int, levels) -> SlabSet:
     if not 1 <= stage <= sched.num_stages:
@@ -179,10 +172,6 @@ class PiecewiseLinear:
         if len(self.breakpoints) != len(self.values) or len(self.breakpoints) < 2:
             raise ValueError("need matching breakpoint/value sequences")
         _check_profile(self.breakpoints, self.values)
-
-    @property
-    def window(self) -> tuple[Rat, Rat]:
-        return self.breakpoints[0], self.breakpoints[-1]
 
     def value_at(self, t) -> Rat:
         t = rat(t)

@@ -141,17 +141,6 @@ class OracleEstimate:
     regions: int
     edge_cap: int
 
-    def to_dict(self) -> dict:
-        from .exactnum import rat_str
-
-        return {
-            "value": rat_str(self.value),
-            "bound": rat_str(self.bound),
-            "samples": self.samples,
-            "regions": self.regions,
-            "edge_cap": self.edge_cap,
-        }
-
 
 def _strata_midpoints(levels, n: int) -> list[Rat]:
     """Midpoints of n equal-measure strata across an interval set."""

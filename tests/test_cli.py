@@ -215,6 +215,38 @@ class TestVerify:
             out / "dissipativity.json"
         ).read_bytes()
 
+    def test_jobs_capped_at_task_count(self, built, tmp_path, monkeypatch):
+        from rankone import Schedule, cli
+        from rankone.verify import dissipativity_windows
+
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "_WORKER_SCHED", None)
+        result = CliRunner().invoke(
+            main,
+            ["verify", "-s", str(built / "schedule.json"), "-o", str(tmp_path),
+             "--which", "dissipative", "--jobs", "64"],
+        )
+        assert result.exit_code == 0, result.output
+        sched = Schedule.from_json((built / "schedule.json").read_text())
+        tasks = sum(len(dissipativity_windows(d, sched)) for d in sched.targets.dissipative)
+        assert pools == [tasks]
+
     def test_missing_schedule_exit_2(self, tmp_path):
         result = CliRunner().invoke(
             main, ["verify", "-s", str(tmp_path / "nope.json"), "-o", str(tmp_path)]
@@ -230,19 +262,67 @@ class TestVerify:
         assert result.exit_code == 2
 
 
-class TestPerturbedVerify:
-    def test_perturbed_all(self, tmp_path):
-        cfg = write_config(tmp_path, {"perturbation": {"net_depth": 1}, "stages": 6})
-        out = tmp_path / "out"
-        assert CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)]).exit_code == 0
+class TestRatioSelection:
+    """``--ratio`` keeps the selected kinds whose targets hold the ratio."""
+
+    @pytest.mark.parametrize(
+        "ratio, written, skipped",
+        [("2/1", "dissipativity.json", "weak_limits.json"),
+         ("3/2", "weak_limits.json", "dissipativity.json")],
+        ids=["dissipative", "singular"],
+    )
+    def test_all_runs_kinds_holding_ratio(self, built, tmp_path, ratio, written, skipped):
         result = CliRunner().invoke(
             main,
-            ["verify", "-s", str(out / "schedule.json"), "-o", str(out),
+            ["verify", "-s", str(built / "schedule.json"), "-o", str(tmp_path),
+             "--ratio", ratio],
+        )
+        assert result.exit_code == 0, result.output
+        assert not (tmp_path / skipped).exists()
+        report = json.loads((tmp_path / written).read_text())
+        assert report and {r["ratio"] for r in report} == {ratio}
+
+
+@pytest.fixture(scope="module")
+def built_perturbed(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli_perturbed")
+    cfg = write_config(tmp, {"perturbation": {"net_depth": 1}, "stages": 6})
+    out = tmp / "out"
+    result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+class TestPerturbedVerify:
+    def test_perturbed_all(self, built_perturbed, tmp_path):
+        result = CliRunner().invoke(
+            main,
+            ["verify", "-s", str(built_perturbed / "schedule.json"), "-o", str(tmp_path),
              "--which", "perturbed"],
         )
         assert result.exit_code == 0, result.output
-        report = json.loads((out / "perturbed_limits.json").read_text())
+        report = json.loads((tmp_path / "perturbed_limits.json").read_text())
         assert report and all(r["passed"] for r in report)
+
+    def test_default_which_skips_singular(self, built_perturbed, tmp_path):
+        result = CliRunner().invoke(
+            main,
+            ["verify", "-s", str(built_perturbed / "schedule.json"), "-o", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert not (tmp_path / "weak_limits.json").exists()
+        assert (tmp_path / "dissipativity.json").exists()
+        assert (tmp_path / "perturbed_limits.json").exists()
+
+    def test_foreign_ratio_exit_2_before_reports(self, built_perturbed, tmp_path):
+        result = CliRunner().invoke(
+            main,
+            ["verify", "-s", str(built_perturbed / "schedule.json"), "-o", str(tmp_path),
+             "--which", "perturbed", "--ratio", "7/1"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "usage error" in result.output
+        assert not list(tmp_path.iterdir())
 
 
 class TestArtifacts:

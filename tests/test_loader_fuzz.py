@@ -70,6 +70,27 @@ def test_unmutated_inputs_pass(work):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["profile", "--samples", "0"],
+        ["profile", "--samples", "-1"],
+        ["verify", "--which", "dissipative", "--jobs", "0"],
+        ["verify", "--which", "dissipative", "--jobs", "-1"],
+        ["verify", "--which", "dissipative", "--spot-checks", "-1"],
+        ["oracle", "--triples", "0"],
+        ["oracle", "--triples", "-1"],
+    ],
+    ids=["samples-0", "samples-neg", "jobs-0", "jobs-neg", "spot-checks-neg",
+         "triples-0", "triples-neg"],
+)
+def test_out_of_range_options_exit_2(work, args):
+    result = _invoke(
+        [args[0], "-s", str(work / "schedule.json"), "-o", str(work / "r"), *args[1:]]
+    )
+    assert result.exit_code == 2, result.output
+
+
 @settings(
     max_examples=200,
     deadline=None,
