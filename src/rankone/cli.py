@@ -479,6 +479,7 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
     lo = rat(t_min)
     hi = rat(t_max) if t_max is not None else sched.height(min(2, sched.num_stages))
     prof = correlation_profile(y, y, (lo, hi), sched)
+    hits = hitting_report(sched, window_index) if window_index is not None else None
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["t,value"]
     for i in range(samples + 1):
@@ -489,11 +490,8 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
         out_dir / "profile.json",
         {"t_min": rat_str(lo), "t_max": rat_str(hi), **prof.to_dict()},
     )
-    if window_index is not None:
-        _write_json(
-            out_dir / f"hitting_window_{window_index}.json",
-            hitting_report(sched, window_index),
-        )
+    if hits is not None:
+        _write_json(out_dir / f"hitting_window_{window_index}.json", hits)
     click.echo(f"profile on [{lo}, {hi}]: {len(prof.breakpoints)} breakpoints")
 
 

@@ -481,14 +481,14 @@ def window_landmarks(sched, j: int) -> dict[str, Rat]:
     }
 
 
-def annotate_landmark(landmarks: dict[str, Rat], t: Rat) -> str:
-    """Label t with the nearest landmark if their ratio is within [1/2, 2].
+def annotate_landmark(landmarks: dict[str, Rat], tn: int, td: int) -> str:
+    """Label t = tn/td with the nearest landmark if their ratio is within [1/2, 2].
 
-    ``landmarks`` is ``window_landmarks(sched, j)``.  Ratios are compared
-    by cross-multiplying numerators and denominators; on a tie the first
-    landmark in dict order wins.
+    ``landmarks`` is ``window_landmarks(sched, j)``; tn/td need not be
+    reduced, but td > 0.  Ratios are compared by cross-multiplying
+    numerators and denominators; on a tie the first landmark in dict
+    order wins.
     """
-    tn, td = t.numerator, t.denominator
     best_name, best_num, best_den = "unresolved", 0, 0
     for name, val in landmarks.items():
         vn, vd = val.numerator, val.denominator

@@ -8,23 +8,25 @@ here refines level sets or translates interval sets; agreement with the
 exact engine is therefore evidence for both.
 
 ``oracle_correlation`` estimates mu(T_t A /\\ B) from a deterministic
-stratified grid of heights in A.  For each sampled height the column
-ancestry is integrated out exactly (a probability-weighted walk over the
-4-way lift branches), so the only discretization is the height grid; the
-integrand is piecewise constant in the height, which yields the hard
+stratified grid of heights in A.  One walk over A's level intervals, on
+an integer lattice, splits them where the advance leaves a tower; each
+terminal region adds its samples' B-hits over every 4-way lift branch,
+a branch ending at stage s weighted by 4^(top - s), and one division at
+the end gives the estimate.  The column ancestry is thus integrated out
+exactly and the only discretization is the height grid; the integrand
+is piecewise constant in the height, which yields the hard
 deterministic error bound  mu(A) * edge_count / n.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import HorizonExceeded
 from .exactnum import Rat, rat
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -63,21 +65,23 @@ def orbit_advance(p: PointState, t, sched) -> PointState:
     return PointState(stage=stage, height=y + t, path=p.path[i:])
 
 
+def _column_copy(stage: int, y: Rat, sched) -> tuple[int, Rat] | None:
+    """(digit, height) of y in the copy of tower stage-1 holding it, or None."""
+    prev_h = sched.height(stage - 1)
+    for digit, off in enumerate(sched.offsets(stage - 1), start=1):
+        if off <= y < off + prev_h:
+            return digit, y - off
+    return None
+
+
 def locate_height(stage: int, height: Rat, target_stage: int, sched) -> Rat | None:
     """Express a tower height at an earlier stage; None if it sits in spacers."""
     y = height
-    s = stage
-    while s > target_stage:
-        prev_h = sched.height(s - 1)
-        found = None
-        for off in sched.offsets(s - 1):
-            if off <= y < off + prev_h:
-                found = y - off
-                break
+    for s in range(stage, target_stage, -1):
+        found = _column_copy(s, y, sched)
         if found is None:
             return None
-        y = found
-        s -= 1
+        y = found[1]
     return y
 
 
@@ -105,17 +109,9 @@ def canonical_form(p: PointState, sched) -> tuple[int, Rat, tuple[int, ...]]:
     stages it passes, so two states describing the same point agree.
     """
     stage, y, path = p.stage, p.height, list(p.path)
-    while stage > 1:
-        prev_h = sched.height(stage - 1)
-        found = None
-        for digit, off in enumerate(sched.offsets(stage - 1), start=1):
-            if off <= y < off + prev_h:
-                found = (digit, y - off)
-                break
-        if found is None:
-            break
-        path.insert(0, found[0])
-        y = found[1]
+    while stage > 1 and (found := _column_copy(stage, y, sched)) is not None:
+        digit, y = found
+        path.insert(0, digit)
         stage -= 1
     return stage, y, tuple(path)
 
@@ -142,20 +138,21 @@ class OracleEstimate:
     edge_cap: int
 
 
-def _strata_midpoints(levels, n: int) -> list[Rat]:
-    """Midpoints of n equal-measure strata across an interval set."""
-    total = levels.total_length
-    step = total / n
-    out: list[Rat] = []
-    ivs = list(levels.intervals)
+def _strata_midpoints(intervals: list[tuple[int, int]], n: int) -> list[int]:
+    """Midpoints of n equal-measure strata across sorted integer intervals.
+
+    The total length must be a multiple of 2n, so the midpoints are integers.
+    """
+    total = sum(hi - lo for lo, hi in intervals)
+    out: list[int] = []
     idx = 0
-    consumed = ZERO  # length of fully consumed intervals
+    consumed = 0  # length of fully consumed intervals
     for i in range(n):
-        u = step * (2 * i + 1) / 2
-        while u >= consumed + (ivs[idx][1] - ivs[idx][0]):
-            consumed += ivs[idx][1] - ivs[idx][0]
+        u = total * (2 * i + 1) // (2 * n)
+        while u >= consumed + (intervals[idx][1] - intervals[idx][0]):
+            consumed += intervals[idx][1] - intervals[idx][0]
             idx += 1
-        out.append(ivs[idx][0] + (u - consumed))
+        out.append(intervals[idx][0] + (u - consumed))
     return out
 
 
@@ -174,30 +171,29 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
     k_a, k_b = a.stage, b.stage
     top = sched.num_stages
 
-    # one integer scale for every height handled below
-    vals = [t, sched.base_width, sched.base_height]
+    # one integer scale for every height handled below: the lcm of the
+    # geometry's denominators, times 2n to put the stratum midpoints on it
+    vals = [t]
     for j in range(1, top + 1):
         vals.append(sched.height(j))
         vals.extend(sched.offsets(j))
-    for lo, hi in a.levels.intervals:
-        vals.extend((lo, hi))
-    for lo, hi in b.levels.intervals:
-        vals.extend((lo, hi))
-    mids = _strata_midpoints(a.levels, n)
-    vals.extend(mids)
+    for slab in (a, b):
+        for iv in slab.levels.intervals:
+            vals.extend(iv)
     scale = 1
     for v in vals:
         scale = lcm(scale, v.denominator)
+    scale *= 2 * n
 
     heights = {j: int(sched.height(j) * scale) for j in range(1, top + 1)}
     offsets = {
         j: [int(o * scale) for o in sched.offsets(j)] for j in range(1, top)
     }
     t_s = int(t * scale)
+    la_s = [(int(lo * scale), int(hi * scale)) for lo, hi in a.levels.intervals]
     lb_s = [(int(lo * scale), int(hi * scale)) for lo, hi in b.levels.intervals]
     lb_lo = [iv[0] for iv in lb_s]
-
-    from bisect import bisect_right
+    mids = _strata_midpoints(la_s, n)
 
     def in_b(z: int) -> int:
         i = bisect_right(lb_lo, z) - 1
@@ -219,35 +215,21 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
             stage -= 1
         return in_b(z)
 
-    def lifted_avg(stage: int, z: int) -> Fraction:
-        """Average membership of (stage, z) in B over remaining ancestry."""
+    def lifted_hits(stage: int, z: int) -> int:
+        """B-hits of (stage, z) over its 4^(k_b - stage) lifts to B's stage."""
         if stage >= k_b:
-            return Fraction(descend_test(stage, z))
-        if stage >= top:
-            raise HorizonExceeded("cannot reach the slab's stage")
-        acc = sum(lifted_avg(stage + 1, z + off) for off in offsets[stage])
-        return Fraction(acc, 4)
+            return descend_test(stage, z)
+        return sum(lifted_hits(stage + 1, z + off) for off in offsets[stage])
 
-    def advanced_avg(stage: int, z: int) -> Fraction:
-        if z + t_s < heights[stage]:
-            return lifted_avg(stage, z + t_s)
-        if stage >= top:
-            raise HorizonExceeded(f"advance by {t} leaves the built towers")
-        acc = sum(advanced_avg(stage + 1, z + off) for off in offsets[stage])
-        return Fraction(acc, 4)
-
-    total = sum(advanced_avg(k_a, int(y * scale)) for y in mids)
-    mu_a = sched.width(k_a) * a.levels.total_length
-    estimate = mu_a * total / n
-
-    # exact count of terminal branch regions over the full height range,
-    # plus a per-region cap on boundary crossings during descent: within
-    # an image interval of length L, the disjoint column windows of
+    # each terminal region of the advance adds its samples' weighted B-hits,
+    # its branch count, and a cap on boundary crossings during descent:
+    # within an image interval of length L, the disjoint column windows of
     # height h contribute at most 2*(L//h + 1) endpoints per level, and
     # the slab's own intervals at most 2*n_b per window met
     n_b = len(lb_s)
+    hits = 0  # a branch ending at stage s weighs 4^(top - s)
     regions = 0
-    edge_cap = 2 * len(a.levels.intervals)
+    edge_cap = 2 * len(la_s)
 
     def region_cap(stage_r: int, length: int) -> int:
         cap = 1 + 2 * n_b * (length // heights[k_b] + 1)
@@ -255,30 +237,33 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
             cap += 2 * (length // heights[s - 1] + 1)
         return cap
 
-    def count(stage: int, shift: int, lo: int, hi: int) -> None:
-        nonlocal regions, edge_cap
+    def walk(stage: int, shift: int, lo: int, hi: int) -> None:
+        nonlocal hits, regions, edge_cap
         if lo >= hi:
             return
         thr = heights[stage] - t_s - shift
         if lo < thr:  # no lift: the advance terminates at this stage
-            length = min(hi, thr) - lo
+            end = min(hi, thr)
             stage_r = max(stage, k_b)
-            branches = 4 ** max(0, k_b - stage)
+            branches = 4 ** (stage_r - stage)
             regions += branches
-            edge_cap += branches * region_cap(stage_r, length)
+            edge_cap += branches * region_cap(stage_r, end - lo)
+            weight = 4 ** (top - stage_r)
+            for y in mids[bisect_left(mids, lo) : bisect_left(mids, end)]:
+                hits += weight * lifted_hits(stage, y + shift + t_s)
         if hi > thr:
             if stage >= top:
                 raise HorizonExceeded(f"advance by {t} leaves the built towers")
             for off in offsets[stage]:
-                count(stage + 1, shift + off, max(lo, thr), hi)
+                walk(stage + 1, shift + off, max(lo, thr), hi)
 
-    for lo, hi in a.levels.intervals:
-        count(k_a, 0, int(lo * scale), int(hi * scale))
+    for lo, hi in la_s:
+        walk(k_a, 0, lo, hi)
 
-    bound = mu_a * Fraction(edge_cap, n)
+    mu_a = sched.width(k_a) * a.levels.total_length
     return OracleEstimate(
-        value=estimate,
-        bound=bound,
+        value=mu_a * Fraction(hits, n * 4 ** (top - k_a)),
+        bound=mu_a * Fraction(edge_cap, n),
         samples=n,
         regions=regions,
         edge_cap=edge_cap,

@@ -724,11 +724,13 @@ def hitting_report(sched, j: int, window=None) -> dict:
     landmarks = window_landmarks(sched, j)
     entries = []
     for lo, hi in hits:
-        mid = (lo + hi) / 2
+        # the midpoint (lo + hi) / 2 as an unreduced fraction
+        mid_n = lo.numerator * hi.denominator + hi.numerator * lo.denominator
+        mid_d = 2 * lo.denominator * hi.denominator
         entries.append(
             {
                 "interval": [rat_str(lo), rat_str(hi)],
-                "landmark": annotate_landmark(landmarks, mid),
+                "landmark": annotate_landmark(landmarks, mid_n, mid_d),
             }
         )
     return {

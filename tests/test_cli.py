@@ -341,6 +341,18 @@ class TestArtifacts:
         assert float(first[1]) == 1.0  # value at t=0 equals mu(Y)
         assert (out / "hitting_window_2.json").exists()
 
+    @pytest.mark.parametrize("window", ["0", "9"])
+    def test_profile_unbuilt_window_writes_nothing(self, built, tmp_path, window):
+        out = tmp_path / "prof"
+        result = CliRunner().invoke(
+            main,
+            ["profile", "-s", str(built / "schedule.json"), "-o", str(out),
+             "--window", window],
+        )
+        assert result.exit_code == 2, result.output
+        assert "not built" in result.output
+        assert not list(out.glob("profile.*"))
+
     def test_density_csv_and_mass(self, built, tmp_path):
         out = tmp_path / "dens"
         result = CliRunner().invoke(

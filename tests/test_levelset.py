@@ -422,7 +422,10 @@ class TestLandmarkLabels:
         else:
             t = data.draw(st.fractions(min_value=0, max_value=120), label="t")
         assume(t > 0)
-        assert annotate_landmark(landmarks, t) == self.reference(landmarks, t)
+        k = data.draw(st.integers(1, 12), label="unreduced by")
+        expected = self.reference(landmarks, t)
+        assert annotate_landmark(landmarks, t.numerator, t.denominator) == expected
+        assert annotate_landmark(landmarks, k * t.numerator, k * t.denominator) == expected
 
     @pytest.mark.parametrize(
         "landmarks, t, expected",
@@ -436,7 +439,9 @@ class TestLandmarkLabels:
     )
     def test_ties_keep_the_first_landmark(self, landmarks, t, expected):
         assert self.reference(landmarks, t) == expected
-        assert annotate_landmark(landmarks, t) == expected
+        assert annotate_landmark(landmarks, t.numerator, t.denominator) == expected
+        tn, td = 6 * t.numerator, 6 * t.denominator  # unreduced
+        assert annotate_landmark(landmarks, tn, td) == expected
 
 
 class TestPiecewiseLinear:

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from rankone import HorizonExceeded, base_slab, correlation, measure
+from rankone import HorizonExceeded, base_slab, correlation, make_slab, measure
 from rankone.oracle import (
     OracleEstimate,
     PointState,
@@ -126,6 +127,64 @@ class TestOracleCorrelation:
         assert est.bound == measure(y, desk) * F(est.edge_cap, 100)
 
 
+def pinned_triples(desk):
+    """(a, b, t, n) triples whose estimates are pinned by digest below."""
+    fam = dict(default_pair_family(desk))
+    h1, h2, h3 = desk.height(1), desk.height(2), desk.height(3)
+    split = make_slab(desk, 1, [(0, F(1, 3)), (F(1, 2), F(3, 4))])
+    triples = [
+        # stage-1 vs stage-2 slabs, both orders
+        (fam["stage1_full"], fam["stage2_half0"], h2 * F(3, 7), 500),
+        (fam["stage2_half0"], fam["stage1_full"], h2 * F(3, 7), 500),
+        (fam["stage1_quarter1"], fam["stage2_full"], h1 * F(5, 3), 333),
+        (fam["stage2_full"], fam["stage1_quarter1"], h1 * F(5, 3), 333),
+        (split, fam["stage2_half1"], h2 * F(2, 5), 97),
+        # t = 0
+        (fam["stage1_half0"], fam["stage2_full"], F(0), 200),
+        (split, split, F(0), 7),
+        # negative t
+        (fam["stage2_half1"], fam["stage1_quarter2"], -h2 * F(5, 9), 300),
+        (fam["stage1_full"], fam["stage1_half1"], -h1 * F(1, 2), 1),
+        # t equal to h_2 and h_3
+        (fam["stage1_full"], fam["stage1_full"], h2, 400),
+        (fam["stage1_half1"], fam["stage2_half0"], h3, 400),
+    ]
+    rng = random.Random(2024)
+    names = sorted(fam)
+    for k in range(8):
+        a, b = fam[rng.choice(names)], fam[rng.choice(names)]
+        t = desk.height(1 + k % 3) * F(rng.randrange(2**16), 2**16)
+        triples.append((a, b, t, 250))
+    return triples
+
+
+def pinned_digest(desk) -> str:
+    fields = []
+    for a, b, t, n in pinned_triples(desk):
+        est = oracle_correlation(a, b, t, n, desk)
+        fields.append((est.value, est.bound, est.regions, est.edge_cap))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+class TestPinnedEstimates:
+    """``(value, bound, regions, edge_cap)`` recorded before the region walk."""
+
+    DIGEST = "70e49bbaa61da2af375225c58c7730af4f143fc5e1fac1413f69410c1938a95c"
+
+    def test_pinned_digest(self, desk):
+        assert pinned_digest(desk) == self.DIGEST
+
+    def test_horizon_message(self, desk):
+        y = base_slab(desk)
+        t = desk.height(8)
+        with pytest.raises(HorizonExceeded) as err:
+            oracle_correlation(y, y, t, 50, desk)
+        assert str(err.value) == f"advance by {t} leaves the built towers"
+        with pytest.raises(HorizonExceeded) as err:
+            oracle_correlation(y, y, -t, 50, desk)
+        assert str(err.value) == f"advance by {t} leaves the built towers"
+
+
 class TestIndependence:
     def test_oracle_never_imports_levelset(self):
         import ast
@@ -141,3 +200,10 @@ class TestIndependence:
             elif isinstance(node, ast.ImportFrom):
                 imported.add(node.module or "")
         assert not any("levelset" in name for name in imported)
+
+    def test_no_float_in_oracle(self):
+        import inspect
+
+        import rankone.oracle as mod
+
+        assert "float(" not in inspect.getsource(mod)

@@ -266,3 +266,26 @@ class TestHittingReport:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "719f08f33959b152c98d5bda43f9e58c7d888be0001a73d250b69e4dba264560"
         )
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "check_weak_limits",
+        "singularity_evidence",
+        "dissipativity_windows",
+        "dissipativity_certificate",
+        "check_dissipativity",
+        "dissipativity_spot_check",
+        "perturbation_tolerance",
+        "check_perturbed_limit",
+        "hitting_report",
+    ],
+)
+def test_no_float_in_certificate(name):
+    """Certificate decisions stay rational; floats belong to the density only."""
+    import inspect
+
+    import rankone.verify as verify
+
+    assert "float(" not in inspect.getsource(getattr(verify, name))
