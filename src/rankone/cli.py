@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +22,9 @@ from .construction import (
     StagePolicy,
     TargetSets,
     build_schedule,
+    read_int,
+    read_object,
+    read_rat,
 )
 from .errors import (
     ConfigError,
@@ -68,64 +70,6 @@ DEFAULT_CONFIG: dict = {
     "certify": True,
 }
 
-_RAT = {"type": "string", "pattern": r"^-?\d+(/0*[1-9]\d*)?$"}
-
-CONFIG_SCHEMA: dict = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "base_width": _RAT,
-        "base_height": _RAT,
-        "targets": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "singular": {"type": "array", "items": _RAT, "minItems": 1},
-                "dissipative": {"type": "array", "items": _RAT},
-                "entry_stages": {
-                    "type": ["object", "null"],
-                    "additionalProperties": {"type": "integer", "minimum": 1},
-                },
-            },
-            "required": ["singular"],
-        },
-        "stages": {"type": "integer", "minimum": 1},
-        "policy": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "gauge": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["pow2", "constant", "table"]},
-                        "floor": _RAT,
-                        "values": {"type": "array", "items": _RAT},
-                    },
-                },
-                "initial_multiplier": _RAT,
-                "escalation_factor": _RAT,
-                "max_retries": {"type": "integer", "minimum": 0},
-                "top_spacer": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "mode": {"enum": ["multiplier", "collide"]},
-                        "collide_ratio": _RAT,
-                    },
-                },
-            },
-        },
-        "perturbation": {
-            "type": ["object", "null"],
-            "additionalProperties": False,
-            "properties": {"net_depth": {"type": "integer", "minimum": 1}},
-        },
-        "certify": {"type": "boolean"},
-    },
-}
-
-
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, val in override.items():
@@ -136,31 +80,35 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def load_config(path: str | Path) -> dict:
-    import jsonschema  # costly import, needed only here
+# what parsing a malformed config or schedule document raises
+_MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
 
+
+def load_config(path: str | Path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = read_object(json.loads(Path(path).read_text()))
+    except (OSError, *_MALFORMED) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = _merge(DEFAULT_CONFIG, raw)
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config validation failed: {exc.message}") from exc
-    return cfg
+    return _merge(DEFAULT_CONFIG, raw)
 
 
 def schedule_from_config(cfg: dict) -> Schedule:
-    return build_schedule(
-        rat(cfg["base_width"]),
-        rat(cfg["base_height"]),
-        TargetSets.from_dict(cfg["targets"]),
-        int(cfg["stages"]),
-        policy=StagePolicy.from_dict(cfg["policy"]),
-        perturbation=PerturbationSpec.from_dict(cfg["perturbation"]),
-        certify=bool(cfg["certify"]),
-    )
+    try:
+        read_object(cfg, DEFAULT_CONFIG)
+        if not isinstance(cfg["certify"], bool):
+            raise TypeError(f"certify must be true or false, got {cfg['certify']!r}")
+        args = dict(
+            base_width=read_rat(cfg["base_width"]),
+            base_height=read_rat(cfg["base_height"]),
+            targets=TargetSets.from_dict(cfg["targets"]),
+            j_max=read_int(cfg["stages"]),
+            policy=StagePolicy.from_dict(cfg["policy"]),
+            perturbation=PerturbationSpec.from_dict(cfg["perturbation"]),
+            certify=cfg["certify"],
+        )
+    except _MALFORMED as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
+    return build_schedule(**args)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -171,7 +119,7 @@ def _write_json(path: Path, payload) -> None:
 def _load_schedule(path: str) -> Schedule:
     try:
         return Schedule.from_json(Path(path).read_text())
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, *_MALFORMED) as exc:
         raise ConfigError(f"cannot load schedule {path}: {exc}") from exc
 
 
@@ -340,6 +288,8 @@ def _verify_dissipative(
     tasks = [(d, j) for d in ratios for j in dissipativity_windows(d, sched)]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only where workers start
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(sched.to_json(),)
         ) as pool:

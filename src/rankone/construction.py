@@ -12,7 +12,8 @@ every active ratio d, escalating the multipliers until it does.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -23,11 +24,53 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _int(value) -> int:
-    """An integer field of a loaded document; bool is no integer here."""
-    if isinstance(value, bool):
+# --------------------------------------------------------------------------
+# document fields: the one parser of config and schedule JSON
+
+_FRACTION = re.compile(r"-?\d+(/0*[1-9]\d*)?")
+
+
+def read_int(value) -> int:
+    """An integer field: an int proper, not a bool, float or string."""
+    if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
+    return value
+
+
+def read_rat(value) -> Rat:
+    """A rational field of a document: only a 'p' or 'p/q' string (``rat``
+    also takes ints, decimals and padding)."""
+    if not isinstance(value, str) or not _FRACTION.fullmatch(value):
+        raise ValueError(f"expected a 'p/q' string, got {value!r}")
+    return Fraction(value)
+
+
+def read_list(value, item=read_rat) -> tuple:
+    """A list field of a document, each entry read by ``item``."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(map(item, value))
+
+
+def read_object(value, keys=None) -> dict:
+    """An object of a document; given ``keys``, with exactly those keys."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    if keys is not None and value.keys() != set(keys):
+        unknown = sorted(value.keys() - set(keys))
+        missing = sorted(set(keys) - value.keys())
+        raise ValueError(
+            f"unknown keys {unknown}" if unknown else f"missing keys {missing}"
+        )
+    return value
+
+
+def read_block(cls, value, **readers):
+    """Dataclass ``cls`` from a document object whose keys are exactly its
+    compared fields, each read by ``readers[name]`` (default ``read_rat``)."""
+    keys = [f.name for f in fields(cls) if f.compare]
+    read_object(value, keys)
+    return cls(**{k: readers.get(k, read_rat)(value[k]) for k in keys})
 
 
 # --------------------------------------------------------------------------
@@ -68,7 +111,7 @@ class TargetSets:
         if not self.entry_stages:
             entries = tuple((d, m + 2) for m, d in enumerate(dissipative))
         else:
-            entries = tuple((rat(d), _int(k)) for d, k in self.entry_stages)
+            entries = tuple((rat(d), read_int(k)) for d, k in self.entry_stages)
             known = {d for d, _ in entries}
             if known != set(dissipative):
                 raise ValueError("entry_stages must cover exactly the dissipative family")
@@ -93,12 +136,15 @@ class TargetSets:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TargetSets":
-        """Parse a ``targets`` block; null entry stages and a missing
-        dissipative list take their defaults."""
-        return cls(
-            singular=tuple(d["singular"]),
-            dissipative=tuple(d.get("dissipative", ())),
-            entry_stages=tuple((d.get("entry_stages") or {}).items()),
+        """Parse a ``targets`` block; null or {} entry stages take their defaults."""
+        return read_block(
+            cls,
+            d,
+            singular=read_list,
+            dissipative=read_list,
+            entry_stages=lambda m: () if m is None else tuple(
+                (read_rat(r), read_int(k)) for r, k in read_object(m).items()
+            ),
         )
 
 
@@ -172,6 +218,8 @@ class StagePolicy:
             raise ValueError("initial multiplier must be >= 1")
         if self.escalation_factor <= 1:
             raise ValueError("escalation factor must exceed 1")
+        if self.max_retries < 0:
+            raise ValueError("max retries must be >= 0")
 
     def start_multiplier(self, j: int) -> Rat:
         return self.gauge.value(j) * self.initial_multiplier
@@ -194,15 +242,15 @@ class StagePolicy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StagePolicy":
-        gauge, top = d["gauge"], d["top_spacer"]
-        return cls(
-            gauge=GaugeSpec(
-                kind=gauge["kind"], floor=gauge["floor"], values=tuple(gauge["values"])
+        # the constructors check the gauge kind and the top-spacer mode
+        return read_block(
+            cls,
+            d,
+            gauge=lambda g: read_block(
+                GaugeSpec, g, kind=lambda v: v, values=read_list
             ),
-            initial_multiplier=d["initial_multiplier"],
-            escalation_factor=d["escalation_factor"],
-            max_retries=_int(d["max_retries"]),
-            top_spacer=TopSpacerRule(mode=top["mode"], collide_ratio=top["collide_ratio"]),
+            max_retries=read_int,
+            top_spacer=lambda t: read_block(TopSpacerRule, t, mode=lambda v: v),
         )
 
 
@@ -226,8 +274,10 @@ class PerturbationSpec:
 
     @classmethod
     def from_dict(cls, d: dict | None) -> "PerturbationSpec | None":
-        """Parse a ``perturbation`` block; null or empty means none."""
-        return cls(net_depth=_int(d["net_depth"])) if d else None
+        """Parse a ``perturbation`` block; null or {} means none."""
+        if d is None or d == {}:
+            return None
+        return read_block(cls, d, net_depth=read_int)
 
 
 # --------------------------------------------------------------------------
@@ -288,17 +338,7 @@ class StageParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageParams":
-        return cls(
-            index=_int(d["index"]),
-            ratio=rat(d["ratio"]),
-            spacers=tuple(rat(x) for x in d["spacers"]),
-            delta1=rat(d["delta1"]),
-            delta3=rat(d["delta3"]),
-            height=rat(d["height"]),
-            width=rat(d["width"]),
-            offsets=tuple(rat(x) for x in d["offsets"]),
-            multiplier=rat(d["multiplier"]),
-        )
+        return read_block(cls, d, index=read_int, spacers=read_list, offsets=read_list)
 
 
 @dataclass(frozen=True)
@@ -319,6 +359,16 @@ class EscalationEvent:
             "witness": self.witness.to_pairs(),
             "escalated_stages": list(self.escalated_stages),
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "EscalationEvent":
+        return read_block(
+            cls,
+            d,
+            window=read_int,
+            witness=lambda w: IntervalSet(read_list(w, read_list)),
+            escalated_stages=lambda s: read_list(s, read_int),
+        )
 
 
 @dataclass(frozen=True)
@@ -443,25 +493,14 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
-        escalations = tuple(
-            EscalationEvent(
-                window=_int(e["window"]),
-                ratio=rat(e["ratio"]),
-                old_multiplier=rat(e["old_multiplier"]),
-                new_multiplier=rat(e["new_multiplier"]),
-                witness=IntervalSet.from_pairs(e["witness"]),
-                escalated_stages=tuple(e.get("escalated_stages", ())),
-            )
-            for e in d.get("escalations", ())
-        )
-        return cls(
-            base_width=rat(d["base_width"]),
-            base_height=rat(d["base_height"]),
-            targets=TargetSets.from_dict(d["targets"]),
-            policy=StagePolicy.from_dict(d["policy"]),
-            stages=tuple(StageParams.from_dict(s) for s in d["stages"]),
-            perturbation=PerturbationSpec.from_dict(d.get("perturbation")),
-            escalations=escalations,
+        return read_block(
+            cls,
+            d,
+            targets=TargetSets.from_dict,
+            policy=StagePolicy.from_dict,
+            stages=lambda s: read_list(s, StageParams.from_dict),
+            perturbation=PerturbationSpec.from_dict,
+            escalations=lambda e: read_list(e, EscalationEvent.from_dict),
         )
 
     @classmethod

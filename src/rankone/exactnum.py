@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import NonPositiveScale
 
@@ -162,7 +162,3 @@ class IntervalSet:
 
     def to_pairs(self) -> list[list[str]]:
         return [[rat_str(lo), rat_str(hi)] for lo, hi in self._ivs]
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[str]]) -> "IntervalSet":
-        return cls((rat(lo), rat(hi)) for lo, hi in pairs)

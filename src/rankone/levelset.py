@@ -26,7 +26,7 @@ from math import lcm
 from typing import Iterable
 
 from .errors import HorizonExceeded, StageOutOfRange
-from .exactnum import IntervalSet, Rat, rat, rat_str
+from .exactnum import IntervalSet, Rat, denominator_lcm, rat, rat_str
 
 ZERO = Fraction(0)
 
@@ -232,10 +232,23 @@ class PiecewiseLinear:
 
 
 def _scale_for(sched, extra: Iterable[Rat]) -> int:
-    scale = sched.denominator_scale
-    for v in extra:
-        scale = lcm(scale, v.denominator)
-    return scale
+    return lcm(sched.denominator_scale, denominator_lcm(extra))
+
+
+def _lattice_set(pieces: Iterable[tuple[int, int]], unit: int) -> IntervalSet:
+    """The union of the integer intervals [lo, hi) in units of 1/unit: merged
+    on the integers, then one ``Fraction`` per emitted endpoint."""
+    runs: list[list[int]] = []
+    for lo, hi in sorted(pieces):
+        if lo >= hi:
+            continue
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    return IntervalSet._wrap(
+        tuple((Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in runs)
+    )
 
 
 def _lattice_pair(a: SlabSet, b: SlabSet, times: list[Rat], sched):
@@ -390,15 +403,9 @@ def hitting_set(a: SlabSet, b: SlabSet, window, sched) -> IntervalSet:
     the positive pieces, merged where they touch, taken on the lattice.
     """
     _, scale, bps, vals = _lattice_profile(a, b, window, sched)
-    runs: list[list[int]] = []
-    for t0, t1, v0, v1 in zip(bps, bps[1:], vals, vals[1:]):
-        if v0 > 0 or v1 > 0:
-            if runs and runs[-1][1] == t0:
-                runs[-1][1] = t1
-            else:
-                runs.append([t0, t1])
-    return IntervalSet._wrap(
-        tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in runs)
+    pieces = zip(bps, bps[1:], vals, vals[1:])
+    return _lattice_set(
+        ((t0, t1) for t0, t1, v0, v1 in pieces if v0 > 0 or v1 > 0), scale
     )
 
 
@@ -427,7 +434,7 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
 
     scale = _scale_for(sched, [w_lo, w_hi, h_base])
     w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
-    thr_s = threshold * scale
+    thr_s = int(threshold * scale)  # a tower height: the scale clears it
     e = int(h_base * scale)  # half-width of a base-pair trapezoid support
     p, q = d.numerator, d.denominator
 
@@ -457,14 +464,16 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
         if not states:
             break
 
-    out: list[tuple[Rat, Rat]] = []
+    # on the lattice of 1/(p*scale) every bound is an integer: a surviving
+    # pair overlaps for p*t within p*e of p*delta (the t side) and within
+    # q*e of p*delta - z = q*delta2 (the d*t side, pattern sum delta2)
+    pe, qe = p * e, q * e
+    lo_min, hi_max = p * max(w_lo_s, thr_s), p * w_hi_s
+    pieces = []
     for delta, z in states:
-        delta2 = Fraction(p * delta - z, q)  # the d*t-side pattern sum
-        lo = max(Fraction(delta - e), (delta2 - e) / d, Fraction(w_lo_s), thr_s)
-        hi = min(Fraction(delta + e), (delta2 + e) / d, Fraction(w_hi_s))
-        if lo < hi:
-            out.append((lo / scale, hi / scale))
-    return IntervalSet(out)
+        c1, c2 = p * delta, p * delta - z
+        pieces.append((max(c1 - pe, c2 - qe, lo_min), min(c1 + pe, c2 + qe, hi_max)))
+    return _lattice_set(pieces, p * scale)
 
 
 # --------------------------------------------------------------------------

@@ -23,10 +23,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import HorizonExceeded
-from .exactnum import Rat, rat
+from .exactnum import Rat, denominator_lcm, rat
 
 
 @dataclass(frozen=True)
@@ -180,10 +179,7 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
     for slab in (a, b):
         for iv in slab.levels.intervals:
             vals.extend(iv)
-    scale = 1
-    for v in vals:
-        scale = lcm(scale, v.denominator)
-    scale *= 2 * n
+    scale = denominator_lcm(vals) * 2 * n
 
     heights = {j: int(sched.height(j) * scale) for j in range(1, top + 1)}
     offsets = {

@@ -715,11 +715,10 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensi
 # hitting-set report (landmark annotation)
 
 
-def hitting_report(sched, j: int, window=None) -> dict:
-    """Exact hitting intervals on a window with landmark annotations."""
+def hitting_report(sched, j: int) -> dict:
+    """Exact hitting intervals on window [h_j, h_{j+1}] with landmark annotations."""
     y = base_slab(sched)
-    if window is None:
-        window = (sched.height(j), sched.height(j + 1))
+    window = (sched.height(j), sched.height(j + 1))
     hits = hitting_set(y, y, window, sched)
     landmarks = window_landmarks(sched, j)
     entries = []
@@ -735,6 +734,6 @@ def hitting_report(sched, j: int, window=None) -> dict:
         )
     return {
         "window": j,
-        "range": [rat_str(rat(window[0])), rat_str(rat(window[1]))],
+        "range": [rat_str(window[0]), rat_str(window[1])],
         "intervals": entries,
     }

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -102,6 +103,16 @@ def _set_path(doc, path, value):
     doc[path[-1]] = value
 
 
+ESCALATION = {
+    "window": 2,
+    "ratio": "2/1",
+    "old_multiplier": "16/1",
+    "new_multiplier": "32/1",
+    "witness": [],
+    "escalated_stages": [1, 2],
+}
+
+
 class TestLoaderErrors:
     @pytest.mark.parametrize(
         "command, path, value",
@@ -114,9 +125,21 @@ class TestLoaderErrors:
             ("verify", ("stages", 0, "multiplier"), True),
             ("verify", ("stages", 0, "index"), True),
             ("verify", ("stages", -1, "spacers", 3), True),
+            ("verify", ("targets", "entry_stages", "2/1"), 2.9),
+            ("verify", ("stages", 0, "index"), 1.7),
+            ("verify", ("stages", 0, "index"), "1"),
+            ("verify", ("policy", "max_retries"), -5),
+            ("verify", ("policy", "max_retries"), 40.9),
+            ("verify", ("escalations",), [dict(ESCALATION, window=2.5)]),
+            ("verify", ("escalations",), [dict(ESCALATION, escalated_stages=["x"])]),
+            ("verify", ("bogus",), 1),
+            ("verify", ("stages", 0, "bogus"), 1),
         ],
         ids=["stages-int", "spacer-1/0", "entry-stages-list", "gauge-null",
-             "base-width-1/0", "multiplier-true", "index-true", "top-spacer-true"],
+             "base-width-1/0", "multiplier-true", "index-true", "top-spacer-true",
+             "entry-stage-float", "index-float", "index-string", "max-retries-neg",
+             "max-retries-float", "escalation-window-float",
+             "escalated-stages-string", "unknown-top-key", "unknown-stage-key"],
     )
     def test_malformed_input_exit_2(self, built, tmp_path, command, path, value):
         if command == "verify":
@@ -148,7 +171,7 @@ class TestLoaderErrors:
             main, ["build", "-c", str(cfg), "-o", str(tmp_path / "out")]
         )
         assert result.exit_code == 2
-        assert "Additional properties" in result.output
+        assert f"unknown keys {list(block)}" in result.output
 
 
 class TestVerify:
@@ -235,7 +258,7 @@ class TestVerify:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli, "_WORKER_SCHED", None)
         result = CliRunner().invoke(
             main,
@@ -396,14 +419,15 @@ class TestArtifacts:
 
 
 def test_cli_import_skips_heavy_modules():
-    """numpy, scipy and jsonschema load only in the commands that use them."""
+    """numpy, scipy, jsonschema and the process pool load only where they are used."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     code = (
         "import sys, rankone.cli; "
-        "print(sorted(m for m in ('numpy', 'scipy', 'jsonschema') if m in sys.modules))"
+        "print(sorted(m for m in ('numpy', 'scipy', 'jsonschema', "
+        "'concurrent.futures.process') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True

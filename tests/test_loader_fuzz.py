@@ -2,7 +2,8 @@
 
 One field of a small config or built schedule is replaced by a value of
 the wrong kind. Every such input must either run or be rejected with one
-of the documented exit codes; no other exception may escape.
+of the documented exit codes; no other exception may escape. A pinned
+table fixes the exit code of every one-field mutation of a full config.
 """
 
 import json
@@ -24,6 +25,62 @@ CONFIG = {
 BAD_VALUES = [True, None, "1/0", "x", [], [None], ["1/0"], {"x": None}, {}]
 
 EXIT_CODES = {0, 2, 3, 4}
+
+# a 4-stage config with every key spelled out, mutated one field at a time
+FULL_CONFIG = {
+    "base_width": "1/1",
+    "base_height": "1/1",
+    "targets": {"singular": ["3/2", "5/2"], "dissipative": ["2/1"], "entry_stages": None},
+    "stages": 4,
+    "policy": {
+        "gauge": {"kind": "pow2", "floor": "16/1", "values": []},
+        "initial_multiplier": "1/1",
+        "escalation_factor": "2/1",
+        "max_retries": 6,
+        "top_spacer": {"mode": "multiplier", "collide_ratio": "2/1"},
+    },
+    "perturbation": None,
+    "certify": True,
+}
+
+MUTATION_VALUES = BAD_VALUES + [
+    1, 2, 0, -1, 2.5, "1.5", " 3/2", "+3/2", "1e1", "4", "2/1", "3/2", "1_0/1",
+]
+
+# The exit code of `build` per mutated path, one digit per entry of
+# MUTATION_VALUES. Recorded while a JSON schema still checked configs ahead
+# of the construction parsers; those parsers alone must reproduce it.
+PINNED_EXITS = {
+    "base_width": "2222222222222222220002",
+    "base_height": "2222222222222222220002",
+    "targets": "2222222202222222222222",
+    "targets.singular": "2222222222222222222222",
+    "targets.singular.0": "2222222222222222220202",
+    "targets.singular.1": "2222222222222222220222",
+    "targets.dissipative": "2222022222222222222222",
+    "targets.dissipative.0": "2222222222222222220022",
+    "targets.entry_stages": "2022222202222222222222",
+    "stages": "2222222220022222222222",
+    "policy": "2222222202222222222222",
+    "policy.gauge": "2222222202222222222222",
+    "policy.gauge.kind": "2222222222222222222222",
+    "policy.gauge.floor": "2222222222222222220002",
+    "policy.gauge.values": "2222022222222222222222",
+    "policy.initial_multiplier": "2222222222222222220002",
+    "policy.escalation_factor": "2222222222222222220002",
+    "policy.max_retries": "2222222220002222222222",
+    "policy.top_spacer": "2222222202222222222222",
+    "policy.top_spacer.mode": "2222222222222222222222",
+    "policy.top_spacer.collide_ratio": "2222222222222222220002",
+    "perturbation": "2022222202222222222222",
+    "certify": "0222222222222222222222",
+}
+
+# blocks that get one unknown key; each such config exits 2
+UNKNOWN_KEY_BLOCKS = [
+    (), ("targets",), ("policy",), ("policy", "gauge"), ("policy", "top_spacer"),
+    ("perturbation",),
+]
 
 
 def _paths(doc, prefix=()):
@@ -89,6 +146,36 @@ def test_out_of_range_options_exit_2(work, args):
         [args[0], "-s", str(work / "schedule.json"), "-o", str(work / "r"), *args[1:]]
     )
     assert result.exit_code == 2, result.output
+
+
+def _pinned_cases():
+    for dotted, codes in PINNED_EXITS.items():
+        path = tuple(int(k) if k.isdigit() else k for k in dotted.split("."))
+        for value, code in zip(MUTATION_VALUES, codes, strict=True):
+            yield pytest.param(
+                _mutated(FULL_CONFIG, path, value), int(code), id=f"{dotted}={value!r}"
+            )
+    for block in UNKNOWN_KEY_BLOCKS:
+        doc = _mutated(FULL_CONFIG, ("perturbation",), {"net_depth": 1})
+        node = doc
+        for key in block:
+            node = node[key]
+        node["bogus"] = 1
+        yield pytest.param(doc, 2, id=f"{'.'.join(block) or 'top'}+bogus")
+
+
+def test_pinned_table_covers_every_path():
+    assert list(PINNED_EXITS) == [".".join(map(str, p)) for p in _paths(FULL_CONFIG)]
+
+
+@pytest.mark.parametrize("config, code", _pinned_cases())
+def test_pinned_config_mutation_exit_code(work, config, code):
+    src = work / "pinned_config.json"
+    src.write_text(json.dumps(config))
+    result = _invoke(["build", "-c", str(src), "-o", str(work / "p")])
+    assert result.exit_code == code, result.output
+    if code:
+        assert "error" in result.output
 
 
 @settings(

@@ -148,6 +148,21 @@ class TestDissipativity:
                 for lo, hi in w.witness
             )
 
+    @pytest.mark.parametrize(
+        "d, digest",
+        [
+            (2, "8f5d04a29bc65c4dd2e000bda1d68bde3408fa6a99e3d9ba524b19343c4d3c4d"),
+            (3, "2be102fafc4b5f8b1b1de91f17d2fa5c366f5404b72f0efe42a9aa9cc07bfa91"),
+        ],
+    )
+    def test_broken_certificate_bytes_unchanged(self, broken, d, digest):
+        # serialized as ``rankone verify`` writes dissipativity.json; the
+        # digest is that of the Fraction-based witness assembly, which the
+        # lattice code must reproduce byte for byte
+        text = json.dumps(check_dissipativity(F(d), broken).to_dict(), indent=2,
+                          sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_spot_check_clean(self, desk):
         rng = random.Random(123)
         res = dissipativity_spot_check(F(2), desk, 40, rng)
