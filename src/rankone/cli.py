@@ -22,9 +22,11 @@ from .construction import (
     StagePolicy,
     TargetSets,
     build_schedule,
+    read_bool,
     read_int,
     read_object,
     read_rat,
+    write_block,
 )
 from .errors import (
     ConfigError,
@@ -44,7 +46,6 @@ from .levelset import (
 from .oracle import oracle_correlation
 from .verify import (
     DensityGrid,
-    check_dissipativity,
     check_perturbed_limit,
     check_weak_limits,
     default_pair_family,
@@ -65,7 +66,7 @@ DEFAULT_CONFIG: dict = {
         "entry_stages": None,
     },
     "stages": 8,
-    "policy": StagePolicy().to_dict(),
+    "policy": write_block(StagePolicy()),
     "perturbation": None,
     "certify": True,
 }
@@ -94,21 +95,14 @@ def load_config(path: str | Path) -> dict:
 
 def schedule_from_config(cfg: dict) -> Schedule:
     try:
-        read_object(cfg, DEFAULT_CONFIG)
-        if not isinstance(cfg["certify"], bool):
-            raise TypeError(f"certify must be true or false, got {cfg['certify']!r}")
-        args = dict(
-            base_width=read_rat(cfg["base_width"]),
-            base_height=read_rat(cfg["base_height"]),
-            targets=TargetSets.from_dict(cfg["targets"]),
-            j_max=read_int(cfg["stages"]),
-            policy=StagePolicy.from_dict(cfg["policy"]),
-            perturbation=PerturbationSpec.from_dict(cfg["perturbation"]),
-            certify=cfg["certify"],
-        )
+        args = read_object(cfg, dict(
+            base_width=read_rat, base_height=read_rat, stages=read_int, certify=read_bool,
+            targets=TargetSets.from_dict, policy=StagePolicy.from_dict,
+            perturbation=PerturbationSpec.from_dict,
+        ))
     except _MALFORMED as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    return build_schedule(**args)
+    return build_schedule(j_max=args.pop("stages"), **args)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -156,12 +150,11 @@ def build(config, out):
     """Build a schedule from a JSON config and write it with a build log."""
     out_dir = Path(out)
     sched = schedule_from_config(load_config(config))
-    (out_dir / "schedule.json").parent.mkdir(parents=True, exist_ok=True)
-    (out_dir / "schedule.json").write_text(sched.to_json() + "\n")
+    _write_json(out_dir / "schedule.json", sched.to_dict())
     log = {
         "stages": sched.num_stages,
         "certified_windows": sched.certified_windows(),
-        "escalations": [e.to_dict() for e in sched.escalations],
+        "escalations": write_block(sched.escalations),
         "final_multipliers": {
             str(st.index): rat_str(st.multiplier) for st in sched.stages
         },
@@ -294,14 +287,12 @@ def _verify_dissipative(
             max_workers=workers, initializer=_worker_init, initargs=(sched.to_json(),)
         ) as pool:
             found = dict(zip(tasks, pool.map(_worker_window, tasks)))
-        certs = [
-            dissipativity_certificate(
-                d, sched, [found[d, j] for j in sched.windows_for(d)]
-            )
-            for d in ratios
-        ]
     else:
-        certs = [check_dissipativity(d, sched) for d in ratios]
+        found = {(d, j): find_dissipativity_witness(sched, d, j) for d, j in tasks}
+    certs = [
+        dissipativity_certificate(d, sched, [found[d, j] for j in sched.windows_for(d)])
+        for d in ratios
+    ]
     all_pass = all(cert.passed for cert in certs)
     reports = [cert.to_dict() for cert in certs]
     if spot > 0:

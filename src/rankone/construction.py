@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .errors import EmptyTargets, EscalationExhausted, StageOutOfRange
@@ -37,6 +38,13 @@ def read_int(value) -> int:
     return value
 
 
+def read_bool(value) -> bool:
+    """A boolean field: true or false, not an integer or string."""
+    if type(value) is not bool:
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def read_rat(value) -> Rat:
     """A rational field of a document: only a 'p' or 'p/q' string (``rat``
     also takes ints, decimals and padding)."""
@@ -45,32 +53,64 @@ def read_rat(value) -> Rat:
     return Fraction(value)
 
 
+def _at(key, read, value):
+    """``read(value)``, its error's message prefixed with the field path."""
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        path, msg = getattr(exc, "field_path", ("", str(exc)))
+        path = (f"[{key}]" if type(key) is int else f".{key}") + path
+        exc.field_path = (path, msg)
+        exc.args = (f"{path.removeprefix('.')}: {msg}",)
+        raise
+
+
 def read_list(value, item=read_rat) -> tuple:
     """A list field of a document, each entry read by ``item``."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {value!r}")
-    return tuple(map(item, value))
+    return tuple(_at(i, item, v) for i, v in enumerate(value))
 
 
-def read_object(value, keys=None) -> dict:
-    """An object of a document; given ``keys``, with exactly those keys."""
+def read_object(value, readers=None) -> dict:
+    """An object of a document; given ``readers``, with exactly their keys,
+    each value read by its reader."""
     if not isinstance(value, dict):
         raise TypeError(f"expected an object, got {value!r}")
-    if keys is not None and value.keys() != set(keys):
-        unknown = sorted(value.keys() - set(keys))
-        missing = sorted(set(keys) - value.keys())
+    if readers is None:
+        return value
+    if value.keys() != readers.keys():
+        unknown = sorted(value.keys() - readers.keys())
+        missing = sorted(readers.keys() - value.keys())
         raise ValueError(
             f"unknown keys {unknown}" if unknown else f"missing keys {missing}"
         )
-    return value
+    return {k: _at(k, read, value[k]) for k, read in readers.items()}
 
 
 def read_block(cls, value, **readers):
     """Dataclass ``cls`` from a document object whose keys are exactly its
     compared fields, each read by ``readers[name]`` (default ``read_rat``)."""
     keys = [f.name for f in fields(cls) if f.compare]
-    read_object(value, keys)
-    return cls(**{k: readers.get(k, read_rat)(value[k]) for k in keys})
+    return cls(**read_object(value, {k: readers.get(k, read_rat) for k in keys}))
+
+
+def write_block(value):
+    """The document form of ``value``, the inverse of ``read_block``."""
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, IntervalSet):
+        return value.to_pairs()
+    if isinstance(value, (tuple, list)):
+        return [write_block(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    out = {
+        f.name: write_block(getattr(value, f.name)) for f in fields(value) if f.compare
+    }
+    if isinstance(value, TargetSets):
+        out["entry_stages"] = dict(out["entry_stages"])
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -127,13 +167,6 @@ class TargetSets:
                 return k
         raise KeyError(f"{d} is not a dissipative target")
 
-    def to_dict(self) -> dict:
-        return {
-            "singular": [rat_str(c) for c in self.singular],
-            "dissipative": [rat_str(d) for d in self.dissipative],
-            "entry_stages": {rat_str(d): k for d, k in self.entry_stages},
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TargetSets":
         """Parse a ``targets`` block; null or {} entry stages take their defaults."""
@@ -143,7 +176,7 @@ class TargetSets:
             singular=read_list,
             dissipative=read_list,
             entry_stages=lambda m: () if m is None else tuple(
-                (read_rat(r), read_int(k)) for r, k in read_object(m).items()
+                (read_rat(r), _at(r, read_int, k)) for r, k in read_object(m).items()
             ),
         )
 
@@ -224,22 +257,6 @@ class StagePolicy:
     def start_multiplier(self, j: int) -> Rat:
         return self.gauge.value(j) * self.initial_multiplier
 
-    def to_dict(self) -> dict:
-        return {
-            "gauge": {
-                "kind": self.gauge.kind,
-                "floor": rat_str(self.gauge.floor),
-                "values": [rat_str(v) for v in self.gauge.values],
-            },
-            "initial_multiplier": rat_str(self.initial_multiplier),
-            "escalation_factor": rat_str(self.escalation_factor),
-            "max_retries": self.max_retries,
-            "top_spacer": {
-                "mode": self.top_spacer.mode,
-                "collide_ratio": rat_str(self.top_spacer.collide_ratio),
-            },
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "StagePolicy":
         # the constructors check the gauge kind and the top-spacer mode
@@ -269,9 +286,6 @@ class PerturbationSpec:
         levels = [i * step for i in range(2**self.net_depth + 1)]
         return tuple((a, b) for a in levels for b in levels)
 
-    def to_dict(self) -> dict:
-        return {"net_depth": self.net_depth}
-
     @classmethod
     def from_dict(cls, d: dict | None) -> "PerturbationSpec | None":
         """Parse a ``perturbation`` block; null or {} means none."""
@@ -282,6 +296,12 @@ class PerturbationSpec:
 
 # --------------------------------------------------------------------------
 # stages and schedules
+
+
+def _stacking_offsets(h: Rat, s: Sequence[Rat]) -> tuple[Rat, Rat, Rat, Rat]:
+    """Base heights of the four copies of a tower of height h stacked with
+    spacers s: (0, h+s0, 2h+s0+s1, 3h+s0+s1+s2)."""
+    return tuple(accumulate((h + x for x in s[:3]), initial=ZERO))
 
 
 @dataclass(frozen=True)
@@ -315,26 +335,12 @@ class StageParams:
             raise ValueError("first spacer must equal the delta1 perturbation")
         if s[2] != (self.ratio - 1) * h + self.delta3:
             raise ValueError("third spacer must equal (ratio-1)*height + delta3")
-        expected = (ZERO, h + s[0], 2 * h + s[0] + s[1], 3 * h + s[0] + s[1] + s[2])
-        if self.offsets != expected:
+        if self.offsets != _stacking_offsets(h, s):
             raise ValueError("offsets do not satisfy the stacking recurrence")
 
     @property
     def next_height(self) -> Rat:
         return self.offsets[3] + self.height + self.spacers[3]
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "ratio": rat_str(self.ratio),
-            "spacers": [rat_str(x) for x in self.spacers],
-            "delta1": rat_str(self.delta1),
-            "delta3": rat_str(self.delta3),
-            "height": rat_str(self.height),
-            "width": rat_str(self.width),
-            "offsets": [rat_str(x) for x in self.offsets],
-            "multiplier": rat_str(self.multiplier),
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageParams":
@@ -349,16 +355,6 @@ class EscalationEvent:
     new_multiplier: Rat
     witness: IntervalSet
     escalated_stages: tuple[int, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "ratio": rat_str(self.ratio),
-            "old_multiplier": rat_str(self.old_multiplier),
-            "new_multiplier": rat_str(self.new_multiplier),
-            "witness": self.witness.to_pairs(),
-            "escalated_stages": list(self.escalated_stages),
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EscalationEvent":
@@ -478,15 +474,7 @@ class Schedule:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "base_width": rat_str(self.base_width),
-            "base_height": rat_str(self.base_height),
-            "targets": self.targets.to_dict(),
-            "policy": self.policy.to_dict(),
-            "perturbation": self.perturbation.to_dict() if self.perturbation else None,
-            "stages": [st.to_dict() for st in self.stages],
-            "escalations": [e.to_dict() for e in self.escalations],
-        }
+        return write_block(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -575,7 +563,6 @@ def _assemble_stages(
         else:
             s4 = m * s2
         s = (d1, s2, (c - 1) * h + d3, s4)
-        offsets = (ZERO, h + s[0], 2 * h + s[0] + s[1], 3 * h + s[0] + s[1] + s[2])
         stages.append(
             StageParams(
                 index=j,
@@ -585,11 +572,11 @@ def _assemble_stages(
                 delta3=d3,
                 height=h,
                 width=w,
-                offsets=offsets,
+                offsets=_stacking_offsets(h, s),
                 multiplier=m,
             )
         )
-        h = 4 * h + s[0] + s[1] + s[2] + s[3]
+        h = stages[-1].next_height
         w = w / 4
     return tuple(stages)
 

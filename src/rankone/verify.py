@@ -57,29 +57,15 @@ QUARTER = Fraction(1, 4)
 def default_pair_family(sched) -> tuple[tuple[str, SlabSet], ...]:
     """Slabs at stages 1 and 2: full tower, halves, quarters (stage 1 only)."""
     fam: list[tuple[str, SlabSet]] = []
-    h1 = sched.height(1)
-    fam.append(("stage1_full", make_slab(sched, 1, [(ZERO, h1)])))
-    for i in range(2):
-        fam.append(
-            (f"stage1_half{i}", make_slab(sched, 1, [(i * h1 / 2, (i + 1) * h1 / 2)]))
-        )
-    for i in range(4):
-        fam.append(
-            (
-                f"stage1_quarter{i}",
-                make_slab(sched, 1, [(i * h1 / 4, (i + 1) * h1 / 4)]),
-            )
-        )
-    if sched.num_stages >= 2:
-        h2 = sched.height(2)
-        fam.append(("stage2_full", make_slab(sched, 2, [(ZERO, h2)])))
-        for i in range(2):
-            fam.append(
-                (
-                    f"stage2_half{i}",
-                    make_slab(sched, 2, [(i * h2 / 2, (i + 1) * h2 / 2)]),
-                )
-            )
+    for stage, splits in ((1, (1, 2, 4)), (2, (1, 2))):
+        if stage > sched.num_stages:
+            break
+        h = sched.height(stage)
+        for n in splits:
+            for i in range(n):
+                name = {1: "full", 2: f"half{i}", 4: f"quarter{i}"}[n]
+                slab = make_slab(sched, stage, [(i * h / n, (i + 1) * h / n)])
+                fam.append((f"stage{stage}_{name}", slab))
     return tuple(fam)
 
 

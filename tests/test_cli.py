@@ -115,25 +115,37 @@ ESCALATION = {
 
 class TestLoaderErrors:
     @pytest.mark.parametrize(
-        "command, path, value",
+        "command, path, value, names",
         [
-            ("verify", ("stages",), 5),
-            ("verify", ("stages", 0, "spacers", 1), "1/0"),
-            ("verify", ("targets", "entry_stages"), ["2/1", 2]),
-            ("verify", ("policy", "gauge"), None),
-            ("build", ("base_width",), "1/0"),
-            ("verify", ("stages", 0, "multiplier"), True),
-            ("verify", ("stages", 0, "index"), True),
-            ("verify", ("stages", -1, "spacers", 3), True),
-            ("verify", ("targets", "entry_stages", "2/1"), 2.9),
-            ("verify", ("stages", 0, "index"), 1.7),
-            ("verify", ("stages", 0, "index"), "1"),
-            ("verify", ("policy", "max_retries"), -5),
-            ("verify", ("policy", "max_retries"), 40.9),
-            ("verify", ("escalations",), [dict(ESCALATION, window=2.5)]),
-            ("verify", ("escalations",), [dict(ESCALATION, escalated_stages=["x"])]),
-            ("verify", ("bogus",), 1),
-            ("verify", ("stages", 0, "bogus"), 1),
+            ("verify", ("stages",), 5, "stages: expected a list"),
+            ("verify", ("stages", 0, "spacers", 1), "1/0",
+             "stages[0].spacers[1]: expected a 'p/q' string"),
+            ("verify", ("targets", "entry_stages"), ["2/1", 2],
+             "targets.entry_stages: expected an object"),
+            ("verify", ("policy", "gauge"), None, "policy.gauge: expected an object"),
+            ("build", ("base_width",), "1/0", "base_width: expected a 'p/q' string"),
+            ("verify", ("stages", 0, "multiplier"), True,
+             "stages[0].multiplier: expected a 'p/q' string"),
+            ("verify", ("stages", 0, "index"), True,
+             "stages[0].index: expected an integer"),
+            ("verify", ("stages", -1, "spacers", 3), True,
+             "stages[5].spacers[3]: expected a 'p/q' string"),
+            ("verify", ("targets", "entry_stages", "2/1"), 2.9,
+             "targets.entry_stages.2/1: expected an integer"),
+            ("verify", ("stages", 0, "index"), 1.7,
+             "stages[0].index: expected an integer"),
+            ("verify", ("stages", 0, "index"), "1",
+             "stages[0].index: expected an integer, got '1'"),
+            ("verify", ("policy", "max_retries"), -5,
+             "policy: max retries must be >= 0"),
+            ("verify", ("policy", "max_retries"), 40.9,
+             "policy.max_retries: expected an integer"),
+            ("verify", ("escalations",), [dict(ESCALATION, window=2.5)],
+             "escalations[0].window: expected an integer"),
+            ("verify", ("escalations",), [dict(ESCALATION, escalated_stages=["x"])],
+             "escalations[0].escalated_stages[0]: expected an integer"),
+            ("verify", ("bogus",), 1, "schedule.json: unknown keys ['bogus']"),
+            ("verify", ("stages", 0, "bogus"), 1, "stages[0]: unknown keys ['bogus']"),
         ],
         ids=["stages-int", "spacer-1/0", "entry-stages-list", "gauge-null",
              "base-width-1/0", "multiplier-true", "index-true", "top-spacer-true",
@@ -141,7 +153,7 @@ class TestLoaderErrors:
              "max-retries-float", "escalation-window-float",
              "escalated-stages-string", "unknown-top-key", "unknown-stage-key"],
     )
-    def test_malformed_input_exit_2(self, built, tmp_path, command, path, value):
+    def test_malformed_input_exit_2(self, built, tmp_path, command, path, value, names):
         if command == "verify":
             doc = json.loads((built / "schedule.json").read_text())
             _set_path(doc, path, value)
@@ -155,6 +167,7 @@ class TestLoaderErrors:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "error" in result.output
+        assert names in result.output
 
     @pytest.mark.parametrize(
         "block",

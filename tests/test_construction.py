@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -203,3 +204,10 @@ class TestEscalation:
         # rebuilt deterministically
         again = build_schedule(1, 1, targets, 6, policy=policy)
         assert again == sched
+        # the escalations, witnesses included, round-trip through the document
+        assert len(sched.escalations) == 3
+        assert Schedule.from_json(sched.to_json()) == sched
+        digest = hashlib.sha256(sched.to_json().encode()).hexdigest()
+        assert digest == (
+            "4d38d9dcd8cb9a896a6bdc577619b7015063a7e7d9f43b468470e2eebf6936a6"
+        )
