@@ -24,6 +24,7 @@ from .construction import (
     build_schedule,
     read_bool,
     read_int,
+    read_json,
     read_object,
     read_rat,
     write_block,
@@ -87,7 +88,7 @@ _MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
 
 def load_config(path: str | Path) -> dict:
     try:
-        raw = read_object(json.loads(Path(path).read_text()))
+        raw = read_object(read_json(Path(path).read_text()))
     except (OSError, *_MALFORMED) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return _merge(DEFAULT_CONFIG, raw)
@@ -230,17 +231,12 @@ def _verify_singular(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
                     continue
                 any_checked = True
                 all_pass = all_pass and rep.passed
-                entry = rep.to_dict()
-                entry["pair"] = [name_a, name_b]
-                reports.append(entry)
+                reports.append({**write_block(rep), "pair": [name_a, name_b]})
                 if rep.passed:
                     passing.append((name_a, name_b, rep))
         if passing:
-            ev = singularity_evidence(c, passing)
-            _write_json(
-                out_dir / f"evidence_{c.numerator}_{c.denominator}.json",
-                ev.to_dict(),
-            )
+            ev = write_block(singularity_evidence(c, passing))
+            _write_json(out_dir / f"evidence_{c.numerator}_{c.denominator}.json", ev)
     if not any_checked:
         raise NoMatchingStages("no pair had enough certified stages to check")
     _write_json(out_dir / "weak_limits.json", reports)
@@ -294,14 +290,14 @@ def _verify_dissipative(
         for d in ratios
     ]
     all_pass = all(cert.passed for cert in certs)
-    reports = [cert.to_dict() for cert in certs]
+    reports = [write_block(cert) for cert in certs]
     if spot > 0:
         rng = random.Random(seed)
         for cert, rep in zip(certs, reports):
-            res = dissipativity_spot_check(cert.d, sched, spot, rng)
+            res = dissipativity_spot_check(cert.ratio, sched, spot, rng)
             rep["spot_checks"] = {
                 "checked": res["checked"],
-                "failures": [[j, rat_str(t)] for j, t in res["failures"]],
+                "failures": write_block(res["failures"]),
             }
             all_pass = all_pass and not res["failures"]
     _write_json(out_dir / "dissipativity.json", reports)
@@ -340,9 +336,7 @@ def _verify_perturbed(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
                 continue
             seen.add(point)
             rep = check_perturbed_limit(c, point[0], point[1], y, y, sched)
-            entry = rep.to_dict()
-            entry["pair"] = [y_name, y_name]
-            reports.append(entry)
+            reports.append({**write_block(rep), "pair": [y_name, y_name]})
             all_pass = all_pass and rep.passed
     if not reports:
         raise NoMatchingStages("no certified stage carries any net point")
@@ -429,7 +423,7 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
     (out_dir / "profile.csv").write_text("\n".join(rows) + "\n")
     _write_json(
         out_dir / "profile.json",
-        {"t_min": rat_str(lo), "t_max": rat_str(hi), **prof.to_dict()},
+        {"t_min": rat_str(lo), "t_max": rat_str(hi), **write_block(prof)},
     )
     if hits is not None:
         _write_json(out_dir / f"hitting_window_{window_index}.json", hits)

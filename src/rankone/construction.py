@@ -88,6 +88,20 @@ def read_object(value, readers=None) -> dict:
     return {k: _at(k, read, value[k]) for k, read in readers.items()}
 
 
+def _unique_keys(pairs: list) -> dict:
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
+def read_json(text: str):
+    """A JSON document; an object that gives one key twice is rejected."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def read_block(cls, value, **readers):
     """Dataclass ``cls`` from a document object whose keys are exactly its
     compared fields, each read by ``readers[name]`` (default ``read_rat``)."""
@@ -155,6 +169,8 @@ class TargetSets:
             known = {d for d, _ in entries}
             if known != set(dissipative):
                 raise ValueError("entry_stages must cover exactly the dissipative family")
+            if len(known) != len(entries):
+                raise ValueError("duplicate ratios in entry_stages")
             for d, k in entries:
                 if k < 1:
                     raise ValueError(f"entry stage for d={d} must be >= 1")
@@ -493,7 +509,7 @@ class Schedule:
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(read_json(text))
 
 
 # --------------------------------------------------------------------------

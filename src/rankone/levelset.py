@@ -26,7 +26,7 @@ from math import lcm
 from typing import Iterable
 
 from .errors import HorizonExceeded, StageOutOfRange
-from .exactnum import IntervalSet, Rat, denominator_lcm, rat, rat_str
+from .exactnum import IntervalSet, Rat, denominator_lcm, rat
 
 ZERO = Fraction(0)
 
@@ -207,12 +207,6 @@ class PiecewiseLinear:
             if v0 > 0 or v1 > 0:
                 out.append((t0, t1))
         return IntervalSet(out)
-
-    def to_dict(self) -> dict:
-        return {
-            "breakpoints": [rat_str(t) for t in self.breakpoints],
-            "values": [rat_str(v) for v in self.values],
-        }
 
     def integral(self, lo=None, hi=None) -> Rat:
         """Exact integral over [lo, hi] (defaults to the whole window)."""

@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,6 +49,10 @@ if TYPE_CHECKING:
 
 ZERO = Fraction(0)
 QUARTER = Fraction(1, 4)
+EVIDENCE_NOTE = (
+    "per-factor constant 1/4, product constant 1/16; the two nominal limit "
+    "constants disagree and the computed values are reported as ground truth"
+)
 
 
 # --------------------------------------------------------------------------
@@ -76,23 +81,12 @@ def default_pair_family(sched) -> tuple[tuple[str, SlabSet], ...]:
 @dataclass(frozen=True)
 class StageCheck:
     stage: int
-    value_h: Rat
-    match_h: bool
-    value_c: Rat
-    match_c: bool
+    value_at_height: Rat
+    match_at_height: bool
+    value_at_stretched_height: Rat
+    match_at_stretched_height: bool
     product: Rat
     product_match: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "value_at_height": rat_str(self.value_h),
-            "match_at_height": self.match_h,
-            "value_at_stretched_height": rat_str(self.value_c),
-            "match_at_stretched_height": self.match_c,
-            "product": rat_str(self.product),
-            "product_match": self.product_match,
-        }
 
 
 @dataclass(frozen=True)
@@ -107,24 +101,14 @@ class WeakLimitReport:
     ground truth.
     """
 
-    c: Rat
+    ratio: Rat
     target: Rat
     product_target: Rat
     stages: tuple[StageCheck, ...]
     threshold_stage: int | None
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "ratio": rat_str(self.c),
-            "target": rat_str(self.target),
-            "product_target": rat_str(self.product_target),
-            "factor_limit_constant": "1/4",
-            "product_limit_constant": "1/16",
-            "stages": [s.to_dict() for s in self.stages],
-            "threshold_stage": self.threshold_stage,
-            "passed": self.passed,
-        }
+    factor_limit_constant: Rat = field(default=QUARTER, init=False)
+    product_limit_constant: Rat = field(default=Fraction(1, 16), init=False)
 
 
 def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> WeakLimitReport:
@@ -149,10 +133,10 @@ def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> WeakLimitReport:
         checks.append(
             StageCheck(
                 stage=j,
-                value_h=v1,
-                match_h=v1 == target,
-                value_c=v2,
-                match_c=v2 == target,
+                value_at_height=v1,
+                match_at_height=v1 == target,
+                value_at_stretched_height=v2,
+                match_at_stretched_height=v2 == target,
                 product=v1 * v2,
                 product_match=v1 * v2 == product_target,
             )
@@ -161,36 +145,26 @@ def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> WeakLimitReport:
     # start of the maximal suffix on which both hold at every stage
     threshold = None
     for ch in reversed(checks):
-        if ch.match_h and ch.match_c:
+        if ch.match_at_height and ch.match_at_stretched_height:
             threshold = ch.stage
         else:
             break
-    passed = threshold is not None
     return WeakLimitReport(
-        c=c,
+        ratio=c,
         target=target,
         product_target=product_target,
         stages=tuple(checks),
         threshold_stage=threshold,
-        passed=passed,
+        passed=threshold is not None,
     )
 
 
 @dataclass(frozen=True)
 class EvidenceEntry:
-    name_a: str
-    name_b: str
+    pair: tuple[str, str]
     constant: Rat
     sequence: tuple[tuple[int, Rat], ...]
     informative: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "pair": [self.name_a, self.name_b],
-            "constant": rat_str(self.constant),
-            "sequence": [[j, rat_str(v)] for j, v in self.sequence],
-            "informative": self.informative,
-        }
 
 
 @dataclass(frozen=True)
@@ -204,24 +178,13 @@ class SingularityEvidence:
     slabs give the constant 0 and are flagged uninformative.
     """
 
-    c: Rat
+    ratio: Rat
     entries: tuple[EvidenceEntry, ...]
+    informative: bool = field(init=False)
+    note: str = field(default=EVIDENCE_NOTE, init=False)
 
-    @property
-    def informative(self) -> bool:
-        return any(e.informative for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "ratio": rat_str(self.c),
-            "entries": [e.to_dict() for e in self.entries],
-            "informative": self.informative,
-            "note": (
-                "per-factor constant 1/4, product constant 1/16; the two "
-                "nominal limit constants disagree and the computed values "
-                "are reported as ground truth"
-            ),
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "informative", any(e.informative for e in self.entries))
 
 
 def singularity_evidence(
@@ -231,9 +194,9 @@ def singularity_evidence(
     c = rat(c)
     entries: list[EvidenceEntry] = []
     for name_a, name_b, rep in reports:
-        if rep.c != c:
+        if rep.ratio != c:
             raise ValueError(
-                f"report for ({name_a}, {name_b}) is for c={rep.c}, not c={c}"
+                f"report for ({name_a}, {name_b}) is for c={rep.ratio}, not c={c}"
             )
         if not rep.passed:
             raise RankOneError(
@@ -247,14 +210,13 @@ def singularity_evidence(
         )
         entries.append(
             EvidenceEntry(
-                name_a=name_a,
-                name_b=name_b,
+                pair=(name_a, name_b),
                 constant=rep.product_target,
                 sequence=seq,
                 informative=rep.product_target > 0,
             )
         )
-    return SingularityEvidence(c=c, entries=tuple(entries))
+    return SingularityEvidence(ratio=c, entries=tuple(entries))
 
 
 # --------------------------------------------------------------------------
@@ -264,18 +226,9 @@ def singularity_evidence(
 @dataclass(frozen=True)
 class WindowVerdict:
     window: int
-    lo: Rat
-    hi: Rat
+    range: tuple[Rat, Rat]
     empty: bool
     witness: IntervalSet
-
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "range": [rat_str(self.lo), rat_str(self.hi)],
-            "empty": self.empty,
-            "witness": self.witness.to_pairs(),
-        }
 
 
 @dataclass(frozen=True)
@@ -286,20 +239,11 @@ class DissipativityCertificate:
     {t : rho(t) > 0 and rho(d t) > 0} is exactly empty.
     """
 
-    d: Rat
+    ratio: Rat
     entry_stage: int
     threshold: Rat
     windows: tuple[WindowVerdict, ...]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "ratio": rat_str(self.d),
-            "entry_stage": self.entry_stage,
-            "threshold": rat_str(self.threshold),
-            "windows": [w.to_dict() for w in self.windows],
-            "passed": self.passed,
-        }
 
 
 def dissipativity_windows(d, sched) -> list[int]:
@@ -325,15 +269,14 @@ def dissipativity_certificate(
     verdicts = tuple(
         WindowVerdict(
             window=j,
-            lo=sched.height(j),
-            hi=sched.height(j + 1),
+            range=(sched.height(j), sched.height(j + 1)),
             empty=witness.is_empty(),
             witness=witness,
         )
         for j, witness in zip(windows, witnesses, strict=True)
     )
     return DissipativityCertificate(
-        d=d,
+        ratio=d,
         entry_stage=sched.targets.entry_stage(d),
         threshold=sched.dissipativity_threshold(d),
         windows=verdicts,
@@ -382,22 +325,14 @@ def dissipativity_spot_check(
 @dataclass(frozen=True)
 class PerturbedStageCheck:
     stage: int
-    error_h: Rat
-    error_c: Rat
+    error_at_height: Rat
+    error_at_stretched_height: Rat
     tolerance: Rat
+    within: bool = field(init=False)
 
-    @property
-    def within(self) -> bool:
-        return self.error_h <= self.tolerance and self.error_c <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "error_at_height": rat_str(self.error_h),
-            "error_at_stretched_height": rat_str(self.error_c),
-            "tolerance": rat_str(self.tolerance),
-            "within": self.within,
-        }
+    def __post_init__(self):
+        worst = max(self.error_at_height, self.error_at_stretched_height)
+        object.__setattr__(self, "within", worst <= self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -411,23 +346,12 @@ class PerturbedLimitReport:
     two matching stages.
     """
 
-    c: Rat
-    a: Rat
-    b: Rat
-    limit_h: Rat
-    limit_c: Rat
+    ratio: Rat
+    point: tuple[Rat, Rat]
+    limit_at_height: Rat
+    limit_at_stretched_height: Rat
     stages: tuple[PerturbedStageCheck, ...]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "ratio": rat_str(self.c),
-            "point": [rat_str(self.a), rat_str(self.b)],
-            "limit_at_height": rat_str(self.limit_h),
-            "limit_at_stretched_height": rat_str(self.limit_c),
-            "stages": [s.to_dict() for s in self.stages],
-            "passed": self.passed,
-        }
 
 
 def perturbation_tolerance(a: SlabSet, b: SlabSet, sched, j: int) -> Rat:
@@ -468,24 +392,22 @@ def check_perturbed_limit(
         h = sched.height(j)
         e1 = abs(correlation(a, b, h, sched) - limit_h)
         e2 = abs(correlation(a, b, c * h, sched) - limit_c)
+        tol = perturbation_tolerance(a, b, sched, j)
         checks.append(
             PerturbedStageCheck(
                 stage=j,
-                error_h=e1,
-                error_c=e2,
-                tolerance=perturbation_tolerance(a, b, sched, j),
+                error_at_height=e1,
+                error_at_stretched_height=e2,
+                tolerance=tol,
             )
         )
-    final = checks[-2:]
-    passed = all(ch.within for ch in final)
     return PerturbedLimitReport(
-        c=c,
-        a=a_shift,
-        b=b_shift,
-        limit_h=limit_h,
-        limit_c=limit_c,
+        ratio=c,
+        point=(a_shift, b_shift),
+        limit_at_height=limit_h,
+        limit_at_stretched_height=limit_c,
         stages=tuple(checks),
-        passed=passed,
+        passed=all(ch.within for ch in checks[-2:]),
     )
 
 
@@ -502,8 +424,8 @@ class DensityGrid:
     def __post_init__(self):
         if self.samples < 3 or self.samples % 2 == 0:
             raise ValueError("samples must be an odd count >= 3")
-        if self.s_max <= 0 or self.mass_s <= 0:
-            raise ValueError("grid bounds must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.s_max, self.mass_s)):
+            raise ValueError("grid bounds must be finite and positive")
 
 
 @dataclass(frozen=True)

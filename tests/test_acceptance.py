@@ -27,6 +27,7 @@ from rankone import (
     refine,
     translate_exact,
 )
+from rankone.construction import write_block
 from rankone.oracle import oracle_correlation, orbit_advance, point_in_slab, PointState
 from rankone.verify import (
     DensityGrid,
@@ -72,8 +73,8 @@ def test_criterion_1_exact_quarter_identities(desk):
             suffix = [ch for ch in rep.stages if ch.stage >= rep.threshold_stage]
             assert suffix
             for ch in suffix:
-                assert ch.value_h == rep.target  # exact rational equality
-                assert ch.value_c == rep.target
+                assert ch.value_at_height == rep.target  # exact rational equality
+                assert ch.value_at_stretched_height == rep.target
                 checked += 1
     report(
         1,
@@ -92,7 +93,7 @@ def test_criterion_2_product_constant(desk):
                 if ch.stage >= rep.threshold_stage:
                     assert ch.product == rep.product_target  # mu^2/16 exactly
                     checked += 1
-            d = rep.to_dict()
+            d = write_block(rep)
             assert d["factor_limit_constant"] == "1/4"
             assert d["product_limit_constant"] == "1/16"
     report(
@@ -159,8 +160,8 @@ def test_criterion_5_perturbed_weak_limits(desk_perturbed):
         checked_points += 1
         for ch in rep.stages:
             if ch.stage in final_two:
-                assert ch.error_h <= ch.tolerance
-                assert ch.error_c <= ch.tolerance
+                assert ch.error_at_height <= ch.tolerance
+                assert ch.error_at_stretched_height <= ch.tolerance
 
     taus = [perturbation_tolerance(y, y, sched, j) for j in matching]
     assert taus[0] >= 2 * taus[-1]

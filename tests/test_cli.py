@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -26,6 +27,10 @@ def write_config(tmp_path: Path, extra: dict | None = None) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +108,22 @@ def _set_path(doc, path, value):
     doc[path[-1]] = value
 
 
+class Twice:
+    """A value written ahead of the document's own value for the same key."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _dump(doc: dict, path, value) -> str:
+    """``doc`` as JSON with ``value`` at ``path``; a ``Twice`` value gives
+    a top-level key a second time."""
+    if isinstance(value, Twice):
+        return json.dumps({path[0]: value.value})[:-1] + ", " + json.dumps(doc)[1:]
+    _set_path(doc, path, value)
+    return json.dumps(doc)
+
+
 ESCALATION = {
     "window": 2,
     "ratio": "2/1",
@@ -146,23 +167,31 @@ class TestLoaderErrors:
              "escalations[0].escalated_stages[0]: expected an integer"),
             ("verify", ("bogus",), 1, "schedule.json: unknown keys ['bogus']"),
             ("verify", ("stages", 0, "bogus"), 1, "stages[0]: unknown keys ['bogus']"),
+            ("build", ("targets", "entry_stages"), {"2/1": 2, "4/2": 5, "3/1": 3},
+             "targets: duplicate ratios in entry_stages"),
+            ("verify", ("targets", "entry_stages", "4/2"), 5,
+             "targets: duplicate ratios in entry_stages"),
+            ("build", ("stages",), Twice(3), "repeated key 'stages'"),
+            ("verify", ("base_height",), Twice("2/1"), "repeated key 'base_height'"),
         ],
         ids=["stages-int", "spacer-1/0", "entry-stages-list", "gauge-null",
              "base-width-1/0", "multiplier-true", "index-true", "top-spacer-true",
              "entry-stage-float", "index-float", "index-string", "max-retries-neg",
              "max-retries-float", "escalation-window-float",
-             "escalated-stages-string", "unknown-top-key", "unknown-stage-key"],
+             "escalated-stages-string", "unknown-top-key", "unknown-stage-key",
+             "config-ratio-twice", "schedule-ratio-twice", "config-key-twice",
+             "schedule-key-twice"],
     )
     def test_malformed_input_exit_2(self, built, tmp_path, command, path, value, names):
         if command == "verify":
             doc = json.loads((built / "schedule.json").read_text())
-            _set_path(doc, path, value)
             src = tmp_path / "schedule.json"
-            src.write_text(json.dumps(doc))
             args = ["verify", "-s", str(src), "--which", "dissipative"]
         else:
-            src = write_config(tmp_path, {path[0]: value})
+            doc = json.loads(json.dumps(BASE_CONFIG))
+            src = tmp_path / "config.json"
             args = ["build", "-c", str(src)]
+        src.write_text(_dump(doc, path, value))
         result = CliRunner().invoke(main, args + ["-o", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
@@ -204,6 +233,17 @@ class TestVerify:
         assert CliRunner().invoke(main, args + ["-o", str(out2)]).exit_code == 0
         for name in ("weak_limits.json", "dissipativity.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # every file the run writes, pinned byte for byte
+        assert {p.name: sha256(p) for p in out1.iterdir()} == {
+            "dissipativity.json":
+                "ea1c25356d49cf99e87fcc10304537a8d1c4fed895d1dd25e7cc5d3cf383d3d6",
+            "evidence_3_2.json":
+                "0169c457695970ec4f456ca4e377903fa026afe9715d3a8a9e1821a56914fead",
+            "verify_summary.txt":
+                "4d595423bdcaa33ddfb551139fca72286d3060f8f69658e8c9402cee95e43fda",
+            "weak_limits.json":
+                "ebd3b4cf9f7cb782f87aa500fa78554a54b95b5f50af7245f2a552e6033a83cf",
+        }
 
     def test_broken_schedule_exit_3(self, tmp_path):
         cfg = write_config(
@@ -339,6 +379,9 @@ class TestPerturbedVerify:
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "perturbed_limits.json").read_text())
         assert report and all(r["passed"] for r in report)
+        assert sha256(tmp_path / "perturbed_limits.json") == (
+            "763f6fa340f2da43c05396d6af7df42070fa0503513540c265e216d3e1a14cf6"
+        )
 
     def test_default_which_skips_singular(self, built_perturbed, tmp_path):
         result = CliRunner().invoke(
@@ -376,6 +419,9 @@ class TestArtifacts:
         first = rows[1].split(",")
         assert float(first[1]) == 1.0  # value at t=0 equals mu(Y)
         assert (out / "hitting_window_2.json").exists()
+        assert sha256(out / "profile.json") == (
+            "90138b67a9641091124e3c2b5dceb9222497d69a71ab5ae3a5af33ce279bf38f"
+        )
 
     @pytest.mark.parametrize("window", ["0", "9"])
     def test_profile_unbuilt_window_writes_nothing(self, built, tmp_path, window):

@@ -137,9 +137,14 @@ def test_unmutated_inputs_pass(work):
         ["verify", "--which", "dissipative", "--spot-checks", "-1"],
         ["oracle", "--triples", "0"],
         ["oracle", "--triples", "-1"],
+        ["density", "--s-max", "nan"],
+        ["density", "--s-max", "inf"],
+        ["density", "--mass-s", "nan"],
+        ["density", "--mass-s", "inf"],
     ],
     ids=["samples-0", "samples-neg", "jobs-0", "jobs-neg", "spot-checks-neg",
-         "triples-0", "triples-neg"],
+         "triples-0", "triples-neg", "s-max-nan", "s-max-inf", "mass-s-nan",
+         "mass-s-inf"],
 )
 def test_out_of_range_options_exit_2(work, args):
     result = _invoke(

@@ -18,6 +18,7 @@ from rankone import (
     check_perturbed_limit,
     check_weak_limits,
 )
+from rankone.construction import write_block
 from rankone.verify import dissipativity_spot_check
 
 CONFIGS = [
@@ -43,7 +44,7 @@ def test_random_family_certificates(spec):
         if len([j for j in matching if j > 1]) < 2:
             continue
         rep = check_weak_limits(y, y, c, sched)
-        assert rep.passed, (c, [s.to_dict() for s in rep.stages])
+        assert rep.passed, (c, write_block(rep.stages))
         assert rep.target == F(1, 4)
 
     rng = random.Random(99)
@@ -51,7 +52,7 @@ def test_random_family_certificates(spec):
         if not sched.windows_for(d):
             continue
         cert = check_dissipativity(d, sched)
-        assert cert.passed, (d, [w.to_dict() for w in cert.windows])
+        assert cert.passed, (d, write_block(cert.windows))
         res = dissipativity_spot_check(d, sched, 50, rng)
         assert not res["failures"]
 
@@ -92,4 +93,4 @@ def test_perturbation_preserves_dissipativity():
     assert rep.passed
     # rho(1/4) at stage 2: merged piece [0,2) overlaps 7/4, the two unit
     # copies 3/4 each, times width 1/4
-    assert rep.limit_c == F(1, 4) * F(13, 16)
+    assert rep.limit_at_stretched_height == F(1, 4) * F(13, 16)

@@ -20,6 +20,7 @@ from rankone import (
     singularity_evidence,
     spectral_density,
 )
+from rankone.construction import write_block
 from rankone.verify import (
     DensityGrid,
     dissipativity_spot_check,
@@ -37,7 +38,7 @@ class TestWeakLimits:
         assert rep.threshold_stage == 2
         for ch in rep.stages:
             if ch.stage >= 2:
-                assert ch.value_h == ch.value_c == F(1, 4)
+                assert ch.value_at_height == ch.value_at_stretched_height == F(1, 4)
                 assert ch.product == F(1, 16) == rep.product_target
 
     def test_other_ratio(self, desk):
@@ -55,7 +56,7 @@ class TestWeakLimits:
         assert rep.passed
         for ch in rep.stages:
             if ch.stage >= rep.threshold_stage:
-                assert ch.value_h == 0 and ch.value_c == 0
+                assert ch.value_at_height == 0 and ch.value_at_stretched_height == 0
 
     def test_whole_family_passes(self, desk):
         fam = default_pair_family(desk)
@@ -159,7 +160,7 @@ class TestDissipativity:
         # serialized as ``rankone verify`` writes dissipativity.json; the
         # digest is that of the Fraction-based witness assembly, which the
         # lattice code must reproduce byte for byte
-        text = json.dumps(check_dissipativity(F(d), broken).to_dict(), indent=2,
+        text = json.dumps(write_block(check_dissipativity(F(d), broken)), indent=2,
                           sort_keys=True) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -180,8 +181,12 @@ class TestPerturbedLimits:
         y = base_slab(desk_perturbed)
         rep = check_perturbed_limit(F(3, 2), 0, 0, y, y, desk_perturbed)
         assert rep.passed
-        assert rep.limit_h == rep.limit_c == F(1, 4)
-        assert all(ch.error_h == 0 == ch.error_c for ch in rep.stages if ch.stage > 1)
+        assert rep.limit_at_height == rep.limit_at_stretched_height == F(1, 4)
+        assert all(
+            ch.error_at_height == 0 == ch.error_at_stretched_height
+            for ch in rep.stages
+            if ch.stage > 1
+        )
 
     def test_realized_points_pass_exactly(self, desk_perturbed):
         y = base_slab(desk_perturbed)
@@ -196,13 +201,13 @@ class TestPerturbedLimits:
             assert [c.stage for c in rep.stages] == stages
             for ch in rep.stages:
                 if ch.stage > 1:
-                    assert ch.error_h == 0 and ch.error_c == 0
+                    assert ch.error_at_height == 0 and ch.error_at_stretched_height == 0
 
     def test_limit_values_are_translated_correlations(self, desk_perturbed):
         y = base_slab(desk_perturbed)
         rep = check_perturbed_limit(F(3, 2), F(0), F(1), y, y, desk_perturbed)
-        assert rep.limit_h == correlation(y, y, 0, desk_perturbed) / 4
-        assert rep.limit_c == correlation(y, y, -1, desk_perturbed) / 4
+        assert rep.limit_at_height == correlation(y, y, 0, desk_perturbed) / 4
+        assert rep.limit_at_stretched_height == correlation(y, y, -1, desk_perturbed) / 4
 
     def test_unrealized_point_raises(self, desk_perturbed):
         y = base_slab(desk_perturbed)
@@ -304,3 +309,47 @@ def test_no_float_in_certificate(name):
     import rankone.verify as verify
 
     assert "float(" not in inspect.getsource(getattr(verify, name))
+
+
+@pytest.mark.parametrize("module", ["rankone.verify", "rankone.levelset"])
+def test_no_to_dict_on_reports(module):
+    """Reports are written by ``write_block``: their field names are the
+    document keys, so no dataclass spells its keys out by hand."""
+    import dataclasses
+    import importlib
+    import inspect
+
+    mod = importlib.import_module(module)
+    classes = [
+        cls
+        for _, cls in inspect.getmembers(mod, dataclasses.is_dataclass)
+        if cls.__module__ == module
+    ]
+    assert classes
+    assert [cls.__name__ for cls in classes if "to_dict" in vars(cls)] == []
+
+
+def test_derived_report_fields_not_settable():
+    """``within``, ``informative`` and the limit constants are worked out
+    by the report itself, so a caller cannot write a false claim."""
+    from rankone.verify import (
+        EvidenceEntry,
+        PerturbedStageCheck,
+        SingularityEvidence,
+        WeakLimitReport,
+    )
+
+    check = PerturbedStageCheck(1, F(1, 8), F(1, 2), F(1, 4))
+    assert not check.within
+    assert PerturbedStageCheck(1, F(1, 4), F(0), F(1, 4)).within
+    with pytest.raises(TypeError):
+        PerturbedStageCheck(1, F(1, 2), F(1, 2), F(1, 4), within=True)
+    entry = EvidenceEntry(("a", "b"), F(0), ((2, F(0)),), False)
+    assert not SingularityEvidence(F(3, 2), (entry,)).informative
+    for kwargs in ({"informative": True}, {"note": "x"}):
+        with pytest.raises(TypeError):
+            SingularityEvidence(F(3, 2), (entry,), **kwargs)
+    with pytest.raises(TypeError):
+        WeakLimitReport(
+            F(3, 2), F(1), F(1), (), None, False, factor_limit_constant=F(1, 3)
+        )
