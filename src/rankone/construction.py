@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .errors import EmptyTargets, EscalationExhausted, StageOutOfRange
-from .exactnum import IntervalSet, Rat, denominator_lcm, rat, rat_str
+from .exactnum import IntervalSet, Rat, rat, rat_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -53,9 +53,15 @@ def read_rat(value) -> Rat:
     return Fraction(value)
 
 
+_REPEATED = object()  # what read_json gives a key that one object repeats
+
+
 def _at(key, read, value):
-    """``read(value)``, its error's message prefixed with the field path."""
+    """``read(value)``, its error's message prefixed with the field path; a
+    repeated key is rejected here, where its path is known."""
     try:
+        if value is _REPEATED:
+            raise ValueError(f"repeated key {key!r}")
         return read(value)
     except (TypeError, ValueError) as exc:
         path, msg = getattr(exc, "field_path", ("", str(exc)))
@@ -91,14 +97,13 @@ def read_object(value, readers=None) -> dict:
 def _unique_keys(pairs: list) -> dict:
     out: dict = {}
     for key, value in pairs:
-        if key in out:
-            raise ValueError(f"repeated key {key!r}")
-        out[key] = value
+        out[key] = _REPEATED if key in out else value
     return out
 
 
 def read_json(text: str):
-    """A JSON document; an object that gives one key twice is rejected."""
+    """A JSON document; a key that an object gives twice gets a marker
+    value, which the field readers reject with the key's path."""
     return json.loads(text, object_pairs_hook=_unique_keys)
 
 
@@ -351,6 +356,8 @@ class StageParams:
             raise ValueError("first spacer must equal the delta1 perturbation")
         if s[2] != (self.ratio - 1) * h + self.delta3:
             raise ValueError("third spacer must equal (ratio-1)*height + delta3")
+        if s[1] != self.multiplier * h:
+            raise ValueError("second spacer must equal multiplier*height")
         if self.offsets != _stacking_offsets(h, s):
             raise ValueError("offsets do not satisfy the stacking recurrence")
 
@@ -470,22 +477,6 @@ class Schedule:
     def delta_pair(self, j: int) -> tuple[Rat, Rat]:
         st = self.stage(j)
         return st.delta1, st.delta3
-
-    @property
-    def denominator_scale(self) -> int:
-        """LCM of all denominators appearing in the schedule's geometry."""
-        cached = self.runtime_cache.get("denominator_scale")
-        if cached is None:
-            vals: list[Rat] = [self.base_width, self.base_height]
-            for st in self.stages:
-                vals.extend(st.spacers)
-                vals.extend(st.offsets)
-                vals.append(st.height)
-                vals.append(st.width)
-            vals.append(self.stages[-1].next_height)
-            cached = denominator_lcm(vals)
-            self.runtime_cache["denominator_scale"] = cached
-        return cached
 
     # -- serialization ------------------------------------------------------
 
@@ -622,9 +613,6 @@ def build_schedule(
     if j_max < 1:
         raise ValueError("need at least one stage")
     policy = policy or StagePolicy()
-    if not targets.singular:
-        raise EmptyTargets("need at least one singular target ratio")
-
     ratios = enumerate_ratios(targets.singular, j_max)
     if perturbation is not None:
         deltas = perturbation_schedule(targets.singular, j_max, perturbation.net_depth)

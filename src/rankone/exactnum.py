@@ -79,10 +79,6 @@ class IntervalSet:
         return out
 
     @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls._wrap(())
-
-    @classmethod
     def single(cls, lo, hi) -> "IntervalSet":
         return cls(((lo, hi),))
 

@@ -20,6 +20,7 @@ verification layer needs reduces to three exact computations:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -225,10 +226,6 @@ class PiecewiseLinear:
         return total
 
 
-def _scale_for(sched, extra: Iterable[Rat]) -> int:
-    return lcm(sched.denominator_scale, denominator_lcm(extra))
-
-
 def _lattice_set(pieces: Iterable[tuple[int, int]], unit: int) -> IntervalSet:
     """The union of the integer intervals [lo, hi) in units of 1/unit: merged
     on the integers, then one ``Fraction`` per emitted endpoint."""
@@ -251,7 +248,8 @@ def _lattice_pair(a: SlabSet, b: SlabSet, times: list[Rat], sched):
     k = max(a.stage, b.stage)
     la = _levels_at(sched, a, k)
     lb = _levels_at(sched, b, k)
-    scale = _scale_for(sched, times + [x for iv in la + lb for x in iv])
+    extra = times + [x for iv in la + lb for x in iv]
+    scale = lcm(_lattice(sched)[0], denominator_lcm(extra))
 
     def scaled(levels):
         return [(int(lo * scale), int(hi * scale)) for lo, hi in levels]
@@ -259,33 +257,31 @@ def _lattice_pair(a: SlabSet, b: SlabSet, times: list[Rat], sched):
     return k, scale, scaled(la), scaled(lb)
 
 
-def _stage_diff_values(sched, s: int, scale: int) -> list[tuple[int, int]]:
-    """Sorted (value, multiplicity) of scaled offset differences at stage s."""
-    key = ("diffs", s, scale)
-    cached = sched.runtime_cache.get(key)
+def _lattice(sched) -> tuple[int, list[list[tuple[int, int]]], list[int]]:
+    """The schedule's integer geometry, derived once per schedule.
+
+    Returns the lcm D of the denominators of every tower height and column
+    offset; per stage s, the sorted (value, multiplicity) of its offset
+    differences in units of 1/D; and the prefix reach, where reach[s] is
+    the largest |pattern sum| that stages 1..s can contribute.  Lists are
+    indexed by stage, entry 0 standing for "no stage".
+    """
+    cached = sched.runtime_cache.get("lattice")
     if cached is not None:
         return cached
-    offs = [x * scale for x in sched.offsets(s)]
-    counts: dict[int, int] = {}
-    for a in offs:
-        for b in offs:
-            v = b - a
-            if v.denominator != 1:
-                raise AssertionError("scale does not clear offset denominators")
-            counts[int(v)] = counts.get(int(v), 0) + 1
-    cached = sorted(counts.items())
-    sched.runtime_cache[key] = cached
+    n = sched.num_stages
+    offsets = [sched.offsets(s) for s in range(1, n + 1)]
+    unit = denominator_lcm(
+        [sched.height(j) for j in range(1, n + 2)] + [x for o in offsets for x in o]
+    )
+    diffs: list[list[tuple[int, int]]] = [[]]
+    reach = [0]
+    for o in offsets:
+        scaled = [int(x * unit) for x in o]
+        diffs.append(sorted(Counter(b - a for a in scaled for b in scaled).items()))
+        reach.append(reach[-1] + scaled[3] - scaled[0])
+    cached = sched.runtime_cache["lattice"] = (unit, diffs, reach)
     return cached
-
-
-def _diffs_and_reach(sched, k: int, j: int, scale: int):
-    """Offset differences of stages k..j-1 and, per stage s, the largest
-    pattern sum |delta| that stages k..s can contribute."""
-    diffs = {s: _stage_diff_values(sched, s, scale) for s in range(k, j)}
-    reach: dict[int, int] = {k - 1: 0}
-    for s in range(k, j):
-        reach[s] = reach[s - 1] + max(abs(v) for v, _ in diffs[s])
-    return diffs, reach
 
 
 def _pattern_sums(
@@ -293,25 +289,30 @@ def _pattern_sums(
 ) -> dict[int, int]:
     """Multiset of offset-difference pattern sums over stages k..j-1.
 
-    Returns {sum: multiplicity} restricted to sums that can matter for a
-    target band [lo, hi]; the pruning uses exact bounds on what the
-    remaining (lower) stages can still contribute.
+    Returns {sum: multiplicity} in units of 1/scale, restricted to sums
+    that can matter for a target band [lo, hi]; the pruning uses exact
+    bounds on what the remaining (lower) stages can still contribute.
+    ``scale`` is a multiple m*D of the lattice unit, and every pattern sum
+    on it is m times one on D: the search runs on D with the band rounded
+    inward, and the surviving sums are multiplied by m.
     """
-    diffs, reach = _diffs_and_reach(sched, k, j, scale)
+    unit, diffs, reach = _lattice(sched)
+    m = scale // unit
+    lo, hi = -(-lo // m), hi // m
     level: dict[int, int] = {0: 1}
     for s in range(j - 1, k - 1, -1):
-        rb = reach[s - 1]
+        rb = reach[s - 1] - reach[k - 1]
         lo_keep, hi_keep = lo - rb, hi + rb
         nxt: dict[int, int] = {}
-        for partial, m in level.items():
+        for partial, c in level.items():
             for v, mv in diffs[s]:
                 p2 = partial + v
                 if lo_keep <= p2 <= hi_keep:
-                    nxt[p2] = nxt.get(p2, 0) + m * mv
+                    nxt[p2] = nxt.get(p2, 0) + c * mv
         level = nxt
         if not level:
             break
-    return level
+    return level if m == 1 else {m * v: c for v, c in level.items()}
 
 
 def _check_profile(breakpoints, values) -> None:
@@ -426,19 +427,18 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
     k = y.stage
     h_base = sched.height(k)
 
-    scale = _scale_for(sched, [w_lo, w_hi, h_base])
+    # every time here is a tower height, so the lattice unit clears it
+    scale, diffs, reach = _lattice(sched)
     w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
-    thr_s = int(threshold * scale)  # a tower height: the scale clears it
+    thr_s = int(threshold * scale)
     e = int(h_base * scale)  # half-width of a base-pair trapezoid support
     p, q = d.numerator, d.denominator
-
-    diffs, reach = _diffs_and_reach(sched, k, j1, scale)
 
     zband = (p + q) * e  # |q*(d*t - t')| bound for overlapping supports
 
     states: set[tuple[int, int]] = {(0, 0)}  # (delta partial, q*d*delta - q*delta')
     for s in range(j1 - 1, k - 1, -1):
-        rb = reach[s - 1]
+        rb = reach[s - 1] - reach[k - 1]
         lo_keep, hi_keep = w_lo_s - e - rb, w_hi_s + e + rb
         zrb = (p + q) * rb
         vals = diffs[s]

@@ -591,8 +591,6 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensi
         mass += c0f * (si_b - si_a)
 
         def anti_sin(t: float) -> float:
-            if s_mass == 0.0:
-                return 0.0
             return (
                 -(c1f + c2f * t) * np.cos(s_mass * t) / s_mass
                 + c2f * np.sin(s_mass * t) / s_mass**2

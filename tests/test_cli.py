@@ -117,11 +117,15 @@ class Twice:
 
 def _dump(doc: dict, path, value) -> str:
     """``doc`` as JSON with ``value`` at ``path``; a ``Twice`` value gives
-    a top-level key a second time."""
-    if isinstance(value, Twice):
-        return json.dumps({path[0]: value.value})[:-1] + ", " + json.dumps(doc)[1:]
-    _set_path(doc, path, value)
-    return json.dumps(doc)
+    the key at ``path`` a second time, at any depth."""
+    if not isinstance(value, Twice):
+        _set_path(doc, path, value)
+        return json.dumps(doc)
+    if len(path) > 1:  # the nested object's text stands in for a placeholder
+        inner = _dump(doc[path[0]], path[1:], value)
+        doc[path[0]] = "\0"
+        return json.dumps(doc).replace(json.dumps("\0"), inner)
+    return json.dumps({path[0]: value.value})[:-1] + ", " + json.dumps(doc)[1:]
 
 
 ESCALATION = {
@@ -173,6 +177,14 @@ class TestLoaderErrors:
              "targets: duplicate ratios in entry_stages"),
             ("build", ("stages",), Twice(3), "repeated key 'stages'"),
             ("verify", ("base_height",), Twice("2/1"), "repeated key 'base_height'"),
+            ("build", ("targets", "singular"), Twice(["5/2"]),
+             "targets.singular: repeated key 'singular'"),
+            ("verify", ("stages", 2, "spacers"), Twice(["0/1"] * 4),
+             "stages[2].spacers: repeated key 'spacers'"),
+            ("verify", ("targets", "entry_stages", "2/1"), Twice(2),
+             "targets.entry_stages.2/1: repeated key '2/1'"),
+            ("verify", ("stages", 2, "multiplier"), "7/1",
+             "stages[2]: second spacer must equal multiplier*height"),
         ],
         ids=["stages-int", "spacer-1/0", "entry-stages-list", "gauge-null",
              "base-width-1/0", "multiplier-true", "index-true", "top-spacer-true",
@@ -180,7 +192,9 @@ class TestLoaderErrors:
              "max-retries-float", "escalation-window-float",
              "escalated-stages-string", "unknown-top-key", "unknown-stage-key",
              "config-ratio-twice", "schedule-ratio-twice", "config-key-twice",
-             "schedule-key-twice"],
+             "schedule-key-twice", "config-nested-key-twice",
+             "schedule-nested-key-twice", "schedule-entry-stage-twice",
+             "multiplier-off-spacer"],
     )
     def test_malformed_input_exit_2(self, built, tmp_path, command, path, value, names):
         if command == "verify":

@@ -1,6 +1,7 @@
 import inspect
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +22,7 @@ from rankone import (
     translate_exact,
 )
 from rankone import levelset
+from rankone.cli import load_config, schedule_from_config
 from rankone.construction import Schedule
 from rankone.levelset import (
     PiecewiseLinear,
@@ -28,7 +30,11 @@ from rankone.levelset import (
     find_dissipativity_witness,
     window_landmarks,
 )
-from rankone.verify import default_pair_family
+from rankone.verify import (
+    check_weak_limits,
+    default_pair_family,
+    dissipativity_spot_check,
+)
 
 
 class TestSlabs:
@@ -511,3 +517,79 @@ class TestWitnessSearch:
         t = F(9, 8)
         assert correlation(y, y, t, sched) > 0
         assert correlation(y, y, 2 * t, sched) > 0
+
+
+@pytest.fixture(scope="module")
+def deep16():
+    return schedule_from_config(
+        load_config(Path(__file__).parent.parent / "configs" / "deep16.json")
+    )
+
+
+class TestLattice:
+    """The integer geometry that every pattern search shares."""
+
+    @staticmethod
+    def reference(sched, k, j, scale, lo, hi):
+        """The pruned pattern DFS run directly on the lattice of 1/scale,
+        its offset differences derived at that scale."""
+        diffs = {}
+        for s in range(k, j):
+            offs = [x * scale for x in sched.offsets(s)]
+            counts = {}
+            for a in offs:
+                for b in offs:
+                    assert (b - a).denominator == 1
+                    counts[int(b - a)] = counts.get(int(b - a), 0) + 1
+            diffs[s] = sorted(counts.items())
+        reach = {k - 1: 0}
+        for s in range(k, j):
+            reach[s] = reach[s - 1] + max(abs(v) for v, _ in diffs[s])
+        level = {0: 1}
+        for s in range(j - 1, k - 1, -1):
+            lo_keep, hi_keep = lo - reach[s - 1], hi + reach[s - 1]
+            nxt = {}
+            for partial, m in level.items():
+                for v, mv in diffs[s]:
+                    if lo_keep <= partial + v <= hi_keep:
+                        nxt[partial + v] = nxt.get(partial + v, 0) + m * mv
+            level = nxt
+        return level
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_finer_scales_equal_direct_enumeration(self, desk, broken, deep16, data):
+        sched = data.draw(st.sampled_from([desk, broken, deep16]), label="schedule")
+        unit = levelset._lattice(sched)[0]
+        n = sched.num_stages
+        k = data.draw(st.integers(1, n - 1), label="k")
+        j = data.draw(st.integers(k + 1, n), label="j")
+        # a band of one base height around a tower height, as correlation uses
+        t = int(sched.height(data.draw(st.integers(k, j), label="tower")) * unit)
+        h = int(sched.height(k) * unit)
+        sums = sorted(levelset._pattern_sums(sched, k, j, unit, t - h, t + h))
+        assume(sums)
+        # band ends at most m - 1 units off a coarse pattern sum, either side
+        m = data.draw(st.integers(1, 6), label="m")
+        s1 = data.draw(st.sampled_from(sums), label="low sum")
+        s2 = data.draw(st.sampled_from([s for s in sums if s >= s1]), label="high sum")
+        off = st.integers(1 - m, m - 1)
+        lo = m * s1 + data.draw(off, label="low offset")
+        hi = m * s2 + data.draw(off, label="high offset")
+        got = levelset._pattern_sums(sched, k, j, m * unit, lo, hi)
+        assert got == self.reference(sched, k, j, m * unit, lo, hi)
+
+    def test_one_cache_entry_per_schedule(self, desk):
+        sched = Schedule.from_json(desk.to_json())
+        family = default_pair_family(sched)
+        for c in sched.targets.singular:
+            for i, (_, a) in enumerate(family):
+                for _, b in family[i:]:
+                    check_weak_limits(a, b, c, sched)
+        for d in sched.targets.dissipative:
+            dissipativity_spot_check(d, sched, 100, random.Random(0))
+        others = [
+            key for key in sched.runtime_cache
+            if not (isinstance(key, tuple) and key[0] == "levels")
+        ]
+        assert others == ["lattice"]
