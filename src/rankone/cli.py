@@ -103,7 +103,15 @@ def schedule_from_config(cfg: dict) -> Schedule:
         ))
     except _MALFORMED as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    return build_schedule(j_max=args.pop("stages"), **args)
+    sched = build_schedule(j_max=args.pop("stages"), **args)
+    # CPython (3.10.7+) converts no int of more digits than this to text or back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for st in sched.stages if limit else ():
+        nums = (st.height, st.width, st.multiplier, *st.spacers, *st.offsets)
+        if any(max(abs(x.numerator), x.denominator) >= 10**limit for x in nums):
+            raise ConfigError(f"invalid config: stage {st.index} has a number of more "
+                              f"than {limit} digits, which no schedule document holds")
+    return sched
 
 
 def _write_json(path: Path, payload) -> None:

@@ -11,7 +11,8 @@ verification layer needs reduces to three exact computations:
 * exact piecewise-linear correlation profiles over a window, obtained by
   enumerating the per-stage column-offset difference patterns that can
   land in the window (a pruned DFS over the stage structure) and sweeping
-  the resulting trapezoid slope events;
+  the resulting trapezoid slope events; hitting sets skip the sweep and
+  merge the trapezoids' supports;
 * an empty-intersection witness search for pairs (t, d*t), run as a
   paired DFS over two pattern stacks so the huge hitting sets of top-level
   windows never have to be materialized.
@@ -172,7 +173,10 @@ class PiecewiseLinear:
     def __post_init__(self):
         if len(self.breakpoints) != len(self.values) or len(self.breakpoints) < 2:
             raise ValueError("need matching breakpoint/value sequences")
-        _check_profile(self.breakpoints, self.values)
+        if any(b <= a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        if any(v < 0 for v in self.values):
+            raise ValueError("profile values must be non-negative")
 
     def value_at(self, t) -> Rat:
         t = rat(t)
@@ -233,10 +237,11 @@ def _lattice_set(pieces: Iterable[tuple[int, int]], unit: int) -> IntervalSet:
     for lo, hi in sorted(pieces):
         if lo >= hi:
             continue
-        if runs and lo <= runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], hi)
-        else:
+        if not runs or lo > end:
             runs.append([lo, hi])
+            end = hi
+        elif hi > end:
+            runs[-1][1] = end = hi
     return IntervalSet._wrap(
         tuple((Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in runs)
     )
@@ -315,24 +320,9 @@ def _pattern_sums(
     return level if m == 1 else {m * v: c for v, c in level.items()}
 
 
-def _check_profile(breakpoints, values) -> None:
-    """A profile's breakpoints strictly increase and its values are >= 0."""
-    if any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
-        raise ValueError("breakpoints must be strictly increasing")
-    if any(v < 0 for v in values):
-        raise ValueError("profile values must be non-negative")
-
-
-def _lattice_profile(a: SlabSet, b: SlabSet, window, sched):
-    """The profile t -> mu(T_t A /\\ B) on the window, on the integer lattice.
-
-    Returns the pair's stage j, the lattice scale and the scaled integer
-    breakpoints and values: breakpoint x is the time x / scale and value v
-    the measure width(j) * v / scale.  Every pair of refined copies
-    contributes a trapezoid in t; copies are grouped by their
-    offset-difference pattern, so the work scales with the number of
-    patterns near the window, not with the copy count.
-    """
+def _lattice_window(a: SlabSet, b: SlabSet, window, sched):
+    """The pair's stage j, lattice scale, scaled window ends and base
+    intervals, and the pattern sums {delta: copy pairs} near the window."""
     w_lo, w_hi = rat(window[0]), rat(window[1])
     if not 0 <= w_lo < w_hi:
         raise ValueError("window must satisfy 0 <= lo < hi")
@@ -341,6 +331,18 @@ def _lattice_profile(a: SlabSet, b: SlabSet, window, sched):
     w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
     pad = int(sched.height(k) * scale)
     patterns = _pattern_sums(sched, k, j, scale, w_lo_s - pad, w_hi_s + pad)
+    return j, scale, w_lo_s, w_hi_s, las, lbs, patterns
+
+
+def _lattice_profile(a: SlabSet, b: SlabSet, window, sched):
+    """The profile t -> mu(T_t A /\\ B) on the window, on the integer lattice.
+
+    Returns the pair's stage j, the lattice scale and the scaled integer
+    breakpoints and values: breakpoint x is the time x / scale and value v
+    the measure width(j) * v / scale.  Copies are grouped by pattern, so the
+    work scales with the patterns near the window, not with the copy count.
+    """
+    j, scale, w_lo_s, w_hi_s, las, lbs, patterns = _lattice_window(a, b, window, sched)
 
     # slope changes of the summed trapezoids; the window ends join as
     # zero changes so that the sweep below passes them
@@ -377,7 +379,6 @@ def _lattice_profile(a: SlabSet, b: SlabSet, window, sched):
         if t == w_lo_s or t == w_hi_s or (ds and t > w_lo_s):
             bps.append(t)
             vals.append(value)
-    _check_profile(bps, vals)
     return j, scale, bps, vals
 
 
@@ -394,14 +395,15 @@ def correlation_profile(a: SlabSet, b: SlabSet, window, sched) -> PiecewiseLinea
 def hitting_set(a: SlabSet, b: SlabSet, window, sched) -> IntervalSet:
     """Exact support {t in window : mu(T_t A /\\ B) > 0}.
 
-    The same set as ``correlation_profile(...).support()``: the closure of
-    the positive pieces, merged where they touch, taken on the lattice.
+    The same set as ``correlation_profile(...).support()``, without its
+    sweep: each copy-pair trapezoid is >= 0 and positive exactly on the open
+    (delta + qlo - phi, delta + qhi - plo), so the support of their sum is
+    the union of those intervals, clipped to the window, merged if touching.
     """
-    _, scale, bps, vals = _lattice_profile(a, b, window, sched)
-    pieces = zip(bps, bps[1:], vals, vals[1:])
-    return _lattice_set(
-        ((t0, t1) for t0, t1, v0, v1 in pieces if v0 > 0 or v1 > 0), scale
-    )
+    _, scale, lo, hi, las, lbs, patterns = _lattice_window(a, b, window, sched)
+    pieces = ((max(d + qlo - phi, lo), min(d + qhi - plo, hi))
+              for plo, phi in las for qlo, qhi in lbs for d in patterns)
+    return _lattice_set(pieces, scale)
 
 
 # --------------------------------------------------------------------------

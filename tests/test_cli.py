@@ -212,6 +212,17 @@ class TestLoaderErrors:
         assert "error" in result.output
         assert names in result.output
 
+    def test_numbers_past_digit_limit_exit_2(self, tmp_path):
+        # at 120 stages the spacers of stage 119 have more digits than
+        # CPython converts to a string: the build writes nothing
+        cfg = write_config(tmp_path, {"stages": 120})
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "stage 119 has a number of more than 4300 digits" in result.output
+        assert "Exceeds the limit" not in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "block",
         [

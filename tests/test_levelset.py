@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankone import (
@@ -34,6 +34,7 @@ from rankone.verify import (
     check_weak_limits,
     default_pair_family,
     dissipativity_spot_check,
+    hitting_report,
 )
 
 
@@ -377,17 +378,67 @@ class TestHittingSetAgainstSupport:
         step = (bps[i + 1] - bps[i]) / 3
         return bps[i] + step, bps[i] + 2 * step
 
-    @given(data=st.data())
+    # Explicit cases name (schedule, slab a, slab b, window).  On desk the
+    # quarter0 x quarter0 tents near 0 are (-1/4, 1/4), (3/4, 5/4), (5/4, 7/4)
+    # and (67/4, 69/4), each overlapping no other tent.
+    @given(data=st.data(), case=st.none())
+    @example(data=None, case=(  # the lower end cuts through one tent
+        "desk", "stage1_quarter0", "stage1_quarter0", (F(1, 8), F(1, 2))))
+    @example(data=None, case=(  # the window ends where a tent's support ends
+        "desk", "stage1_quarter0", "stage1_quarter0", (F(16), F(69, 4))))
+    @example(data=None, case=(  # two touching supports merge into [3/4, 7/4)
+        "desk", "stage1_quarter0", "stage1_quarter0", (F(1, 2), F(2))))
+    @example(data=None, case=(  # strictly between two supports: empty
+        "desk", "stage1_quarter0", "stage1_quarter0", (F(3, 8), F(5, 8))))
+    @example(data=None, case=(  # on [0, h_3], four base intervals of a against one of b
+        "broken", "stage1_quarter0", "stage2_half0", (F(0), F(11025, 4))))
+    @example(data=None, case=(  # three merged base intervals of a against one of b
+        "deep16", "stage1_full", "stage2_full", (F(0), F(305809, 4))))
     @settings(max_examples=80, deadline=None)
-    def test_hitting_set_equals_profile_support(self, desk, broken, data):
-        sched = data.draw(st.sampled_from([desk, broken]))
-        family = default_pair_family(sched)
-        a = data.draw(st.sampled_from(family), label="a")[1]
-        b = data.draw(st.sampled_from(family), label="b")[1]
-        window = self.draw_window(data, sched, a, b)
+    def test_hitting_set_equals_profile_support(self, desk, broken, deep16, data, case):
+        scheds = {"desk": desk, "broken": broken, "deep16": deep16}
+        if case is None:
+            sched = data.draw(st.sampled_from(list(scheds.values())))
+            family = default_pair_family(sched)
+            a = data.draw(st.sampled_from(family), label="a")[1]
+            b = data.draw(st.sampled_from(family), label="b")[1]
+            window = self.draw_window(data, sched, a, b)
+        else:
+            name, a_name, b_name, window = case
+            sched = scheds[name]
+            family = dict(default_pair_family(sched))
+            a, b = family[a_name], family[b_name]
         got = hitting_set(a, b, window, sched)
         assert got == correlation_profile(a, b, window, sched).support()
         assert all(isinstance(x, F) for iv in got for x in iv)
+
+    def test_explicit_cases_have_their_shape(self, desk):
+        """The tents the explicit cases above are written against."""
+        q0 = dict(default_pair_family(desk))["stage1_quarter0"]
+        hits = {
+            w: hitting_set(q0, q0, w, desk).intervals
+            for w in [(F(1, 8), F(1, 2)), (F(16), F(69, 4)), (F(1, 2), F(2)),
+                      (F(3, 8), F(5, 8))]
+        }
+        assert hits == {
+            (F(1, 8), F(1, 2)): ((F(1, 8), F(1, 4)),),
+            (F(16), F(69, 4)): ((F(67, 4), F(69, 4)),),
+            (F(1, 2), F(2)): ((F(3, 4), F(7, 4)),),
+            (F(3, 8), F(5, 8)): (),
+        }
+
+    def test_hitting_path_builds_no_profile(self, broken, monkeypatch):
+        """The hitting set and report never fall back to the profile sweep."""
+        def sweep(*args):
+            raise AssertionError("the hitting path built a profile")
+
+        monkeypatch.setattr(levelset, "_lattice_profile", sweep)
+        y = base_slab(broken)
+        window = (broken.height(2), broken.height(3))
+        assert hitting_set(y, y, window, broken)
+        assert hitting_report(broken, 4)["intervals"]
+        with pytest.raises(AssertionError, match="built a profile"):
+            correlation_profile(y, y, window, broken)  # the patch is in effect
 
 
 class TestLandmarkLabels:

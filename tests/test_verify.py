@@ -287,6 +287,16 @@ class TestHittingReport:
             "719f08f33959b152c98d5bda43f9e58c7d888be0001a73d250b69e4dba264560"
         )
 
+    def test_broken_window_5_bytes_unchanged(self, broken):
+        # the bench's sweep workload writes this report with
+        # ``rankone profile --window 5``; its digest is the bench gate's
+        rep = hitting_report(broken, 5)
+        assert len(rep["intervals"]) == 79093
+        text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b673a9a47f1b2280ac2a3003adaa337bf4e2c9a93b1f9a691c047ac2125d6baa"
+        )
+
 
 @pytest.mark.parametrize(
     "name",
