@@ -18,7 +18,6 @@ from .errors import (
     EscalationExhausted,
     HorizonExceeded,
     NoMatchingStages,
-    NonPositiveScale,
     NotDissipative,
     RankOneError,
     StageOutOfRange,
@@ -33,12 +32,9 @@ from .levelset import (
     correlation_profile,
     hitting_set,
     make_slab,
-    measure,
     min_valid_stage,
-    refine,
-    translate_exact,
 )
-from .oracle import OracleEstimate, PointState, oracle_correlation, orbit_advance
+from .oracle import OracleEstimate, oracle_correlation
 from .verify import (
     DensityGrid,
     DissipativityCertificate,

@@ -22,6 +22,7 @@ from .construction import (
     StagePolicy,
     TargetSets,
     build_schedule,
+    int_digit_limit,
     read_bool,
     read_int,
     read_json,
@@ -104,11 +105,11 @@ def schedule_from_config(cfg: dict) -> Schedule:
     except _MALFORMED as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     sched = build_schedule(j_max=args.pop("stages"), **args)
-    # CPython (3.10.7+) converts no int of more digits than this to text or back
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = int_digit_limit()
+    bound = 10**limit
     for st in sched.stages if limit else ():
         nums = (st.height, st.width, st.multiplier, *st.spacers, *st.offsets)
-        if any(max(abs(x.numerator), x.denominator) >= 10**limit for x in nums):
+        if any(max(abs(x.numerator), x.denominator) >= bound for x in nums):
             raise ConfigError(f"invalid config: stage {st.index} has a number of more "
                               f"than {limit} digits, which no schedule document holds")
     return sched
@@ -456,7 +457,7 @@ def density(schedule, out, ratio, s_max, samples, mass_s):
     for s, v in zip(dens.frequencies, dens.density):
         rows.append(f"{s:.12e},{v:.12e}")
     (out_dir / "density.csv").write_text("\n".join(rows) + "\n")
-    _write_json(out_dir / "density.json", dens.summary_dict())
+    _write_json(out_dir / "density.json", write_block(dens))
     click.echo(
         f"density d={ratio}: mass over [-{dens.mass_range_s}, {dens.mass_range_s}] "
         f"= {dens.mass_range_value:.6f} (target {float(dens.phi_at_zero):.6f}), "

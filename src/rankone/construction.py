@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -45,11 +46,21 @@ def read_bool(value) -> bool:
     return value
 
 
+# CPython (3.10.7+) converts no int of more digits than this to text or back
+int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def read_rat(value) -> Rat:
     """A rational field of a document: only a 'p' or 'p/q' string (``rat``
-    also takes ints, decimals and padding)."""
+    also takes ints, decimals and padding), each number within the
+    interpreter's digit limit."""
     if not isinstance(value, str) or not _FRACTION.fullmatch(value):
         raise ValueError(f"expected a 'p/q' string, got {value!r}")
+    limit = int_digit_limit()
+    if limit and max(map(len, value.lstrip("-").split("/"))) > limit:
+        raise ValueError(
+            f"a number of more than {limit} digits, which no schedule document holds"
+        )
     return Fraction(value)
 
 
@@ -435,10 +446,6 @@ class Schedule:
     @property
     def num_stages(self) -> int:
         return len(self.stages)
-
-    @property
-    def ratio_trace(self) -> tuple[Rat, ...]:
-        return tuple(st.ratio for st in self.stages)
 
     def stage(self, j: int) -> StageParams:
         if not 1 <= j <= self.num_stages:

@@ -7,10 +7,6 @@ class RankOneError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonPositiveScale(RankOneError):
-    """Raised when an interval set is scaled by a factor <= 0."""
-
-
 class EmptyTargets(RankOneError):
     """Raised when a construction needs a nonempty target ratio set."""
 

@@ -1,4 +1,4 @@
-"""Exact rational scalars and one-dimensional interval-set algebra.
+"""Exact rational scalars and the canonical interval-set type.
 
 Every quantity in this package (heights, flow times, measures) is a
 ``fractions.Fraction``; nothing in this module ever rounds.  Sets of reals
@@ -8,12 +8,9 @@ canonical sorted, merged form, so set equality is representation equality.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator
-
-from .errors import NonPositiveScale
 
 Rat = Fraction
 
@@ -113,43 +110,6 @@ class IntervalSet:
     def __repr__(self) -> str:
         body = ", ".join(f"[{lo}, {hi})" for lo, hi in self._ivs)
         return f"IntervalSet({{{body}}})"
-
-    def contains(self, t) -> bool:
-        t = rat(t)
-        i = bisect_right(self._ivs, t, key=lambda iv: iv[0]) - 1
-        return i >= 0 and self._ivs[i][0] <= t < self._ivs[i][1]
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        if not other:
-            return self
-        if not self:
-            return other
-        return IntervalSet(self._ivs + other._ivs)
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[tuple[Rat, Rat]] = []
-        a, b = self._ivs, other._ivs
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                out.append((lo, hi))
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet._wrap(tuple(out))
-
-    def translate(self, t) -> "IntervalSet":
-        t = rat(t)
-        return IntervalSet._wrap(tuple((lo + t, hi + t) for lo, hi in self._ivs))
-
-    def scale(self, r) -> "IntervalSet":
-        r = rat(r)
-        if r <= 0:
-            raise NonPositiveScale(f"scale factor must be positive, got {r}")
-        return IntervalSet._wrap(tuple((lo * r, hi * r) for lo, hi in self._ivs))
 
     def envelope(self) -> tuple[Rat, Rat] | None:
         if not self._ivs:

@@ -30,8 +30,6 @@ from typing import Iterable
 from .errors import HorizonExceeded, StageOutOfRange
 from .exactnum import IntervalSet, Rat, denominator_lcm, rat
 
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class SlabSet:
@@ -55,10 +53,6 @@ def make_slab(sched, stage: int, levels) -> SlabSet:
 def base_slab(sched) -> SlabSet:
     """The first tower as a slab set (the distinguished test set)."""
     return SlabSet(stage=1, levels=IntervalSet.single(0, sched.height(1)))
-
-
-def measure(s: SlabSet, sched) -> Rat:
-    return sched.width(s.stage) * s.levels.total_length
 
 
 # --------------------------------------------------------------------------
@@ -88,18 +82,6 @@ def _levels_at(sched, s: SlabSet, j: int) -> tuple[tuple[Rat, Rat], ...]:
     return out
 
 
-def refine(s: SlabSet, j: int, sched) -> SlabSet:
-    """The same measurable set written as slabs of a later tower."""
-    if j < s.stage or j > sched.num_stages:
-        raise StageOutOfRange(
-            f"cannot refine stage-{s.stage} slabs to stage {j} "
-            f"(built: 1..{sched.num_stages})"
-        )
-    if j == s.stage:
-        return s
-    return SlabSet(stage=j, levels=IntervalSet._wrap(_levels_at(sched, s, j)))
-
-
 def min_valid_stage(s: SlabSet, t, sched) -> int:
     """Smallest built stage whose tower absorbs a +t translation of s."""
     t = rat(t)
@@ -118,14 +100,6 @@ def min_valid_stage(s: SlabSet, t, sched) -> int:
     raise HorizonExceeded(
         f"time {t} exceeds what the {sched.num_stages}-stage schedule absorbs"
     )
-
-
-def translate_exact(s: SlabSet, t, sched) -> SlabSet:
-    """T_t applied to a slab set, expressed at the first valid stage."""
-    t = rat(t)
-    j = min_valid_stage(s, t, sched)
-    lv = tuple((lo + t, hi + t) for lo, hi in _levels_at(sched, s, j))
-    return SlabSet(stage=j, levels=IntervalSet._wrap(lv))
 
 
 # --------------------------------------------------------------------------
@@ -189,45 +163,6 @@ class PiecewiseLinear:
         t0, t1 = bp[i], bp[i + 1]
         v0, v1 = self.values[i], self.values[i + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-    def pieces(self) -> Iterable[tuple[Rat, Rat, Rat, Rat]]:
-        """Yield (t0, t1, v0, v1) per linear piece."""
-        for i in range(len(self.breakpoints) - 1):
-            yield (
-                self.breakpoints[i],
-                self.breakpoints[i + 1],
-                self.values[i],
-                self.values[i + 1],
-            )
-
-    def support(self) -> IntervalSet:
-        """Closure of {t in window : f(t) > 0} as half-open intervals.
-
-        The positivity set is open; merging its closure into half-open
-        canonical form is sound for emptiness questions because any
-        nonempty half-open intersection has positive length.
-        """
-        out: list[tuple[Rat, Rat]] = []
-        for t0, t1, v0, v1 in self.pieces():
-            if v0 > 0 or v1 > 0:
-                out.append((t0, t1))
-        return IntervalSet(out)
-
-    def integral(self, lo=None, hi=None) -> Rat:
-        """Exact integral over [lo, hi] (defaults to the whole window)."""
-        a = self.breakpoints[0] if lo is None else rat(lo)
-        b = self.breakpoints[-1] if hi is None else rat(hi)
-        if not (self.breakpoints[0] <= a <= b <= self.breakpoints[-1]):
-            raise ValueError("integration range must lie inside the window")
-        total = ZERO
-        for t0, t1, v0, v1 in self.pieces():
-            s0, s1 = max(t0, a), min(t1, b)
-            if s0 >= s1:
-                continue
-            w0 = v0 + (v1 - v0) * (s0 - t0) / (t1 - t0)
-            w1 = v0 + (v1 - v0) * (s1 - t0) / (t1 - t0)
-            total += (w0 + w1) * (s1 - s0) / 2
-        return total
 
 
 def _lattice_set(pieces: Iterable[tuple[int, int]], unit: int) -> IntervalSet:

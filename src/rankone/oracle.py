@@ -1,21 +1,19 @@
-"""Independent cross-validation by direct orbit simulation.
-
-Points are advanced through the tower gluing rules one stage at a time:
-while a motion would leave the current tower, the point is re-expressed
-one stage up using its column ancestry, and membership tests walk back
-down by locating the height inside the embedded column copies.  Nothing
-here refines level sets or translates interval sets; agreement with the
-exact engine is therefore evidence for both.
+"""Independent cross-validation of the exact engine by orbit simulation.
 
 ``oracle_correlation`` estimates mu(T_t A /\\ B) from a deterministic
-stratified grid of heights in A.  One walk over A's level intervals, on
-an integer lattice, splits them where the advance leaves a tower; each
-terminal region adds its samples' B-hits over every 4-way lift branch,
-a branch ending at stage s weighted by 4^(top - s), and one division at
-the end gives the estimate.  The column ancestry is thus integrated out
-exactly and the only discretization is the height grid; the integrand
-is piecewise constant in the height, which yields the hard
-deterministic error bound  mu(A) * edge_count / n.
+stratified grid of heights in A, each advanced by t through the tower
+gluing rules: where the advance would leave a tower, the height moves
+one stage up into one of the four column copies, and a landing height
+is tested against B by walking back down through the embedded copies.
+One walk over A's level intervals, on an integer lattice, splits them
+where the advance leaves a tower; each terminal region adds its samples'
+B-hits over every 4-way lift branch, a branch ending at stage s weighted
+by 4^(top - s), and one division at the end gives the estimate.  The
+column ancestry is thus integrated out exactly and the only
+discretization is the height grid; the integrand is piecewise constant
+in the height, which yields the hard deterministic error bound
+mu(A) * edge_count / n.  Nothing here refines level sets or enumerates
+offset patterns, so agreement with the exact engine is evidence for both.
 """
 
 from __future__ import annotations
@@ -26,106 +24,6 @@ from fractions import Fraction
 
 from .errors import HorizonExceeded
 from .exactnum import Rat, denominator_lcm, rat
-
-
-@dataclass(frozen=True)
-class PointState:
-    """A point of the phase space with enough ancestry to keep moving.
-
-    ``height`` lives in [0, h_stage); ``path`` lists the column indices
-    (1..4) the point occupies at the current and following stages, so a
-    lift into stage+1 consumes the first entry.
-    """
-
-    stage: int
-    height: Rat
-    path: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if any(d not in (1, 2, 3, 4) for d in self.path):
-            raise ValueError("column indices must be in 1..4")
-
-
-def orbit_advance(p: PointState, t, sched) -> PointState:
-    """Move a point by flow time t >= 0 through the built towers."""
-    t = rat(t)
-    if t < 0:
-        raise ValueError("orbit advance handles forward time only")
-    stage, y = p.stage, p.height
-    i = 0
-    while y + t >= sched.height(stage):
-        if stage >= sched.num_stages or i >= len(p.path):
-            raise HorizonExceeded(
-                f"advance by {t} leaves the built towers (stage {stage})"
-            )
-        y = y + sched.offsets(stage)[p.path[i] - 1]
-        stage += 1
-        i += 1
-    return PointState(stage=stage, height=y + t, path=p.path[i:])
-
-
-def _column_copy(stage: int, y: Rat, sched) -> tuple[int, Rat] | None:
-    """(digit, height) of y in the copy of tower stage-1 holding it, or None."""
-    prev_h = sched.height(stage - 1)
-    for digit, off in enumerate(sched.offsets(stage - 1), start=1):
-        if off <= y < off + prev_h:
-            return digit, y - off
-    return None
-
-
-def locate_height(stage: int, height: Rat, target_stage: int, sched) -> Rat | None:
-    """Express a tower height at an earlier stage; None if it sits in spacers."""
-    y = height
-    for s in range(stage, target_stage, -1):
-        found = _column_copy(s, y, sched)
-        if found is None:
-            return None
-        y = found[1]
-    return y
-
-
-def point_in_slab(p: PointState, slab, sched) -> bool:
-    """Is the point inside the slab set (any object with stage/levels)?"""
-    if p.stage >= slab.stage:
-        y = locate_height(p.stage, p.height, slab.stage, sched)
-        return y is not None and slab.levels.contains(y)
-    y = p.height
-    s = p.stage
-    i = 0
-    while s < slab.stage:
-        if i >= len(p.path):
-            raise HorizonExceeded("point path too short to reach the slab's stage")
-        y = y + sched.offsets(s)[p.path[i] - 1]
-        s += 1
-        i += 1
-    return slab.levels.contains(y)
-
-
-def canonical_form(p: PointState, sched) -> tuple[int, Rat, tuple[int, ...]]:
-    """Lowest-stage representation (stage, height, path) of a point.
-
-    Descending recovers the column digits the point occupies at the
-    stages it passes, so two states describing the same point agree.
-    """
-    stage, y, path = p.stage, p.height, list(p.path)
-    while stage > 1 and (found := _column_copy(stage, y, sched)) is not None:
-        digit, y = found
-        path.insert(0, digit)
-        stage -= 1
-    return stage, y, tuple(path)
-
-
-def same_point(p1: PointState, p2: PointState, sched) -> bool:
-    s1, y1, path1 = canonical_form(p1, sched)
-    s2, y2, path2 = canonical_form(p2, sched)
-    if (s1, y1) != (s2, y2):
-        return False
-    n = min(len(path1), len(path2))
-    return path1[:n] == path2[:n]
-
-
-# --------------------------------------------------------------------------
-# stratified-grid correlation estimate
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .exactnum import IntervalSet, Rat, rat, rat_str
 from .levelset import (
     PiecewiseLinear,
     SlabSet,
+    _levels_at,
     annotate_landmark,
     base_slab,
     correlation,
@@ -40,7 +41,6 @@ from .levelset import (
     find_dissipativity_witness,
     hitting_set,
     make_slab,
-    refine,
     window_landmarks,
 )
 
@@ -363,7 +363,7 @@ def perturbation_tolerance(a: SlabSet, b: SlabSet, sched, j: int) -> Rat:
     own stage.
     """
     k = max(a.stage, b.stage)
-    n_edges = 2 * len(refine(a, k, sched).levels) + 2 * len(refine(b, k, sched).levels)
+    n_edges = 2 * len(_levels_at(sched, a, k)) + 2 * len(_levels_at(sched, b, k))
     return Fraction(n_edges) * sched.width(j)
 
 
@@ -435,12 +435,14 @@ class SpectralDensitySamples:
     The correlation product phi(t) = rho(t) rho(d t) is piecewise
     quadratic with exact compact support [-T0, T0]; the density is its
     Fourier transform divided by 2*pi.  The only floating step is the
-    final evaluation; the quadrature is exact per polynomial piece.
+    final evaluation; the quadrature is exact per polynomial piece.  The
+    compared fields are the keys of ``density.json``; the samples go to
+    the CSV.
     """
 
-    d: Rat
+    ratio: Rat
     support_bound: Rat
-    certified_through: Rat
+    certified_zero_through: Rat
     frequencies: np.ndarray = field(compare=False)
     density: np.ndarray = field(compare=False)
     piece_count: int
@@ -449,29 +451,16 @@ class SpectralDensitySamples:
     mass_range_s: float
     mass_range_value: float
     mass_trapezoid: float
+    grid: dict = field(init=False, hash=False)
+    density_at_zero: float = field(init=False)
+    min_density: float = field(init=False)
 
-    @property
-    def min_density(self) -> float:
-        return float(self.density.min())
-
-    def summary_dict(self) -> dict:
-        return {
-            "ratio": rat_str(self.d),
-            "support_bound": rat_str(self.support_bound),
-            "certified_zero_through": rat_str(self.certified_through),
-            "grid": {
-                "s_max": float(self.frequencies[-1]),
-                "samples": int(len(self.frequencies)),
-            },
-            "piece_count": self.piece_count,
-            "phi_at_zero": rat_str(self.phi_at_zero),
-            "phi_integral": rat_str(self.phi_integral),
-            "density_at_zero": float(self.density[len(self.density) // 2]),
-            "min_density": self.min_density,
-            "mass_range_s": self.mass_range_s,
-            "mass_range_value": self.mass_range_value,
-            "mass_trapezoid": self.mass_trapezoid,
-        }
+    def __post_init__(self):
+        grid = {"s_max": float(self.frequencies[-1]), "samples": len(self.frequencies)}
+        object.__setattr__(self, "grid", grid)
+        mid = float(self.density[len(self.density) // 2])
+        object.__setattr__(self, "density_at_zero", mid)
+        object.__setattr__(self, "min_density", float(self.density.min()))
 
 
 def _phi_pieces(prof: PiecewiseLinear, d: Rat, t0: Rat):
@@ -603,9 +592,9 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensi
     mass_trapz = float(trapezoid(dens, freqs))
     phi0 = prof.value_at(ZERO) * prof.value_at(ZERO)
     return SpectralDensitySamples(
-        d=d,
+        ratio=d,
         support_bound=t0,
-        certified_through=sched.height(sched.num_stages - 1),
+        certified_zero_through=sched.height(sched.num_stages - 1),
         frequencies=freqs,
         density=dens,
         piece_count=len(pieces),

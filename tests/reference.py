@@ -1,0 +1,274 @@
+"""Reference model of the flow that the tests check the engine against.
+
+No ``rankone`` command runs anything here.  The differential tests compare
+``rankone.levelset``'s integer-lattice engine and ``rankone.oracle``'s
+region walk with these plain definitions, so they must share no code with
+the engine: a schedule is read only through ``height``, ``offsets``,
+``width`` and ``num_stages``, ``IntervalSet`` and ``SlabSet`` serve as data
+types, and no ``rankone.levelset`` function is imported.
+
+* interval-set algebra: membership, union, intersection, translation and
+  positive scaling, as free functions over ``IntervalSet``;
+* slab refinement, stage by stage through the four column offsets, and
+  exact translation at the first stage whose refined envelope absorbs it;
+* piecewise-linear helpers: pieces, support and exact integral;
+* the orbit point model: points with column ancestry, forward advance and
+  slab membership.  It uses nothing of ``levelset``, not even its types.
+"""
+
+from __future__ import annotations
+
+import weakref
+from bisect import bisect_right
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable
+
+from rankone.errors import HorizonExceeded, RankOneError, StageOutOfRange
+from rankone.exactnum import IntervalSet, Rat, rat
+from rankone.levelset import SlabSet
+
+ZERO = Fraction(0)
+
+
+# --------------------------------------------------------------------------
+# interval-set algebra
+
+
+class NonPositiveScale(RankOneError):
+    """Raised when an interval set is scaled by a factor <= 0."""
+
+
+def contains(s: IntervalSet, t) -> bool:
+    t = rat(t)
+    ivs = s.intervals
+    i = bisect_right(ivs, t, key=lambda iv: iv[0]) - 1
+    return i >= 0 and ivs[i][0] <= t < ivs[i][1]
+
+
+def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    return IntervalSet(a.intervals + b.intervals)
+
+
+def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    out: list[tuple[Rat, Rat]] = []
+    x, y = a.intervals, b.intervals
+    i = j = 0
+    while i < len(x) and j < len(y):
+        lo = max(x[i][0], y[j][0])
+        hi = min(x[i][1], y[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if x[i][1] <= y[j][1]:
+            i += 1
+        else:
+            j += 1
+    return IntervalSet(out)
+
+
+def translate(s: IntervalSet, t) -> IntervalSet:
+    t = rat(t)
+    return IntervalSet((lo + t, hi + t) for lo, hi in s)
+
+
+def scale(s: IntervalSet, r) -> IntervalSet:
+    r = rat(r)
+    if r <= 0:
+        raise NonPositiveScale(f"scale factor must be positive, got {r}")
+    return IntervalSet((lo * r, hi * r) for lo, hi in s)
+
+
+# --------------------------------------------------------------------------
+# slab refinement and translation
+
+# refined level sets per schedule, by identity, dropped with the schedule; a
+# schedule never changes, so no test sees another's entries differ
+_REFINED: dict[int, dict[tuple[SlabSet, int], IntervalSet]] = {}
+
+
+def _refined(s: SlabSet, j: int, sched) -> IntervalSet:
+    """Levels of ``s`` in tower ``j``: each stage places four copies of the
+    previous tower's levels at its column offsets."""
+    memo = _REFINED.get(id(sched))
+    if memo is None:
+        memo = _REFINED[id(sched)] = {}
+        weakref.finalize(sched, _REFINED.pop, id(sched), None)
+    levels = memo.get((s, j))
+    if levels is None:
+        if j == s.stage:
+            levels = s.levels
+        else:
+            prev = _refined(s, j - 1, sched)
+            levels = IntervalSet(
+                (lo + off, hi + off) for off in sched.offsets(j - 1) for lo, hi in prev
+            )
+        memo[(s, j)] = levels
+    return levels
+
+
+def measure(s: SlabSet, sched) -> Rat:
+    return sched.width(s.stage) * s.levels.total_length
+
+
+def refine(s: SlabSet, j: int, sched) -> SlabSet:
+    """The same measurable set written as slabs of a later tower."""
+    if j < s.stage or j > sched.num_stages:
+        raise StageOutOfRange(
+            f"cannot refine stage-{s.stage} slabs to stage {j} "
+            f"(built: 1..{sched.num_stages})"
+        )
+    return SlabSet(stage=j, levels=_refined(s, j, sched))
+
+
+def translate_exact(s: SlabSet, t, sched) -> SlabSet:
+    """T_t applied to a slab set, at the first stage whose tower holds the
+    translated refinement."""
+    t = rat(t)
+    if t < 0:
+        raise ValueError("negative times are handled by callers via symmetry")
+    for j in range(s.stage, sched.num_stages + 1):
+        levels = _refined(s, j, sched)
+        env = levels.envelope()
+        if env is None or env[1] + t <= sched.height(j):
+            return SlabSet(stage=j, levels=translate(levels, t))
+    raise HorizonExceeded(
+        f"time {t} exceeds what the {sched.num_stages}-stage schedule absorbs"
+    )
+
+
+# --------------------------------------------------------------------------
+# piecewise-linear profiles (any object with ``breakpoints`` and ``values``)
+
+
+def pieces(f) -> Iterable[tuple[Rat, Rat, Rat, Rat]]:
+    """Yield (t0, t1, v0, v1) per linear piece."""
+    bp, vals = f.breakpoints, f.values
+    return zip(bp, bp[1:], vals, vals[1:])
+
+
+def support(f) -> IntervalSet:
+    """Closure of {t in window : f(t) > 0} as half-open intervals.
+
+    The positivity set is open; merging its closure into half-open
+    canonical form is sound for emptiness questions because any
+    nonempty half-open intersection has positive length.
+    """
+    return IntervalSet((t0, t1) for t0, t1, v0, v1 in pieces(f) if v0 > 0 or v1 > 0)
+
+
+def integral(f, lo=None, hi=None) -> Rat:
+    """Exact integral over [lo, hi] (defaults to the whole window)."""
+    a = f.breakpoints[0] if lo is None else rat(lo)
+    b = f.breakpoints[-1] if hi is None else rat(hi)
+    if not (f.breakpoints[0] <= a <= b <= f.breakpoints[-1]):
+        raise ValueError("integration range must lie inside the window")
+    total = ZERO
+    for t0, t1, v0, v1 in pieces(f):
+        s0, s1 = max(t0, a), min(t1, b)
+        if s0 >= s1:
+            continue
+        w0 = v0 + (v1 - v0) * (s0 - t0) / (t1 - t0)
+        w1 = v0 + (v1 - v0) * (s1 - t0) / (t1 - t0)
+        total += (w0 + w1) * (s1 - s0) / 2
+    return total
+
+
+# --------------------------------------------------------------------------
+# orbit point model: points moved through the tower gluing rules one stage
+# at a time, membership found by walking down the embedded column copies
+
+
+@dataclass(frozen=True)
+class PointState:
+    """A point of the phase space with enough ancestry to keep moving.
+
+    ``height`` lives in [0, h_stage); ``path`` lists the column indices
+    (1..4) the point occupies at the current and following stages, so a
+    lift into stage+1 consumes the first entry.
+    """
+
+    stage: int
+    height: Rat
+    path: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if any(d not in (1, 2, 3, 4) for d in self.path):
+            raise ValueError("column indices must be in 1..4")
+
+
+def orbit_advance(p: PointState, t, sched) -> PointState:
+    """Move a point by flow time t >= 0 through the built towers."""
+    t = rat(t)
+    if t < 0:
+        raise ValueError("orbit advance handles forward time only")
+    stage, y = p.stage, p.height
+    i = 0
+    while y + t >= sched.height(stage):
+        if stage >= sched.num_stages or i >= len(p.path):
+            raise HorizonExceeded(
+                f"advance by {t} leaves the built towers (stage {stage})"
+            )
+        y = y + sched.offsets(stage)[p.path[i] - 1]
+        stage += 1
+        i += 1
+    return PointState(stage=stage, height=y + t, path=p.path[i:])
+
+
+def _column_copy(stage: int, y: Rat, sched) -> tuple[int, Rat] | None:
+    """(digit, height) of y in the copy of tower stage-1 holding it, or None."""
+    prev_h = sched.height(stage - 1)
+    for digit, off in enumerate(sched.offsets(stage - 1), start=1):
+        if off <= y < off + prev_h:
+            return digit, y - off
+    return None
+
+
+def locate_height(stage: int, height: Rat, target_stage: int, sched) -> Rat | None:
+    """Express a tower height at an earlier stage; None if it sits in spacers."""
+    y = height
+    for s in range(stage, target_stage, -1):
+        found = _column_copy(s, y, sched)
+        if found is None:
+            return None
+        y = found[1]
+    return y
+
+
+def point_in_slab(p: PointState, slab, sched) -> bool:
+    """Is the point inside the slab set (any object with stage/levels)?"""
+    if p.stage >= slab.stage:
+        y = locate_height(p.stage, p.height, slab.stage, sched)
+        return y is not None and contains(slab.levels, y)
+    y = p.height
+    s = p.stage
+    i = 0
+    while s < slab.stage:
+        if i >= len(p.path):
+            raise HorizonExceeded("point path too short to reach the slab's stage")
+        y = y + sched.offsets(s)[p.path[i] - 1]
+        s += 1
+        i += 1
+    return contains(slab.levels, y)
+
+
+def canonical_form(p: PointState, sched) -> tuple[int, Rat, tuple[int, ...]]:
+    """Lowest-stage representation (stage, height, path) of a point.
+
+    Descending recovers the column digits the point occupies at the
+    stages it passes, so two states describing the same point agree.
+    """
+    stage, y, path = p.stage, p.height, list(p.path)
+    while stage > 1 and (found := _column_copy(stage, y, sched)) is not None:
+        digit, y = found
+        path.insert(0, digit)
+        stage -= 1
+    return stage, y, tuple(path)
+
+
+def same_point(p1: PointState, p2: PointState, sched) -> bool:
+    s1, y1, path1 = canonical_form(p1, sched)
+    s2, y2, path2 = canonical_form(p2, sched)
+    if (s1, y1) != (s2, y2):
+        return False
+    n = min(len(path1), len(path2))
+    return path1[:n] == path2[:n]

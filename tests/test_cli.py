@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -185,6 +186,13 @@ class TestLoaderErrors:
              "targets.entry_stages.2/1: repeated key '2/1'"),
             ("verify", ("stages", 2, "multiplier"), "7/1",
              "stages[2]: second spacer must equal multiplier*height"),
+            # numbers longer than CPython's int-string limit (4300 digits)
+            ("verify", ("base_width",), "1" * 4401,
+             "base_width: a number of more than 4300 digits"),
+            ("verify", ("stages", 0, "spacers", 1), "1/" + "0" * 4300 + "7",
+             "stages[0].spacers[1]: a number of more than 4300 digits"),
+            ("build", ("base_width",), "-" + "9" * 4301 + "/1",
+             "base_width: a number of more than 4300 digits"),
         ],
         ids=["stages-int", "spacer-1/0", "entry-stages-list", "gauge-null",
              "base-width-1/0", "multiplier-true", "index-true", "top-spacer-true",
@@ -194,7 +202,8 @@ class TestLoaderErrors:
              "config-ratio-twice", "schedule-ratio-twice", "config-key-twice",
              "schedule-key-twice", "config-nested-key-twice",
              "schedule-nested-key-twice", "schedule-entry-stage-twice",
-             "multiplier-off-spacer"],
+             "multiplier-off-spacer", "schedule-numerator-digits",
+             "schedule-denominator-digits", "config-numerator-digits"],
     )
     def test_malformed_input_exit_2(self, built, tmp_path, command, path, value, names):
         if command == "verify":
@@ -211,6 +220,7 @@ class TestLoaderErrors:
         assert isinstance(result.exception, SystemExit)
         assert "error" in result.output
         assert names in result.output
+        assert "set_int_max_str_digits" not in result.output
 
     def test_numbers_past_digit_limit_exit_2(self, tmp_path):
         # at 120 stages the spacers of stage 119 have more digits than
@@ -473,6 +483,38 @@ class TestArtifacts:
         assert summary["min_density"] >= -1e-6
         rows = (out / "density.csv").read_text().strip().splitlines()
         assert rows[0] == "s,density" and len(rows) == 1202
+
+    def test_desk_density_document(self, desk, tmp_path):
+        """Every key of desk's ``density.json`` on the default grid: exact
+        fields by equality, floats as the benchmark recorded them."""
+        src = tmp_path / "schedule.json"
+        src.write_text(desk.to_json() + "\n")
+        out = tmp_path / "dens"
+        result = CliRunner().invoke(
+            main, ["density", "-s", str(src), "-o", str(out), "--ratio", "2/1"]
+        )
+        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "density.json").read_text())
+        floats = {
+            "density_at_zero": 0.11553239684079643,
+            "min_density": 1.1350992540618596e-05,
+            "mass_range_value": 0.9996418133072358,
+            "mass_trapezoid": 0.9928562870074893,
+        }
+        exact = {
+            "ratio": "2/1",
+            "support_bound": "553/2",
+            "certified_zero_through": "1659629834204702745/64",
+            "grid": {"s_max": 200.0, "samples": 8001},
+            "piece_count": 92,
+            "phi_at_zero": "1/1",
+            "phi_integral": "1115/1536",
+            "mass_range_s": 4000.0,
+        }
+        assert summary.keys() == exact.keys() | floats.keys()
+        assert {k: summary[k] for k in exact} == exact
+        for key, value in floats.items():
+            assert math.isclose(summary[key], value, rel_tol=1e-9), key
 
     def test_density_on_broken_exit_3(self, tmp_path):
         cfg = write_config(

@@ -125,7 +125,9 @@ class TestScheduleInvariants:
         assert desk.tower_measure(desk.num_stages) > 2**desk.num_stages
 
     def test_ratio_trace_matches_enumeration(self, desk):
-        assert desk.ratio_trace == enumerate_ratios((F(3, 2), F(5, 2)), 8)
+        assert tuple(st.ratio for st in desk.stages) == enumerate_ratios(
+            (F(3, 2), F(5, 2)), 8
+        )
 
 
 class TestDeterminismAndSerialization:

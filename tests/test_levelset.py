@@ -16,10 +16,7 @@ from rankone import (
     correlation_profile,
     hitting_set,
     make_slab,
-    measure,
     min_valid_stage,
-    refine,
-    translate_exact,
 )
 from rankone import levelset
 from rankone.cli import load_config, schedule_from_config
@@ -35,6 +32,17 @@ from rankone.verify import (
     default_pair_family,
     dissipativity_spot_check,
     hitting_report,
+)
+
+from reference import (
+    integral,
+    intersect,
+    measure,
+    pieces,
+    refine,
+    scale,
+    support,
+    translate_exact,
 )
 
 
@@ -133,7 +141,7 @@ class TestCorrelation:
         for name_a, a in fam[:4]:
             for name_b, b in fam[:4]:
                 j = max(a.stage, b.stage)
-                inter = refine(a, j, desk).levels.intersect(refine(b, j, desk).levels)
+                inter = intersect(refine(a, j, desk).levels, refine(b, j, desk).levels)
                 assert correlation(a, b, 0, desk) == desk.width(j) * inter.total_length
 
     def test_symmetry(self, desk):
@@ -185,7 +193,7 @@ class TestCorrelation:
                 lv = refine(slab, j + 1, desk).levels
                 h = desk.height(j)
                 for off in desk.offsets(j):
-                    trace = lv.intersect(IntervalSet([(off, off + h)]))
+                    trace = intersect(lv, IntervalSet([(off, off + h)]))
                     assert desk.width(j + 1) * trace.total_length == m / 4
 
 
@@ -202,7 +210,7 @@ class TestLatticeAgainstRefinement:
             a, b, t = b, a, -t
         moved = translate_exact(a, t, sched)
         j = max(moved.stage, b.stage)
-        inter = refine(moved, j, sched).levels.intersect(refine(b, j, sched).levels)
+        inter = intersect(refine(moved, j, sched).levels, refine(b, j, sched).levels)
         return sched.width(j) * inter.total_length
 
     @staticmethod
@@ -318,12 +326,12 @@ class TestProfile:
         # linear, so only cells holding a breakpoint contribute error
         y = base_slab(desk)
         prof = correlation_profile(y, y, (0, 2), desk)
-        exact = prof.integral()
+        exact = integral(prof)
         cells = 7  # width 2/7 puts every interior breakpoint inside a cell
         w = F(2, cells)
         mid = sum(correlation(y, y, w * k + w / 2, desk) * w for k in range(cells))
         max_slope = max(
-            abs(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in prof.pieces()
+            abs(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in pieces(prof)
         )
         n_breaks = len(prof.breakpoints) - 2
         bound = n_breaks * max_slope * w * w
@@ -333,7 +341,7 @@ class TestProfile:
     def test_support_is_hitting_set(self, desk):
         y = base_slab(desk)
         w = (F(0), desk.height(2))
-        assert correlation_profile(y, y, w, desk).support() == hitting_set(
+        assert support(correlation_profile(y, y, w, desk)) == hitting_set(
             y, y, w, desk
         )
 
@@ -351,7 +359,7 @@ class TestProfile:
 
 
 class TestHittingSetAgainstSupport:
-    """The lattice support against ``correlation_profile(...).support()``."""
+    """The lattice support against ``support(correlation_profile(...))``."""
 
     @staticmethod
     def draw_window(data, sched, a, b):
@@ -409,7 +417,7 @@ class TestHittingSetAgainstSupport:
             family = dict(default_pair_family(sched))
             a, b = family[a_name], family[b_name]
         got = hitting_set(a, b, window, sched)
-        assert got == correlation_profile(a, b, window, sched).support()
+        assert got == support(correlation_profile(a, b, window, sched))
         assert all(isinstance(x, F) for iv in got for x in iv)
 
     def test_explicit_cases_have_their_shape(self, desk):
@@ -520,7 +528,7 @@ class TestPiecewiseLinear:
         pl = PiecewiseLinear(
             breakpoints=(F(0), F(1), F(2), F(3)), values=(F(0), F(0), F(1), F(0))
         )
-        assert pl.support() == IntervalSet([(1, 3)])
+        assert support(pl) == IntervalSet([(1, 3)])
 
 
 class TestWitnessSearch:
@@ -539,8 +547,8 @@ class TestWitnessSearch:
         r_set = hitting_set(y, y, (lo, hi), sched)
         r_dil = hitting_set(y, y, (d * lo, d * hi), sched)
         n = sched.dissipativity_threshold(d)
-        return r_set.intersect(r_dil.scale(1 / d)).intersect(
-            IntervalSet.single(n, hi + 1)
+        return intersect(
+            intersect(r_set, scale(r_dil, 1 / d)), IntervalSet.single(n, hi + 1)
         )
 
     def test_matches_hitting_set_composition(self, desk, broken):

@@ -4,16 +4,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from rankone import HorizonExceeded, base_slab, correlation, make_slab, measure
-from rankone.oracle import (
-    OracleEstimate,
+from rankone import HorizonExceeded, base_slab, correlation, make_slab
+from rankone.oracle import OracleEstimate, oracle_correlation
+from rankone.verify import default_pair_family
+
+from reference import (
     PointState,
-    oracle_correlation,
+    contains,
+    intersect,
+    locate_height,
+    measure,
     orbit_advance,
     point_in_slab,
+    refine,
     same_point,
+    translate_exact,
 )
-from rankone.verify import default_pair_family
 
 
 def random_point(sched, slab, rng, depth=8):
@@ -53,11 +59,8 @@ class TestOrbitAdvance:
 
 class TestMembershipAgreement:
     def test_against_exact_engine(self, desk):
-        # advanced point lands in B iff the exact translate of A meets B
-        # at the located slab of the point
-        from rankone import refine, translate_exact
-        from rankone.oracle import locate_height
-
+        # advanced point lands in B iff the reference's exact translate of A
+        # meets B at the located slab of the point
         rng = random.Random(12)
         fam = default_pair_family(desk)
         checks = 0
@@ -71,7 +74,7 @@ class TestMembershipAgreement:
 
             ta = translate_exact(a, t, desk)
             j = max(ta.stage, b.stage)
-            inter = refine(ta, j, desk).levels.intersect(refine(b, j, desk).levels)
+            inter = intersect(refine(ta, j, desk).levels, refine(b, j, desk).levels)
             if q.stage <= j:
                 y = q.height
                 st, i = q.stage, 0
@@ -81,7 +84,7 @@ class TestMembershipAgreement:
                     i += 1
             else:
                 y = locate_height(q.stage, q.height, j, desk)
-            expected = y is not None and inter.contains(y)
+            expected = y is not None and contains(inter, y)
             assert got == expected
             checks += 1
         assert checks == 10_000
