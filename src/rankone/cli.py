@@ -435,7 +435,7 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
         {"t_min": rat_str(lo), "t_max": rat_str(hi), **write_block(prof)},
     )
     if hits is not None:
-        _write_json(out_dir / f"hitting_window_{window_index}.json", hits)
+        (out_dir / f"hitting_window_{window_index}.json").write_text(hits)
     click.echo(f"profile on [{lo}, {hi}]: {len(prof.breakpoints)} breakpoints")
 
 

@@ -56,23 +56,25 @@ def read_rat(value) -> Rat:
     interpreter's digit limit."""
     if not isinstance(value, str) or not _FRACTION.fullmatch(value):
         raise ValueError(f"expected a 'p/q' string, got {value!r}")
-    limit = int_digit_limit()
-    if limit and max(map(len, value.lstrip("-").split("/"))) > limit:
-        raise ValueError(
-            f"a number of more than {limit} digits, which no schedule document holds"
-        )
+    if why := _too_long(*value.lstrip("-").split("/")):
+        raise ValueError(why)
     return Fraction(value)
 
 
-_REPEATED = object()  # what read_json gives a key that one object repeats
+def _too_long(*digits: str) -> str:
+    """Why a number of these digit strings is refused, or '' if none is."""
+    limit = int_digit_limit()
+    if limit and max(map(len, digits)) > limit:
+        return f"a number of more than {limit} digits, which no schedule document holds"
+    return ""
 
 
 def _at(key, read, value):
     """``read(value)``, its error's message prefixed with the field path; a
-    repeated key is rejected here, where its path is known."""
+    value that read_json refused is its error, raised here with its path."""
     try:
-        if value is _REPEATED:
-            raise ValueError(f"repeated key {key!r}")
+        if isinstance(value, ValueError):
+            raise value
         return read(value)
     except (TypeError, ValueError) as exc:
         path, msg = getattr(exc, "field_path", ("", str(exc)))
@@ -108,14 +110,19 @@ def read_object(value, readers=None) -> dict:
 def _unique_keys(pairs: list) -> dict:
     out: dict = {}
     for key, value in pairs:
-        out[key] = _REPEATED if key in out else value
+        out[key] = ValueError(f"repeated key {key!r}") if key in out else value
     return out
 
 
+def _parse_int(text: str):
+    return ValueError(why) if (why := _too_long(text.lstrip("-"))) else int(text)
+
+
 def read_json(text: str):
-    """A JSON document; a key that an object gives twice gets a marker
-    value, which the field readers reject with the key's path."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    """A JSON document; the second value of a key that an object repeats, and
+    an integer past the digit limit, become the ValueError that the field
+    readers raise with their path."""
+    return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_parse_int)
 
 
 def read_block(cls, value, **readers):

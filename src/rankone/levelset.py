@@ -20,6 +20,7 @@ verification layer needs reduces to three exact computations:
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -69,15 +70,8 @@ def _levels_at(sched, s: SlabSet, j: int) -> tuple[tuple[Rat, Rat], ...]:
         out = s.levels.intervals
     else:
         prev = _levels_at(sched, s, j - 1)
-        merged: list[tuple[Rat, Rat]] = []
-        for off in sched.offsets(j - 1):
-            for lo, hi in prev:
-                lo, hi = lo + off, hi + off
-                if merged and merged[-1][1] >= lo:
-                    merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-                else:
-                    merged.append((lo, hi))
-        out = tuple(merged)
+        copies = ((lo + off, hi + off) for off in sched.offsets(j - 1) for lo, hi in prev)
+        out = tuple(_merge_runs(copies, 0, sched.height(j)))
     sched.runtime_cache[key] = out
     return out
 
@@ -165,18 +159,23 @@ class PiecewiseLinear:
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
-def _lattice_set(pieces: Iterable[tuple[int, int]], unit: int) -> IntervalSet:
-    """The union of the integer intervals [lo, hi) in units of 1/unit: merged
-    on the integers, then one ``Fraction`` per emitted endpoint."""
-    runs: list[list[int]] = []
-    for lo, hi in sorted(pieces):
-        if lo >= hi:
+def _merge_runs(pieces: Iterable[tuple], lo, hi) -> list[tuple]:
+    """The disjoint, non-touching runs covering the intervals [a, b) of
+    ``pieces``, which come sorted by ``a``, clipped to [lo, hi)."""
+    runs: list[list] = []
+    for a, b in pieces:
+        if a >= b:
             continue
-        if not runs or lo > end:
-            runs.append([lo, hi])
-            end = hi
-        elif hi > end:
-            runs[-1][1] = end = hi
+        if not runs or a > end:
+            runs.append([a, b])
+            end = b
+        elif b > end:
+            runs[-1][1] = end = b
+    return [(max(a, lo), min(b, hi)) for a, b in runs if a < hi and lo < b]
+
+
+def _lattice_set(unit: int, runs: list[tuple]) -> IntervalSet:
+    """The runs [lo, hi) in units of 1/unit, one ``Fraction`` per endpoint."""
     return IntervalSet._wrap(
         tuple((Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in runs)
     )
@@ -327,18 +326,26 @@ def correlation_profile(a: SlabSet, b: SlabSet, window, sched) -> PiecewiseLinea
     )
 
 
+def _hitting_runs(a: SlabSet, b: SlabSet, window, sched):
+    """The lattice scale and the integer runs [lo, hi) of ``hitting_set``:
+    for one base-interval pair the supports share one width, so over sorted
+    pattern sums they come sorted, and the pairs' streams merge."""
+    _, scale, lo, hi, las, lbs, patterns = _lattice_window(a, b, window, sched)
+    deltas = sorted(patterns)
+    widths = {(qlo - phi, qhi - plo) for plo, phi in las for qlo, qhi in lbs}
+    streams = (zip(map(c1.__add__, deltas), map(c4.__add__, deltas)) for c1, c4 in widths)
+    return scale, _merge_runs(heapq.merge(*streams), lo, hi)
+
+
 def hitting_set(a: SlabSet, b: SlabSet, window, sched) -> IntervalSet:
     """Exact support {t in window : mu(T_t A /\\ B) > 0}.
 
-    The same set as ``correlation_profile(...).support()``, without its
+    The same set as ``correlation_profile(...)``'s support, without its
     sweep: each copy-pair trapezoid is >= 0 and positive exactly on the open
     (delta + qlo - phi, delta + qhi - plo), so the support of their sum is
     the union of those intervals, clipped to the window, merged if touching.
     """
-    _, scale, lo, hi, las, lbs, patterns = _lattice_window(a, b, window, sched)
-    pieces = ((max(d + qlo - phi, lo), min(d + qhi - plo, hi))
-              for plo, phi in las for qlo, qhi in lbs for d in patterns)
-    return _lattice_set(pieces, scale)
+    return _lattice_set(*_hitting_runs(a, b, window, sched))
 
 
 # --------------------------------------------------------------------------
@@ -399,12 +406,12 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
     # pair overlaps for p*t within p*e of p*delta (the t side) and within
     # q*e of p*delta - z = q*delta2 (the d*t side, pattern sum delta2)
     pe, qe = p * e, q * e
-    lo_min, hi_max = p * max(w_lo_s, thr_s), p * w_hi_s
     pieces = []
     for delta, z in states:
         c1, c2 = p * delta, p * delta - z
-        pieces.append((max(c1 - pe, c2 - qe, lo_min), min(c1 + pe, c2 + qe, hi_max)))
-    return _lattice_set(pieces, p * scale)
+        pieces.append((max(c1 - pe, c2 - qe), min(c1 + pe, c2 + qe)))
+    runs = _merge_runs(sorted(pieces), p * max(w_lo_s, thr_s), p * w_hi_s)
+    return _lattice_set(p * scale, runs)
 
 
 # --------------------------------------------------------------------------

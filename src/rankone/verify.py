@@ -33,13 +33,13 @@ from .exactnum import IntervalSet, Rat, rat, rat_str
 from .levelset import (
     PiecewiseLinear,
     SlabSet,
+    _hitting_runs,
     _levels_at,
     annotate_landmark,
     base_slab,
     correlation,
     correlation_profile,
     find_dissipativity_witness,
-    hitting_set,
     make_slab,
     window_landmarks,
 )
@@ -610,25 +610,26 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensi
 # hitting-set report (landmark annotation)
 
 
-def hitting_report(sched, j: int) -> dict:
-    """Exact hitting intervals on window [h_j, h_{j+1}] with landmark annotations."""
+def hitting_report(sched, j: int) -> str:
+    """Exact hitting intervals on window [h_j, h_{j+1}] with landmark
+    annotations, as the report's text: that of ``json.dumps(..., indent=2,
+    sort_keys=True)`` and a newline, written in one pass from the runs."""
     y = base_slab(sched)
     window = (sched.height(j), sched.height(j + 1))
-    hits = hitting_set(y, y, window, sched)
+    scale, runs = _hitting_runs(y, y, window, sched)
     landmarks = window_landmarks(sched, j)
-    entries = []
-    for lo, hi in hits:
-        # the midpoint (lo + hi) / 2 as an unreduced fraction
-        mid_n = lo.numerator * hi.denominator + hi.numerator * lo.denominator
-        mid_d = 2 * lo.denominator * hi.denominator
-        entries.append(
-            {
-                "interval": [rat_str(lo), rat_str(hi)],
-                "landmark": annotate_landmark(landmarks, mid_n, mid_d),
-            }
-        )
-    return {
-        "window": j,
-        "range": [rat_str(window[0]), rat_str(window[1])],
-        "intervals": entries,
-    }
+
+    def frac(n: int) -> str:
+        g = math.gcd(n, scale)
+        return f"{n // g}/{scale // g}"
+
+    entry = ('    {\n      "interval": [\n        "%s",\n        "%s"\n      ],\n'
+             '      "landmark": "%s"\n    }')
+    entries = ",\n".join(
+        entry % (frac(lo), frac(hi), annotate_landmark(landmarks, lo + hi, 2 * scale))
+        for lo, hi in runs
+    )
+    intervals = f"[\n{entries}\n  ]" if runs else "[]"
+    w_lo, w_hi = map(rat_str, window)
+    return (f'{{\n  "intervals": {intervals},\n  "range": [\n    "{w_lo}",\n    "{w_hi}"\n'
+            f'  ],\n  "window": {j}\n}}\n')

@@ -116,9 +116,20 @@ class Twice:
         self.value = value
 
 
+class Literal:
+    """A value written as the given JSON text (``json.dumps`` converts no
+    integer past the interpreter's digit limit)."""
+
+    def __init__(self, text):
+        self.text = text
+
+
 def _dump(doc: dict, path, value) -> str:
     """``doc`` as JSON with ``value`` at ``path``; a ``Twice`` value gives
     the key at ``path`` a second time, at any depth."""
+    if isinstance(value, Literal):
+        _set_path(doc, path, "\0")
+        return json.dumps(doc).replace(json.dumps("\0"), value.text)
     if not isinstance(value, Twice):
         _set_path(doc, path, value)
         return json.dumps(doc)
@@ -193,6 +204,11 @@ class TestLoaderErrors:
              "stages[0].spacers[1]: a number of more than 4300 digits"),
             ("build", ("base_width",), "-" + "9" * 4301 + "/1",
              "base_width: a number of more than 4300 digits"),
+            # integer literals past the limit, which ``int`` itself refuses
+            ("build", ("stages",), Literal("1" * 4400),
+             "stages: a number of more than 4300 digits"),
+            ("verify", ("stages", 0, "index"), Literal("-" + "1" * 4400),
+             "stages[0].index: a number of more than 4300 digits"),
         ],
         ids=["stages-int", "spacer-1/0", "entry-stages-list", "gauge-null",
              "base-width-1/0", "multiplier-true", "index-true", "top-spacer-true",
@@ -203,7 +219,8 @@ class TestLoaderErrors:
              "schedule-key-twice", "config-nested-key-twice",
              "schedule-nested-key-twice", "schedule-entry-stage-twice",
              "multiplier-off-spacer", "schedule-numerator-digits",
-             "schedule-denominator-digits", "config-numerator-digits"],
+             "schedule-denominator-digits", "config-numerator-digits",
+             "config-int-digits", "schedule-int-digits"],
     )
     def test_malformed_input_exit_2(self, built, tmp_path, command, path, value, names):
         if command == "verify":

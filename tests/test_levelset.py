@@ -1,4 +1,5 @@
 import inspect
+import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -17,6 +18,7 @@ from rankone import (
     hitting_set,
     make_slab,
     min_valid_stage,
+    rat_str,
 )
 from rankone import levelset
 from rankone.cli import load_config, schedule_from_config
@@ -362,6 +364,17 @@ class TestHittingSetAgainstSupport:
     """The lattice support against ``support(correlation_profile(...))``."""
 
     @staticmethod
+    def pair_family(sched):
+        """``default_pair_family`` and, per stage, a slab of two separated
+        quarters, so that both sides of a pair can hold several base
+        intervals and the hitting set merges several sorted streams."""
+        split = tuple(
+            (f"stage{k}_quarters02", make_slab(sched, k, [(0, h / 4), (h / 2, 3 * h / 4)]))
+            for k, h in ((1, sched.height(1)), (2, sched.height(2)))
+        )
+        return default_pair_family(sched) + split
+
+    @staticmethod
     def draw_window(data, sched, a, b):
         tower = data.draw(st.integers(2, 4), label="tower")
         reach = sched.height(tower)
@@ -402,19 +415,23 @@ class TestHittingSetAgainstSupport:
         "broken", "stage1_quarter0", "stage2_half0", (F(0), F(11025, 4))))
     @example(data=None, case=(  # three merged base intervals of a against one of b
         "deep16", "stage1_full", "stage2_full", (F(0), F(305809, 4))))
+    @example(data=None, case=(  # two base intervals on each side, three distinct widths
+        "broken", "stage2_quarters02", "stage2_quarters02", (F(0), F(11025, 4))))
+    @example(data=None, case=(  # eight base intervals of a against two of b
+        "desk", "stage1_quarters02", "stage2_quarters02", (F(1, 3), F(305809, 4))))
     @settings(max_examples=80, deadline=None)
     def test_hitting_set_equals_profile_support(self, desk, broken, deep16, data, case):
         scheds = {"desk": desk, "broken": broken, "deep16": deep16}
         if case is None:
             sched = data.draw(st.sampled_from(list(scheds.values())))
-            family = default_pair_family(sched)
+            family = self.pair_family(sched)
             a = data.draw(st.sampled_from(family), label="a")[1]
             b = data.draw(st.sampled_from(family), label="b")[1]
             window = self.draw_window(data, sched, a, b)
         else:
             name, a_name, b_name, window = case
             sched = scheds[name]
-            family = dict(default_pair_family(sched))
+            family = dict(self.pair_family(sched))
             a, b = family[a_name], family[b_name]
         got = hitting_set(a, b, window, sched)
         assert got == support(correlation_profile(a, b, window, sched))
@@ -444,9 +461,38 @@ class TestHittingSetAgainstSupport:
         y = base_slab(broken)
         window = (broken.height(2), broken.height(3))
         assert hitting_set(y, y, window, broken)
-        assert hitting_report(broken, 4)["intervals"]
+        assert json.loads(hitting_report(broken, 4))["intervals"]
         with pytest.raises(AssertionError, match="built a profile"):
             correlation_profile(y, y, window, broken)  # the patch is in effect
+
+    @pytest.mark.parametrize(
+        "name, j", [("desk", 2), ("desk", 3), ("deep16", 3), ("broken", 4), ("broken", 5)]
+    )
+    def test_report_text_is_canonical(self, request, name, j):
+        """The report's text is ``json.dumps(indent=2, sort_keys=True)`` of
+        what it holds, and its intervals are ``hitting_set``'s."""
+        sched = request.getfixturevalue(name)
+        text = hitting_report(sched, j)
+        rep = json.loads(text)
+        assert text == json.dumps(rep, indent=2, sort_keys=True) + "\n"
+        y = base_slab(sched)
+        window = (sched.height(j), sched.height(j + 1))
+        assert [e["interval"] for e in rep["intervals"]] == (
+            hitting_set(y, y, window, sched).to_pairs()
+        )
+        assert (rep["range"], rep["window"]) == ([rat_str(w) for w in window], j)
+
+    def test_report_builds_no_fraction_per_endpoint(self, broken, monkeypatch):
+        """The report is written from the integer runs: it never goes through
+        ``hitting_set`` or ``_lattice_set``, which build the ``Fraction``s."""
+        def fractions(*args):
+            raise AssertionError("the report built a Fraction per endpoint")
+
+        monkeypatch.setattr(levelset, "hitting_set", fractions)
+        monkeypatch.setattr(levelset, "_lattice_set", fractions)
+        assert json.loads(hitting_report(broken, 4))["intervals"]
+        with pytest.raises(AssertionError, match="Fraction per endpoint"):
+            find_dissipativity_witness(broken, 2, 4)  # the patch is in effect
 
 
 class TestLandmarkLabels:

@@ -264,7 +264,7 @@ class TestSpectralDensity:
 
 class TestHittingReport:
     def test_landmark_annotations(self, desk):
-        rep = hitting_report(desk, 2)
+        rep = json.loads(hitting_report(desk, 2))
         assert rep["intervals"]
         names = {e["landmark"] for e in rep["intervals"]}
         assert "tower_height" in names
@@ -277,12 +277,12 @@ class TestHittingReport:
         }
 
     def test_broken_window_4_bytes_unchanged(self, broken):
-        # serialized as ``rankone profile --window`` writes it; the digest is
-        # that of the Fraction-based sweep, support and labels, which the
-        # lattice code must reproduce byte for byte
-        rep = hitting_report(broken, 4)
-        assert len(rep["intervals"]) == 6085
-        text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
+        # the text ``rankone profile --window`` writes; the digest is that of
+        # the Fraction-based sweep, support and labels serialized by
+        # ``json.dumps(indent=2, sort_keys=True)``, which the one-pass text
+        # on the lattice must reproduce byte for byte
+        text = hitting_report(broken, 4)
+        assert len(json.loads(text)["intervals"]) == 6085
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "719f08f33959b152c98d5bda43f9e58c7d888be0001a73d250b69e4dba264560"
         )
@@ -290,12 +290,21 @@ class TestHittingReport:
     def test_broken_window_5_bytes_unchanged(self, broken):
         # the bench's sweep workload writes this report with
         # ``rankone profile --window 5``; its digest is the bench gate's
-        rep = hitting_report(broken, 5)
-        assert len(rep["intervals"]) == 79093
-        text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
+        text = hitting_report(broken, 5)
+        assert len(json.loads(text)["intervals"]) == 79093
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "b673a9a47f1b2280ac2a3003adaa337bf4e2c9a93b1f9a691c047ac2125d6baa"
         )
+
+    def test_no_runs_give_an_empty_list(self, desk, monkeypatch):
+        import rankone.verify as verify
+
+        monkeypatch.setattr(verify, "_hitting_runs", lambda *args: (1, []))
+        text = hitting_report(desk, 2)
+        assert '\n  "intervals": [],\n' in text
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert json.loads(text) == {"intervals": [], "range": ["553/2", "305809/4"],
+                                    "window": 2}
 
 
 @pytest.mark.parametrize(
