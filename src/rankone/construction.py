@@ -246,6 +246,8 @@ class GaugeSpec:
                 raise ValueError("table gauge needs values")
             if any(b < a for a, b in zip(self.values, self.values[1:])):
                 raise ValueError("gauge table must be non-decreasing")
+        elif self.values:
+            raise ValueError(f"only a table gauge reads values, not kind {self.kind!r}")
 
     def value(self, j: int) -> Rat:
         if self.kind == "pow2":

@@ -45,6 +45,23 @@ def denominator_lcm(values: Iterable[Rat]) -> int:
     return out
 
 
+def merge_sorted(pieces: Iterable[tuple]) -> list[tuple]:
+    """The disjoint, non-touching runs covering the half-open intervals
+    [a, b) of ``pieces``, which come sorted by ``a``; empty pieces drop."""
+    runs: list[tuple] = []
+    end = None
+    for a, b in pieces:
+        if a >= b:
+            continue
+        if end is None or a > end:
+            runs.append((a, b))
+            end = b
+        elif b > end:
+            end = b
+            runs[-1] = (runs[-1][0], b)
+    return runs
+
+
 class IntervalSet:
     """A finite union of half-open rational intervals [lo, hi).
 
@@ -57,17 +74,7 @@ class IntervalSet:
 
     def __init__(self, intervals: Iterable[tuple[Rat, Rat]] = ()):
         pairs = sorted((rat(lo), rat(hi)) for lo, hi in intervals)
-        merged: list[tuple[Rat, Rat]] = []
-        for lo, hi in pairs:
-            if hi <= lo:
-                continue
-            if merged and lo <= merged[-1][1]:
-                last_lo, last_hi = merged[-1]
-                if hi > last_hi:
-                    merged[-1] = (last_lo, hi)
-            else:
-                merged.append((lo, hi))
-        self._ivs: tuple[tuple[Rat, Rat], ...] = tuple(merged)
+        self._ivs: tuple[tuple[Rat, Rat], ...] = tuple(merge_sorted(pairs))
 
     @classmethod
     def _wrap(cls, canonical: tuple[tuple[Rat, Rat], ...]) -> "IntervalSet":

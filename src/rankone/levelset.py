@@ -1,13 +1,15 @@
 """Exact flow algebra over full-width slab sets.
 
 A slab set is a union of full-width horizontal slabs of one tower,
-described by its stage and the interval set of its levels.  Everything the
-verification layer needs reduces to three exact computations:
+described by its stage and the interval set of its levels.  The schedule's
+stage geometry is derived once, as an integer lattice (``_lattice``); the
+first tower that absorbs a translation is a bisection on it, and every
+time query below opens one window on it (``_lattice_window``).  Everything
+the verification layer needs reduces to three exact computations:
 
-* pointwise correlations mu(T_t A /\\ B), evaluated at one time t on the
-  integer lattice: the offset-difference patterns within one base height
-  of t weight the overlaps of the pair's base intervals (no sweep, no
-  float prefilter);
+* pointwise correlations mu(T_t A /\\ B), the zero-width window [t, t]:
+  the offset-difference patterns within one base height of t weight the
+  overlaps of the pair's base intervals (no sweep, no float prefilter);
 * exact piecewise-linear correlation profiles over a window, obtained by
   enumerating the per-stage column-offset difference patterns that can
   land in the window (a pruned DFS over the stage structure) and sweeping
@@ -21,15 +23,15 @@ verification layer needs reduces to three exact computations:
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from typing import Iterable
 
 from .errors import HorizonExceeded, StageOutOfRange
-from .exactnum import IntervalSet, Rat, denominator_lcm, rat
+from .exactnum import IntervalSet, Rat, denominator_lcm, merge_sorted, rat
 
 
 @dataclass(frozen=True)
@@ -77,23 +79,21 @@ def _levels_at(sched, s: SlabSet, j: int) -> tuple[tuple[Rat, Rat], ...]:
 
 
 def min_valid_stage(s: SlabSet, t, sched) -> int:
-    """Smallest built stage whose tower absorbs a +t translation of s."""
+    """Smallest built stage whose tower absorbs a +t translation of s: the
+    first j whose room[j] holds s's top edge plus t, lifted by the reach
+    below s's stage (the top edge rises with the top copy's offset)."""
     t = rat(t)
     if t < 0:
         raise ValueError("negative times are handled by callers via symmetry")
     if s.levels.is_empty():
         return s.stage
-    # the top copy of tower j-1 sits at offsets(j-1)[3] inside tower j, so
-    # the slab's top edge moves up by exactly that offset per stage
-    top = s.levels.intervals[-1][1]
-    for j in range(s.stage, sched.num_stages + 1):
-        if j > s.stage:
-            top += sched.offsets(j - 1)[3]
-        if top + t <= sched.height(j):
-            return j
-    raise HorizonExceeded(
-        f"time {t} exceeds what the {sched.num_stages}-stage schedule absorbs"
-    )
+    unit, _, reach, room = _lattice(sched)
+    need = ceil((s.levels.intervals[-1][1] + t) * unit) - reach[s.stage - 1]
+    j = bisect_left(room, need, s.stage)
+    if j > sched.num_stages:
+        raise HorizonExceeded(f"time {t} exceeds what the {sched.num_stages}-stage "
+                              "schedule absorbs")
+    return j
 
 
 # --------------------------------------------------------------------------
@@ -112,12 +112,9 @@ def correlation(a: SlabSet, b: SlabSet, t, sched) -> Rat:
     t = rat(t)
     if t < 0:
         return correlation(b, a, -t, sched)
-    j = max(min_valid_stage(a, t, sched), b.stage)
-    k, scale, las, lbs = _lattice_pair(a, b, [t], sched)
-    t_s = int(t * scale)
-    h_s = int(sched.height(k) * scale)
+    j, scale, t_s, _, las, lbs, patterns = _lattice_window(a, b, t, t, sched)
     total = 0
-    for delta, m in _pattern_sums(sched, k, j, scale, t_s - h_s, t_s + h_s).items():
+    for delta, m in patterns.items():
         shift = t_s - delta
         for plo, phi in las:
             for qlo, qhi in lbs:
@@ -160,18 +157,8 @@ class PiecewiseLinear:
 
 
 def _merge_runs(pieces: Iterable[tuple], lo, hi) -> list[tuple]:
-    """The disjoint, non-touching runs covering the intervals [a, b) of
-    ``pieces``, which come sorted by ``a``, clipped to [lo, hi)."""
-    runs: list[list] = []
-    for a, b in pieces:
-        if a >= b:
-            continue
-        if not runs or a > end:
-            runs.append([a, b])
-            end = b
-        elif b > end:
-            runs[-1][1] = end = b
-    return [(max(a, lo), min(b, hi)) for a, b in runs if a < hi and lo < b]
+    """``merge_sorted(pieces)`` clipped to [lo, hi)."""
+    return [(max(a, lo), min(b, hi)) for a, b in merge_sorted(pieces) if a < hi and lo < b]
 
 
 def _lattice_set(unit: int, runs: list[tuple]) -> IntervalSet:
@@ -181,45 +168,33 @@ def _lattice_set(unit: int, runs: list[tuple]) -> IntervalSet:
     )
 
 
-def _lattice_pair(a: SlabSet, b: SlabSet, times: list[Rat], sched):
-    """Pair stage k, a lattice scale clearing ``times``, and the pair's
-    base intervals at stage k as scaled integers."""
-    k = max(a.stage, b.stage)
-    la = _levels_at(sched, a, k)
-    lb = _levels_at(sched, b, k)
-    extra = times + [x for iv in la + lb for x in iv]
-    scale = lcm(_lattice(sched)[0], denominator_lcm(extra))
-
-    def scaled(levels):
-        return [(int(lo * scale), int(hi * scale)) for lo, hi in levels]
-
-    return k, scale, scaled(la), scaled(lb)
-
-
-def _lattice(sched) -> tuple[int, list[list[tuple[int, int]]], list[int]]:
+def _lattice(sched) -> tuple[int, list[list[tuple[int, int]]], list[int], list[int]]:
     """The schedule's integer geometry, derived once per schedule.
 
     Returns the lcm D of the denominators of every tower height and column
     offset; per stage s, the sorted (value, multiplicity) of its offset
-    differences in units of 1/D; and the prefix reach, where reach[s] is
-    the largest |pattern sum| that stages 1..s can contribute.  Lists are
-    indexed by stage, entry 0 standing for "no stage".
+    differences in units of 1/D; the prefix reach, where reach[s] is the
+    largest |pattern sum| that stages 1..s can contribute (the rise of a
+    top edge from tower 1 to tower s+1); and room[s] = h_s*D - reach[s-1],
+    which never decreases: consecutive entries differ by the top spacer
+    times D.  Lists are indexed by stage, entry 0 standing for "no stage".
     """
     cached = sched.runtime_cache.get("lattice")
     if cached is not None:
         return cached
     n = sched.num_stages
     offsets = [sched.offsets(s) for s in range(1, n + 1)]
-    unit = denominator_lcm(
-        [sched.height(j) for j in range(1, n + 2)] + [x for o in offsets for x in o]
-    )
+    heights = [sched.height(j) for j in range(1, n + 2)]
+    unit = denominator_lcm(heights + [x for o in offsets for x in o])
     diffs: list[list[tuple[int, int]]] = [[]]
     reach = [0]
-    for o in offsets:
+    room = [0]
+    for h, o in zip(heights, offsets):
         scaled = [int(x * unit) for x in o]
         diffs.append(sorted(Counter(b - a for a in scaled for b in scaled).items()))
+        room.append(int(h * unit) - reach[-1])
         reach.append(reach[-1] + scaled[3] - scaled[0])
-    cached = sched.runtime_cache["lattice"] = (unit, diffs, reach)
+    cached = sched.runtime_cache["lattice"] = (unit, diffs, reach, room)
     return cached
 
 
@@ -235,7 +210,7 @@ def _pattern_sums(
     on it is m times one on D: the search runs on D with the band rounded
     inward, and the surviving sums are multiplied by m.
     """
-    unit, diffs, reach = _lattice(sched)
+    unit, diffs, reach, _ = _lattice(sched)
     m = scale // unit
     lo, hi = -(-lo // m), hi // m
     level: dict[int, int] = {0: 1}
@@ -254,29 +229,42 @@ def _pattern_sums(
     return level if m == 1 else {m * v: c for v, c in level.items()}
 
 
-def _lattice_window(a: SlabSet, b: SlabSet, window, sched):
-    """The pair's stage j, lattice scale, scaled window ends and base
-    intervals, and the pattern sums {delta: copy pairs} near the window."""
+def _window(window) -> tuple[Rat, Rat]:
+    """The ends of a profile or hitting window, checked: 0 <= lo < hi."""
     w_lo, w_hi = rat(window[0]), rat(window[1])
     if not 0 <= w_lo < w_hi:
         raise ValueError("window must satisfy 0 <= lo < hi")
+    return w_lo, w_hi
+
+
+def _lattice_window(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
+    """The pair's stage j, a lattice scale clearing the window and the
+    pair's base intervals (at pair stage k), the scaled window ends and base
+    intervals, and the pattern sums {delta: copy pairs} within one base
+    height of the window.  The ends satisfy 0 <= w_lo <= w_hi; a pointwise
+    query is the window [t, t]."""
     j = max(min_valid_stage(a, w_hi, sched), b.stage)
-    k, scale, las, lbs = _lattice_pair(a, b, [w_lo, w_hi], sched)
+    k = max(a.stage, b.stage)
+    la = _levels_at(sched, a, k)
+    lb = _levels_at(sched, b, k)
+    ends = [w_lo, w_hi] + [x for iv in la + lb for x in iv]
+    scale = lcm(_lattice(sched)[0], denominator_lcm(ends))
+    las, lbs = ([(int(lo * scale), int(hi * scale)) for lo, hi in iv] for iv in (la, lb))
     w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
     pad = int(sched.height(k) * scale)
     patterns = _pattern_sums(sched, k, j, scale, w_lo_s - pad, w_hi_s + pad)
     return j, scale, w_lo_s, w_hi_s, las, lbs, patterns
 
 
-def _lattice_profile(a: SlabSet, b: SlabSet, window, sched):
-    """The profile t -> mu(T_t A /\\ B) on the window, on the integer lattice.
+def _lattice_profile(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
+    """The profile t -> mu(T_t A /\\ B) on [w_lo, w_hi], on the integer lattice.
 
     Returns the pair's stage j, the lattice scale and the scaled integer
     breakpoints and values: breakpoint x is the time x / scale and value v
     the measure width(j) * v / scale.  Copies are grouped by pattern, so the
     work scales with the patterns near the window, not with the copy count.
     """
-    j, scale, w_lo_s, w_hi_s, las, lbs, patterns = _lattice_window(a, b, window, sched)
+    j, scale, w_lo_s, w_hi_s, las, lbs, patterns = _lattice_window(a, b, w_lo, w_hi, sched)
 
     # slope changes of the summed trapezoids; the window ends join as
     # zero changes so that the sweep below passes them
@@ -318,7 +306,7 @@ def _lattice_profile(a: SlabSet, b: SlabSet, window, sched):
 
 def correlation_profile(a: SlabSet, b: SlabSet, window, sched) -> PiecewiseLinear:
     """The exact function t -> mu(T_t A /\\ B) on [window.lo, window.hi]."""
-    j, scale, bps, vals = _lattice_profile(a, b, window, sched)
+    j, scale, bps, vals = _lattice_profile(a, b, *_window(window), sched)
     unit = sched.width(j) / scale  # one scaled length unit of overlap, as measure
     return PiecewiseLinear(
         breakpoints=tuple(Fraction(t, scale) for t in bps),
@@ -326,11 +314,12 @@ def correlation_profile(a: SlabSet, b: SlabSet, window, sched) -> PiecewiseLinea
     )
 
 
-def _hitting_runs(a: SlabSet, b: SlabSet, window, sched):
-    """The lattice scale and the integer runs [lo, hi) of ``hitting_set``:
-    for one base-interval pair the supports share one width, so over sorted
-    pattern sums they come sorted, and the pairs' streams merge."""
-    _, scale, lo, hi, las, lbs, patterns = _lattice_window(a, b, window, sched)
+def _hitting_runs(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
+    """The lattice scale and the integer runs [lo, hi) of ``hitting_set``
+    on [w_lo, w_hi]: for one base-interval pair the supports share one
+    width, so over sorted pattern sums they come sorted, and the pairs'
+    streams merge."""
+    _, scale, lo, hi, las, lbs, patterns = _lattice_window(a, b, w_lo, w_hi, sched)
     deltas = sorted(patterns)
     widths = {(qlo - phi, qhi - plo) for plo, phi in las for qlo, qhi in lbs}
     streams = (zip(map(c1.__add__, deltas), map(c4.__add__, deltas)) for c1, c4 in widths)
@@ -345,7 +334,7 @@ def hitting_set(a: SlabSet, b: SlabSet, window, sched) -> IntervalSet:
     (delta + qlo - phi, delta + qhi - plo), so the support of their sum is
     the union of those intervals, clipped to the window, merged if touching.
     """
-    return _lattice_set(*_hitting_runs(a, b, window, sched))
+    return _lattice_set(*_hitting_runs(a, b, *_window(window), sched))
 
 
 # --------------------------------------------------------------------------
@@ -367,12 +356,13 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
     j = window_index
     w_lo, w_hi = sched.height(j), sched.height(j + 1)
     threshold = sched.dissipativity_threshold(d)
-    j1 = max(min_valid_stage(y, w_hi, sched), min_valid_stage(y, d * w_hi, sched))
+    # d is a dissipative target, so d > 1 and d*w_hi needs the deeper tower
+    j1 = min_valid_stage(y, d * w_hi, sched)
     k = y.stage
     h_base = sched.height(k)
 
     # every time here is a tower height, so the lattice unit clears it
-    scale, diffs, reach = _lattice(sched)
+    scale, diffs, reach, _ = _lattice(sched)
     w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
     thr_s = int(threshold * scale)
     e = int(h_base * scale)  # half-width of a base-pair trapezoid support
@@ -412,38 +402,3 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
         pieces.append((max(c1 - pe, c2 - qe), min(c1 + pe, c2 + qe)))
     runs = _merge_runs(sorted(pieces), p * max(w_lo_s, thr_s), p * w_hi_s)
     return _lattice_set(p * scale, runs)
-
-
-# --------------------------------------------------------------------------
-# landmark annotation (reporting aid)
-
-
-def window_landmarks(sched, j: int) -> dict[str, Rat]:
-    st = sched.stage(j)
-    return {
-        "tower_height": st.height,
-        "stretched_height": st.ratio * st.height,
-        "middle_spacer": st.spacers[1],
-        "top_spacer": st.spacers[3],
-    }
-
-
-def annotate_landmark(landmarks: dict[str, Rat], tn: int, td: int) -> str:
-    """Label t = tn/td with the nearest landmark if their ratio is within [1/2, 2].
-
-    ``landmarks`` is ``window_landmarks(sched, j)``; tn/td need not be
-    reduced, but td > 0.  Ratios are compared by cross-multiplying
-    numerators and denominators; on a tie the first landmark in dict
-    order wins.
-    """
-    best_name, best_num, best_den = "unresolved", 0, 0
-    for name, val in landmarks.items():
-        vn, vd = val.numerator, val.denominator
-        if vn <= 0:
-            continue
-        num, den = tn * vd, td * vn  # t / val
-        if num < den:
-            num, den = den, num  # val / t, the ratio that is >= 1
-        if num <= 2 * den and (best_den == 0 or num * best_den < best_num * den):
-            best_name, best_num, best_den = name, num, den
-    return best_name

@@ -35,13 +35,11 @@ from .levelset import (
     SlabSet,
     _hitting_runs,
     _levels_at,
-    annotate_landmark,
     base_slab,
     correlation,
     correlation_profile,
     find_dissipativity_witness,
     make_slab,
-    window_landmarks,
 )
 
 if TYPE_CHECKING:
@@ -610,14 +608,47 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensi
 # hitting-set report (landmark annotation)
 
 
+def window_landmarks(sched, j: int) -> dict[str, Rat]:
+    st = sched.stage(j)
+    return {
+        "tower_height": st.height,
+        "stretched_height": st.ratio * st.height,
+        "middle_spacer": st.spacers[1],
+        "top_spacer": st.spacers[3],
+    }
+
+
+def landmark_terms(landmarks: dict[str, Rat]) -> tuple[tuple[str, int, int], ...]:
+    """The positive landmarks as (name, numerator, denominator), in dict
+    order: taken apart once per window, not once per label."""
+    return tuple((name, v.numerator, v.denominator) for name, v in landmarks.items() if v > 0)
+
+
+def annotate_landmark(terms: tuple[tuple[str, int, int], ...], tn: int, td: int) -> str:
+    """Label t = tn/td with the nearest landmark if their ratio is within [1/2, 2].
+
+    ``terms`` is ``landmark_terms(window_landmarks(sched, j))``; tn/td need
+    not be reduced, but td > 0.  Ratios are compared by cross-multiplying
+    numerators and denominators; on a tie the first landmark wins.
+    """
+    best_name, best_num, best_den = "unresolved", 0, 0
+    for name, vn, vd in terms:
+        num, den = tn * vd, td * vn  # t / val
+        if num < den:
+            num, den = den, num  # val / t, the ratio that is >= 1
+        if num <= 2 * den and (best_den == 0 or num * best_den < best_num * den):
+            best_name, best_num, best_den = name, num, den
+    return best_name
+
+
 def hitting_report(sched, j: int) -> str:
     """Exact hitting intervals on window [h_j, h_{j+1}] with landmark
     annotations, as the report's text: that of ``json.dumps(..., indent=2,
     sort_keys=True)`` and a newline, written in one pass from the runs."""
     y = base_slab(sched)
     window = (sched.height(j), sched.height(j + 1))
-    scale, runs = _hitting_runs(y, y, window, sched)
-    landmarks = window_landmarks(sched, j)
+    scale, runs = _hitting_runs(y, y, *window, sched)
+    terms = landmark_terms(window_landmarks(sched, j))
 
     def frac(n: int) -> str:
         g = math.gcd(n, scale)
@@ -626,7 +657,7 @@ def hitting_report(sched, j: int) -> str:
     entry = ('    {\n      "interval": [\n        "%s",\n        "%s"\n      ],\n'
              '      "landmark": "%s"\n    }')
     entries = ",\n".join(
-        entry % (frac(lo), frac(hi), annotate_landmark(landmarks, lo + hi, 2 * scale))
+        entry % (frac(lo), frac(hi), annotate_landmark(terms, lo + hi, 2 * scale))
         for lo, hi in runs
     )
     intervals = f"[\n{entries}\n  ]" if runs else "[]"

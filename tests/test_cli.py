@@ -160,6 +160,10 @@ class TestLoaderErrors:
             ("verify", ("targets", "entry_stages"), ["2/1", 2],
              "targets.entry_stages: expected an object"),
             ("verify", ("policy", "gauge"), None, "policy.gauge: expected an object"),
+            ("build", ("policy",), {"gauge": {"kind": "pow2", "values": ["2/1"]}},
+             "policy.gauge: only a table gauge reads values, not kind 'pow2'"),
+            ("verify", ("policy", "gauge", "values"), ["2/1"],
+             "policy.gauge: only a table gauge reads values, not kind 'pow2'"),
             ("build", ("base_width",), "1/0", "base_width: expected a 'p/q' string"),
             ("verify", ("stages", 0, "multiplier"), True,
              "stages[0].multiplier: expected a 'p/q' string"),
@@ -211,6 +215,7 @@ class TestLoaderErrors:
              "stages[0].index: a number of more than 4300 digits"),
         ],
         ids=["stages-int", "spacer-1/0", "entry-stages-list", "gauge-null",
+             "config-gauge-values-untabled", "schedule-gauge-values-untabled",
              "base-width-1/0", "multiplier-true", "index-true", "top-spacer-true",
              "entry-stage-float", "index-float", "index-string", "max-retries-neg",
              "max-retries-float", "escalation-window-float",

@@ -115,6 +115,12 @@ class TestScheduleInvariants:
             assert st.spacers[1] / st.height >= g.value(j)
             assert st.spacers[3] / st.spacers[1] >= g.value(j)
 
+    @pytest.mark.parametrize("kind", ["pow2", "constant"])
+    def test_gauge_values_need_a_table(self, kind):
+        assert GaugeSpec(kind=kind, values=()).values == ()
+        with pytest.raises(ValueError, match="only a table gauge reads values"):
+            GaugeSpec(kind=kind, values=(F(2),))
+
     def test_tower_measure_growth(self, desk):
         # mu(X_{j+1}) = mu(X_j) + w_{j+1} * sum(spacers); unbounded on the prefix
         for j in range(1, desk.num_stages):

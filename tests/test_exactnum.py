@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import lcm
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -131,11 +131,29 @@ class TestIntervalSetExamples:
         assert not contains(s, 1) and not contains(s, F(7, 2))
 
 
-rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+def fractions_over(lo, hi):
+    """Every p/q in [lo, hi] with q <= 12: the domain of ``st.fractions(lo,
+    hi, max_denominator=12)``, drawn as two integers, which hypothesis
+    draws several times faster than it draws fractions."""
+    return st.integers(1, 12).flatmap(
+        lambda q: st.integers(ceil(lo * q), floor(hi * q)).map(lambda p: F(p, q))
+    )
+
+
+rationals = fractions_over(-8, 8)
 interval_sets = st.lists(
     st.tuples(rationals, rationals), min_size=0, max_size=5
 ).map(lambda pairs: IntervalSet((min(a, b), max(a, b)) for a, b in pairs))
-positive_rationals = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=12)
+positive_rationals = fractions_over(F(1, 8), 8)
+
+
+def test_fractions_over_keeps_the_domain():
+    for lo, hi in [(-8, 8), (F(1, 8), 8)]:
+        domain = {F(p, q) for q in range(1, 13) for p in range(-8 * q, 8 * q + 1)}
+        assert {F(p, q) for q in range(1, 13)
+                for p in range(ceil(lo * q), floor(hi * q) + 1)} == {
+            x for x in domain if lo <= x <= hi
+        }
 
 
 class TestIntervalSetProperties:

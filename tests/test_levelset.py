@@ -12,7 +12,11 @@ from rankone import (
     HorizonExceeded,
     IntervalSet,
     StageOutOfRange,
+    StagePolicy,
+    TargetSets,
+    TopSpacerRule,
     base_slab,
+    build_schedule,
     correlation,
     correlation_profile,
     hitting_set,
@@ -23,17 +27,15 @@ from rankone import (
 from rankone import levelset
 from rankone.cli import load_config, schedule_from_config
 from rankone.construction import Schedule
-from rankone.levelset import (
-    PiecewiseLinear,
-    annotate_landmark,
-    find_dissipativity_witness,
-    window_landmarks,
-)
+from rankone.levelset import PiecewiseLinear, find_dissipativity_witness
 from rankone.verify import (
+    annotate_landmark,
     check_weak_limits,
     default_pair_family,
     dissipativity_spot_check,
     hitting_report,
+    landmark_terms,
+    window_landmarks,
 )
 
 from reference import (
@@ -110,6 +112,56 @@ class TestMinValidStage:
         too_far = desk.stage(desk.num_stages - 1).spacers[3] * 2
         with pytest.raises(HorizonExceeded):
             min_valid_stage(y, too_far, desk)
+
+    @staticmethod
+    def rooms(s, sched):
+        """Per stage j >= s.stage, the largest time tower j absorbs: the
+        slab's top edge walked up stage by stage in Fractions."""
+        top = s.levels.intervals[-1][1]
+        out = {}
+        for j in range(s.stage, sched.num_stages + 1):
+            if j > s.stage:
+                top += sched.offsets(j - 1)[3]
+            out[j] = sched.height(j) - top
+        return out
+
+    @pytest.mark.parametrize("name", ["desk", "deep16", "broken", "desk64", "flat_top"])
+    def test_bisection_equals_stage_walk(self, request, name):
+        sched = request.getfixturevalue(name)
+        eps = F(1, 2**40)
+        for _, s in default_pair_family(sched):
+            rooms = self.rooms(s, sched)
+            times = {F(0)} | {r + e for r in rooms.values() for e in (-eps, 0) if r + e >= 0}
+            for t in sorted(times):
+                expected = next(j for j, r in rooms.items() if t <= r)
+                assert min_valid_stage(s, t, sched) == expected, (t, expected)
+            last = rooms[sched.num_stages]
+            assert min_valid_stage(s, last, sched) == min(
+                j for j, r in rooms.items() if r == last
+            )
+            with pytest.raises(HorizonExceeded):
+                min_valid_stage(s, last + eps, sched)
+
+    def test_flat_top_rooms_tie(self, flat_top):
+        # top spacers 0: every tower absorbs exactly the same times
+        rooms = self.rooms(base_slab(flat_top), flat_top)
+        assert len(set(rooms.values())) == 1
+        assert min_valid_stage(base_slab(flat_top), rooms[1], flat_top) == 1
+
+
+DESK_TARGETS = TargetSets(singular=(F(3, 2), F(5, 2)), dissipative=(F(2), F(3)))
+
+
+@pytest.fixture(scope="module")
+def desk64():
+    return build_schedule(1, 1, DESK_TARGETS, 64)
+
+
+@pytest.fixture(scope="module")
+def flat_top():
+    """``collide_ratio: 0`` makes every top spacer 0."""
+    policy = StagePolicy(top_spacer=TopSpacerRule(mode="collide", collide_ratio=F(0)))
+    return build_schedule(1, 1, DESK_TARGETS, 8, policy=policy, certify=False)
 
 
 class TestTranslate:
@@ -535,8 +587,9 @@ class TestLandmarkLabels:
         assume(t > 0)
         k = data.draw(st.integers(1, 12), label="unreduced by")
         expected = self.reference(landmarks, t)
-        assert annotate_landmark(landmarks, t.numerator, t.denominator) == expected
-        assert annotate_landmark(landmarks, k * t.numerator, k * t.denominator) == expected
+        terms = landmark_terms(landmarks)
+        assert annotate_landmark(terms, t.numerator, t.denominator) == expected
+        assert annotate_landmark(terms, k * t.numerator, k * t.denominator) == expected
 
     @pytest.mark.parametrize(
         "landmarks, t, expected",
@@ -550,9 +603,10 @@ class TestLandmarkLabels:
     )
     def test_ties_keep_the_first_landmark(self, landmarks, t, expected):
         assert self.reference(landmarks, t) == expected
-        assert annotate_landmark(landmarks, t.numerator, t.denominator) == expected
+        terms = landmark_terms(landmarks)
+        assert annotate_landmark(terms, t.numerator, t.denominator) == expected
         tn, td = 6 * t.numerator, 6 * t.denominator  # unreduced
-        assert annotate_landmark(landmarks, tn, td) == expected
+        assert annotate_landmark(terms, tn, td) == expected
 
 
 class TestPiecewiseLinear:
