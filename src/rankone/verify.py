@@ -10,8 +10,10 @@
   when the spacer perturbations converge to a net point (a, b);
 * spectral-density samples for dissipative ratios: the correlation
   product has compact support, so its Fourier transform is an absolutely
-  continuous density, evaluated by exact piecewise polynomial integration
-  against cosines.
+  continuous density.  Only the product's nonzero quadratic pieces are
+  built, exactly and each in its own coordinate; their cosine integrals
+  are the one floating step, in plain Python (a series below s*L = 4, the
+  antiderivative above, and a series/continued-fraction Si for the mass).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import (
     ConfigError,
@@ -31,19 +33,15 @@ from .errors import (
 )
 from .exactnum import IntervalSet, Rat, rat, rat_str
 from .levelset import (
-    PiecewiseLinear,
     SlabSet,
     _hitting_runs,
+    _lattice_profile,
     _levels_at,
     base_slab,
     correlation,
-    correlation_profile,
     find_dissipativity_witness,
     make_slab,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ZERO = Fraction(0)
 QUARTER = Fraction(1, 4)
@@ -432,17 +430,17 @@ class SpectralDensitySamples:
 
     The correlation product phi(t) = rho(t) rho(d t) is piecewise
     quadratic with exact compact support [-T0, T0]; the density is its
-    Fourier transform divided by 2*pi.  The only floating step is the
-    final evaluation; the quadrature is exact per polynomial piece.  The
-    compared fields are the keys of ``density.json``; the samples go to
-    the CSV.
+    Fourier transform divided by 2*pi.  The nonzero pieces are exact, each
+    in its own coordinate; the only floating step is the final evaluation
+    of each piece's cosine integral.  The compared fields are the keys of
+    ``density.json``; the samples go to the CSV.
     """
 
     ratio: Rat
     support_bound: Rat
     certified_zero_through: Rat
-    frequencies: np.ndarray = field(compare=False)
-    density: np.ndarray = field(compare=False)
+    frequencies: tuple[float, ...] = field(compare=False)
+    density: tuple[float, ...] = field(compare=False)
     piece_count: int
     phi_at_zero: Rat
     phi_integral: Rat
@@ -454,150 +452,149 @@ class SpectralDensitySamples:
     min_density: float = field(init=False)
 
     def __post_init__(self):
-        grid = {"s_max": float(self.frequencies[-1]), "samples": len(self.frequencies)}
+        grid = {"s_max": self.frequencies[-1], "samples": len(self.frequencies)}
         object.__setattr__(self, "grid", grid)
-        mid = float(self.density[len(self.density) // 2])
-        object.__setattr__(self, "density_at_zero", mid)
-        object.__setattr__(self, "min_density", float(self.density.min()))
+        object.__setattr__(self, "density_at_zero", self.density[len(self.density) // 2])
+        object.__setattr__(self, "min_density", min(self.density))
 
 
-def _phi_pieces(prof: PiecewiseLinear, d: Rat, t0: Rat):
-    """Quadratic pieces (a, b, c0, c1, c2) of phi(t)=rho(t)rho(dt) on [0,t0]."""
-    cuts = {ZERO, t0}
-    for bp in prof.breakpoints:
-        if ZERO < bp < t0:
-            cuts.add(bp)
-        scaled = bp / d
-        if ZERO < scaled < t0:
-            cuts.add(scaled)
-    grid = sorted(cuts)
+def _phi_pieces(sched, d: Rat, t0: Rat) -> tuple[int, list[tuple[Rat, ...]]]:
+    """The number of cells of phi(t) = rho(t) rho(dt) on [0, t0], and its
+    nonzero cells as exact pieces (a, L, c0, c1, c2), where phi(a + u) =
+    c0 + c1 u + c2 u^2 for u in [0, L].
+
+    rho is the integer profile on [0, d t0].  With d = p/q, on the lattice
+    1/(p*scale) rho(t) breaks at p*x and rho(dt) at q*x for each breakpoint
+    x, so one merge of the two streams gives the cells.  A cell on which a
+    factor's segment has two zero ends is zero and only counted.
+    """
+    y = base_slab(sched)
+    j, scale, bps, vals = _lattice_profile(y, y, ZERO, d * t0, sched)
+    p, q = d.numerator, d.denominator
+    n = p * scale
+    end = q * bps[-1]  # t0 on the lattice
+    cuts = sorted({p * x for x in bps if p * x < end}.union(q * x for x in bps))
+    unit = sched.width(j) / scale  # one profile value unit, as measure
+
+    def segment(c: int, i: int, lo: int) -> tuple[Rat, Rat]:
+        """Value at lo and slope per unit time of the factor's segment i,
+        which runs from c*bps[i] to c*bps[i+1]."""
+        slope = Fraction(vals[i + 1] - vals[i], c * (bps[i + 1] - bps[i]))
+        return unit * (vals[i] + slope * (lo - c * bps[i])), unit * n * slope
+
     pieces = []
-    for a, b in zip(grid, grid[1:]):
-        ra, rb = prof.value_at(a), prof.value_at(b)
-        ga, gb = prof.value_at(d * a), prof.value_at(d * b)
-        p1 = (rb - ra) / (b - a)
-        p0 = ra - p1 * a
-        q1 = (gb - ga) / (b - a)
-        q0 = ga - q1 * a
-        pieces.append((a, b, p0 * q0, p0 * q1 + p1 * q0, p1 * q1))
-    return pieces
+    i = k = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        while p * bps[i + 1] <= lo:
+            i += 1
+        while q * bps[k + 1] <= lo:
+            k += 1
+        if not (vals[i] or vals[i + 1]) or not (vals[k] or vals[k + 1]):
+            continue
+        r0, r1 = segment(p, i, lo)
+        g0, g1 = segment(q, k, lo)
+        piece = (Fraction(lo, n), Fraction(hi - lo, n), r0 * g0, r0 * g1 + r1 * g0, r1 * g1)
+        pieces.append(piece)
+    return len(cuts) - 1, pieces
 
 
-def _piece_cosine_integral(
-    a: float, b: float, c0: float, c1: float, c2: float, s: np.ndarray
-) -> np.ndarray:
-    """Exact-per-piece integral of (c0 + c1 t + c2 t^2) cos(s t) over [a, b]."""
-    import numpy as np
+def _piece_cosine(a: float, L: float, c0: float, c1: float, c2: float, s: float) -> float:
+    """Re(e^{isa} int_0^L P(u) e^{isu} du) for P(u) = c0 + c1 u + c2 u^2,
+    the piece's share of int phi(t) cos(st) dt.  Below sL = 4 by the power
+    series in sL, whose moments are taken in v = u/L; above by the
+    antiderivative e^{isu} (P/(is) - P'/(is)^2 + P''/(is)^3)."""
+    x = s * L
+    if x < 4.0:
+        b1, b2 = c1 * L, c2 * L * L  # P(Lv) = c0 + b1 v + b2 v^2
+        re = im = 0.0
+        term, n = 1.0, 0  # term = (-1)^(n/2) x^n / n!
+        while abs(term) >= 1e-17:
+            re += term * (c0 / (n + 1) + b1 / (n + 2) + b2 / (n + 3))
+            term *= x / (n + 1)
+            im += term * (c0 / (n + 2) + b1 / (n + 3) + b2 / (n + 4))
+            term *= -x / (n + 2)
+            n += 2
+        return L * (math.cos(s * a) * re - math.sin(s * a) * im)
+    pl, dl, dd = c0 + (c1 + c2 * L) * L, c1 + 2.0 * c2 * L, 2.0 * c2 / s  # P(L), P'(L), P''/s
+    sa, sb = s * a, s * (a + L)
+    end = math.cos(sb) * dl - math.sin(sb) * (dd - s * pl)
+    start = math.cos(sa) * c1 - math.sin(sa) * (dd - s * c0)
+    return (end - start) / (s * s)
 
-    out = np.empty_like(s)
-    small = np.abs(s) * max(abs(a), abs(b)) < 4.0
-    big = ~small
 
-    if np.any(big):
-        sb = s[big]
-
-        def anti(t: float) -> np.ndarray:
-            poly = c0 + c1 * t + c2 * t * t
-            dpoly = c1 + 2.0 * c2 * t
-            st = sb * t
-            return (
-                poly * np.sin(st) / sb
-                + dpoly * np.cos(st) / sb**2
-                - 2.0 * c2 * np.sin(st) / sb**3
-            )
-
-        out[big] = anti(b) - anti(a)
-
-    if np.any(small):
-        ss = s[small]
-        acc = np.zeros_like(ss)
-        sign = 1.0
-        fact = 1.0
-        s_pow = np.ones_like(ss)
-        ak, bk = float(a), float(b)
-        a_pow = ak
-        b_pow = bk
-        for k in range(0, 24):
-            n = 2 * k
-            moment = (
-                c0 * (b_pow - a_pow) / (n + 1)
-                + c1 * (b_pow * bk - a_pow * ak) / (n + 2)
-                + c2 * (b_pow * bk * bk - a_pow * ak * ak) / (n + 3)
-            )
-            acc += sign * s_pow * moment / fact
-            sign = -sign
-            fact *= (n + 1) * (n + 2)
-            s_pow = s_pow * ss * ss
-            a_pow *= ak * ak
-            b_pow *= bk * bk
-            if np.all(s_pow / fact * max(abs(moment), 1e-30) < 1e-22):
-                break
-        out[small] = acc
-    return out
+def _si(x: float) -> float:
+    """The sine integral Si(x), as Numerical Recipes' ``cisi`` takes it: the
+    Maclaurin series below 4; beyond, pi/2 + Im(e^{-ix} f) with f the
+    continued fraction of e^{ix} E1(ix), evaluated by Lentz's method."""
+    if x < 0:
+        return -_si(-x)
+    if x < 4.0:
+        total, term, n = 0.0, x, 1  # term = (-1)^k x^n / n!, n = 2k + 1
+        while abs(term) > 1e-17 * total:
+            total += term / n
+            term *= -x * x / ((n + 1) * (n + 2))
+            n += 2
+        return total
+    b = complex(1.0, x)
+    c, d = 1e300, 1 / b
+    f = d
+    for i in range(1, 100):
+        b += 2.0
+        d = 1 / (b - i * i * d)
+        c = b - i * i / c
+        f *= c * d
+        if abs(c * d - 1) < 1e-16:
+            break
+    return math.pi / 2 + (f * complex(math.cos(x), -math.sin(x))).imag
 
 
 def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensitySamples:
     """Density samples witnessing absolute continuity for a dissipative ratio."""
-    import numpy as np  # costly imports, needed only here
-    from scipy.special import sici
-
     d = rat(d)
     grid = grid or DensityGrid()
     cert = check_dissipativity(d, sched)
     if not cert.passed:
         raise NotDissipative(f"certificate for d={d} fails; no density exists")
-    y = base_slab(sched)
     t0 = cert.threshold
-    prof = correlation_profile(y, y, (ZERO, d * t0), sched)
-    pieces = _phi_pieces(prof, d, t0)
+    piece_count, pieces = _phi_pieces(sched, d, t0)
+    half_integral = sum(
+        (c0 * L + c1 * L * L / 2 + c2 * L**3 / 3 for _, L, c0, c1, c2 in pieces), ZERO
+    )
+    local = [tuple(map(float, piece)) for piece in pieces]
 
     half = (grid.samples - 1) // 2
-    s_half = np.linspace(0.0, grid.s_max, half + 1)
-    total = np.zeros_like(s_half)
-    phi_integral = ZERO
-    for a, b, c0, c1, c2 in pieces:
-        total += _piece_cosine_integral(
-            float(a), float(b), float(c0), float(c1), float(c2), s_half
-        )
-        phi_integral += (
-            c0 * (b - a)
-            + c1 * (b * b - a * a) / 2
-            + c2 * (b * b * b - a * a * a) / 3
-        )
-    dens_half = total / np.pi
-    freqs = np.concatenate([-s_half[:0:-1], s_half])
-    dens = np.concatenate([dens_half[:0:-1], dens_half])
+    step = grid.s_max / half
+    s_half = tuple(i * step for i in range(half)) + (float(grid.s_max),)
+    dens_half = tuple(sum(_piece_cosine(*pc, s) for pc in local) / math.pi for s in s_half)
+    freqs = tuple(-s for s in s_half[:0:-1]) + s_half
+    dens = dens_half[:0:-1] + dens_half
+    mass_trapz = sum(
+        (s1 - s0) * (v1 + v0) / 2 for s0, s1, v0, v1 in zip(freqs, freqs[1:], dens, dens[1:])
+    )
 
-    # closed-form mass over [-S, S]: (2/pi) int phi(t) sin(S t)/t dt
+    # closed-form mass over [-S, S]: (2/pi) int phi(t) sin(S t)/t dt, with
+    # phi = k0 + k1 t + k2 t^2 on each piece [a, b]
     s_mass = grid.mass_s
     mass = 0.0
-    for a, b, c0, c1, c2 in pieces:
-        af, bf, c0f, c1f, c2f = float(a), float(b), float(c0), float(c1), float(c2)
-        si_b = sici(s_mass * bf)[0]
-        si_a = sici(s_mass * af)[0]
-        mass += c0f * (si_b - si_a)
+    for a, L, c0, c1, c2 in pieces:
+        af, bf = float(a), float(a + L)
+        k0, k1, k2 = float(c0 - c1 * a + c2 * a * a), float(c1 - 2 * c2 * a), float(c2)
+        mass += k0 * (_si(s_mass * bf) - _si(s_mass * af))
+        for t, sign in ((bf, 1.0), (af, -1.0)):  # int (k1 + k2 t) sin(S t) dt
+            st = s_mass * t
+            anti = k2 * math.sin(st) / s_mass - (k1 + k2 * t) * math.cos(st)
+            mass += sign * anti / s_mass
+    mass *= 2.0 / math.pi
 
-        def anti_sin(t: float) -> float:
-            return (
-                -(c1f + c2f * t) * np.cos(s_mass * t) / s_mass
-                + c2f * np.sin(s_mass * t) / s_mass**2
-            )
-
-        mass += anti_sin(bf) - anti_sin(af)
-    mass *= 2.0 / np.pi
-
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    mass_trapz = float(trapezoid(dens, freqs))
-    phi0 = prof.value_at(ZERO) * prof.value_at(ZERO)
     return SpectralDensitySamples(
         ratio=d,
         support_bound=t0,
         certified_zero_through=sched.height(sched.num_stages - 1),
         frequencies=freqs,
         density=dens,
-        piece_count=len(pieces),
-        phi_at_zero=phi0,
-        phi_integral=2 * phi_integral,
+        piece_count=piece_count,
+        phi_at_zero=pieces[0][2],  # the first cell starts at 0: rho(0)^2 = mu(Y)^2
+        phi_integral=2 * half_integral,
         mass_range_s=s_mass,
         mass_range_value=mass,
         mass_trapezoid=mass_trapz,

@@ -10,7 +10,6 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from rankone import (
@@ -326,7 +325,7 @@ def test_criterion_8_spectral_density(desk):
     dens = spectral_density(F(2), desk, grid)
     assert dens.phi_at_zero == 1  # mu(Y)^2 for the desk configuration
     nonneg = dens.min_density >= -1e-6
-    symmetric = bool(np.all(dens.density == dens.density[::-1]))
+    symmetric = dens.density == dens.density[::-1]
     mass_err = abs(dens.mass_range_value - float(dens.phi_at_zero))
     ok = nonneg and symmetric and mass_err <= 0.01
     report(

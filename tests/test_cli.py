@@ -566,18 +566,27 @@ class TestArtifacts:
         assert all(row.endswith("True") for row in rows[1:])
 
 
-def test_cli_import_skips_heavy_modules():
-    """numpy, scipy, jsonschema and the process pool load only where they are used."""
+def test_cli_import_skips_heavy_modules(desk, tmp_path):
+    """The process pool loads only where it is used; numpy and scipy load
+    nowhere, not even in ``density``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(desk.to_json() + "\n")
     code = (
         "import sys, rankone.cli; "
-        "print(sorted(m for m in ('numpy', 'scipy', 'jsonschema', "
-        "'concurrent.futures.process') if m in sys.modules))"
+        "print(sorted(m for m in ('numpy', 'scipy', 'concurrent.futures.process') "
+        "if m in sys.modules)); "
+        f"rankone.cli.main.main(args=['density', '-s', {str(schedule)!r}, "
+        f"'-o', {str(tmp_path / 'out')!r}], standalone_mode=False); "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[1].startswith("density d=2/1: ")
+    assert lines[2] == "[]"

@@ -1,9 +1,9 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from rankone import (
@@ -20,9 +20,11 @@ from rankone import (
     singularity_evidence,
     spectral_density,
 )
+from rankone.cli import load_config, schedule_from_config
 from rankone.construction import write_block
 from rankone.verify import (
     DensityGrid,
+    _si,
     dissipativity_spot_check,
     hitting_report,
     perturbation_tolerance,
@@ -238,7 +240,7 @@ class TestSpectralDensity:
         assert dens.support_bound == desk.height(2)
         mid = len(dens.density) // 2
         assert dens.density[mid] > 0
-        assert np.all(dens.density == dens.density[::-1])
+        assert dens.density == dens.density[::-1]
         assert dens.min_density >= -1e-6
         assert abs(dens.mass_range_value - float(dens.phi_at_zero)) < 0.01
         assert dens.phi_at_zero == 1
@@ -255,7 +257,46 @@ class TestSpectralDensity:
     def test_density_zero_matches_exact_integral(self, desk):
         dens = spectral_density(F(2), desk, DensityGrid(s_max=50.0, samples=501))
         mid = len(dens.density) // 2
-        assert abs(dens.density[mid] - float(dens.phi_integral) / (2 * np.pi)) < 1e-12
+        assert abs(dens.density[mid] - float(dens.phi_integral) / (2 * math.pi)) < 1e-12
+
+    def test_late_entry_ratio(self, tmp_path):
+        # 201/200 enters at window 5, threshold about 5.9e9: of 125,482
+        # cells of phi only 117 are nonzero, at times up to about 3.2e7
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps({
+            "targets": {
+                "singular": ["3/2", "5/2"],
+                "dissipative": ["2/1", "201/200"],
+                "entry_stages": {"2/1": 2, "201/200": 5},
+            },
+            "stages": 7,
+        }))
+        sched = schedule_from_config(load_config(path))
+        dens = spectral_density(F(201, 200), sched, DensityGrid(s_max=50.0, samples=501))
+        assert math.isclose(
+            dens.density_at_zero, float(dens.phi_integral) / (2 * math.pi), rel_tol=1e-9
+        )
+        assert dens.min_density >= 0
+        assert abs(dens.mass_range_value - dens.phi_at_zero) < 0.01
+        assert dens.piece_count == 125482
+
+    @pytest.mark.parametrize("x, si", [
+        # Si(x) at the float x, by mpmath at 30 digits
+        (0.0, 0.0),
+        (1e-8, 1.0000000000000000154e-8),
+        (1.0, 0.94608307036718301494),
+        (3.999, 1.7583922814762951401),
+        (4.0, 1.7582031389490530581),
+        (4.001, 1.758013880311059797),
+        (10.0, 1.6583475942188740493),
+        (100.0, 1.5622254668890562934),
+        (1e4, 1.5708915453859619157),
+        (1e8, 1.5707963304287474196),
+        (1e12, 1.5707963267941051729),
+    ])
+    def test_sine_integral(self, x, si):
+        assert math.isclose(_si(x), si, rel_tol=1e-14)
+        assert _si(-x) == -_si(x)
 
     def test_broken_schedule_not_dissipative(self, broken):
         with pytest.raises(NotDissipative):
