@@ -1,7 +1,8 @@
 """Command-line front door: build schedules, run certificates, emit reports.
 
 Exit codes: 0 all requested certificates pass; 2 usage/config errors
-(including escalation exhaustion at build time); 3 certificate failure;
+(including escalation exhaustion at build time and a requested certificate
+the schedule is too short to check); 3 certificate failure;
 4 flow time beyond the built horizon.  ``_EXIT_CODES`` maps every error a
 subcommand raises to its code; a failed certificate exits 3 explicitly.
 """
@@ -48,12 +49,12 @@ from .levelset import (
 from .oracle import oracle_correlation
 from .verify import (
     DensityGrid,
+    carrying_stages,
     check_perturbed_limit,
     check_weak_limits,
     default_pair_family,
     dissipativity_certificate,
     dissipativity_spot_check,
-    dissipativity_windows,
     hitting_report,
     singularity_evidence,
     spectral_density,
@@ -194,7 +195,11 @@ def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
 
     On a perturbed schedule ``all`` skips the exact-quarter singular
     checks, which cannot hold there.  ``ratio`` keeps the kinds whose
-    targets hold it (perturbed checks use the singular targets).
+    targets hold it (perturbed checks use the singular targets).  Every
+    planned (kind, ratio) must be checkable on the built stages, or none
+    runs: singular c needs two certified stages carrying c above the pair
+    family's top stage, dissipative d a window at or above its entry
+    stage, perturbed c one certified stage carrying c.
     """
     if which != "all":
         kinds: tuple[str, ...] = (which,)
@@ -207,55 +212,48 @@ def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
         kind: targets.dissipative if kind == "dissipative" else targets.singular
         for kind in kinds
     }
-    if ratio is None:
-        return plan
-    only = rat(ratio)
-    plan = {kind: (only,) for kind, ratios in plan.items() if only in ratios}
-    if not plan:
-        raise ConfigError(
-            f"{only} is not a {' or '.join(kinds)} target of this schedule"
-        )
+    if ratio is not None:
+        only = rat(ratio)
+        plan = {kind: (only,) for kind, ratios in plan.items() if only in ratios}
+        if not plan:
+            raise ConfigError(
+                f"{only} is not a {' or '.join(kinds)} target of this schedule"
+            )
+    top = max(slab.stage for _, slab in default_pair_family(sched))
+    covers = {
+        "singular": lambda c: len([j for j in carrying_stages(sched, c) if j > top]) >= 2,
+        "dissipative": lambda d: bool(sched.windows_for(d)),
+        "perturbed": lambda c: bool(carrying_stages(sched, c)),
+    }
+    short = [
+        f"{kind} {rat_str(x)}"
+        for kind, ratios in plan.items()
+        for x in ratios
+        if not covers[kind](x)
+    ]
+    if short:
+        raise NoMatchingStages(f"schedule too short to check {', '.join(short)}")
     return plan
 
 
 def _verify_singular(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
     family = default_pair_family(sched)
     reports = []
-    all_pass = True
-    any_checked = False
     for c in ratios:
         passing = []
         for i, (name_a, a) in enumerate(family):
             for name_b, b in family[i:]:
-                try:
-                    rep = check_weak_limits(a, b, c, sched)
-                except NoMatchingStages as exc:
-                    reports.append(
-                        {
-                            "ratio": rat_str(c),
-                            "pair": [name_a, name_b],
-                            "skipped": str(exc),
-                        }
-                    )
-                    continue
-                any_checked = True
-                all_pass = all_pass and rep.passed
+                rep = check_weak_limits(a, b, c, sched)
                 reports.append({**write_block(rep), "pair": [name_a, name_b]})
                 if rep.passed:
                     passing.append((name_a, name_b, rep))
         if passing:
             ev = write_block(singularity_evidence(c, passing))
             _write_json(out_dir / f"evidence_{c.numerator}_{c.denominator}.json", ev)
-    if not any_checked:
-        raise NoMatchingStages("no pair had enough certified stages to check")
     _write_json(out_dir / "weak_limits.json", reports)
-    checked = [r for r in reports if "skipped" not in r]
-    _echo(
-        lines,
-        f"singular: {sum(1 for r in checked if r['passed'])}/{len(checked)} "
-        f"pair checks pass",
-    )
-    for rep in checked:
+    passed = sum(r["passed"] for r in reports)
+    _echo(lines, f"singular: {passed}/{len(reports)} pair checks pass")
+    for rep in reports:
         if not rep["passed"]:
             _echo(lines, f"  FAIL c={rep['ratio']} pair {rep['pair']}")
         else:
@@ -264,7 +262,7 @@ def _verify_singular(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
                 f"from stage {rep['threshold_stage']} "
                 f"(target {rep['target']}, product {rep['product_target']})"
             )
-    return all_pass
+    return passed == len(reports)
 
 
 _WORKER_SCHED: Schedule | None = None
@@ -283,7 +281,7 @@ def _worker_window(task: tuple[Fraction, int]):
 def _verify_dissipative(
     sched, ratios, out_dir: Path, jobs: int, spot: int, seed: int, lines: list[str]
 ) -> bool:
-    tasks = [(d, j) for d in ratios for j in dissipativity_windows(d, sched)]
+    tasks = [(d, j) for d in ratios for j in sched.windows_for(d)]
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only where workers start
@@ -334,34 +332,20 @@ def _verify_perturbed(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
     family = default_pair_family(sched)
     y_name, y = family[0]
     reports = []
-    all_pass = True
     for c in ratios:
-        seen: set = set()
-        for j in sched.certified_windows():
-            if sched.stage(j).ratio != c:
-                continue
-            point = sched.delta_pair(j)
-            if point in seen:
-                continue
-            seen.add(point)
-            rep = check_perturbed_limit(c, point[0], point[1], y, y, sched)
+        for point in dict.fromkeys(map(sched.delta_pair, carrying_stages(sched, c))):
+            rep = check_perturbed_limit(c, *point, y, y, sched)
             reports.append({**write_block(rep), "pair": [y_name, y_name]})
-            all_pass = all_pass and rep.passed
-    if not reports:
-        raise NoMatchingStages("no certified stage carries any net point")
     _write_json(out_dir / "perturbed_limits.json", reports)
-    _echo(
-        lines,
-        f"perturbed: {sum(1 for r in reports if r['passed'])}/{len(reports)} "
-        f"net-point checks pass",
-    )
+    passed = sum(r["passed"] for r in reports)
+    _echo(lines, f"perturbed: {passed}/{len(reports)} net-point checks pass")
     for rep in reports:
         mark = "PASS" if rep["passed"] else "FAIL"
         lines.append(
             f"  {mark} c={rep['ratio']} point {rep['point']} at stages "
             f"{[s['stage'] for s in rep['stages']]}"
         )
-    return all_pass
+    return passed == len(reports)
 
 
 @main.command()

@@ -246,6 +246,8 @@ class GaugeSpec:
                 raise ValueError("table gauge needs values")
             if any(b < a for a, b in zip(self.values, self.values[1:])):
                 raise ValueError("gauge table must be non-decreasing")
+            if self.floor != 16:
+                raise ValueError("a table gauge reads no floor, so it must stay 16/1")
         elif self.values:
             raise ValueError(f"only a table gauge reads values, not kind {self.kind!r}")
 
@@ -275,6 +277,8 @@ class TopSpacerRule:
         object.__setattr__(self, "collide_ratio", rat(self.collide_ratio))
         if self.mode not in ("multiplier", "collide"):
             raise ValueError(f"unknown top-spacer mode {self.mode!r}")
+        if self.mode == "multiplier" and self.collide_ratio != 2:
+            raise ValueError("mode 'multiplier' reads no collide_ratio, so it must stay 2/1")
 
 
 @dataclass(frozen=True)

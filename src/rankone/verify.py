@@ -107,13 +107,22 @@ class WeakLimitReport:
     product_limit_constant: Rat = field(default=Fraction(1, 16), init=False)
 
 
+def carrying_stages(sched, c: Rat, point: tuple[Rat, Rat] | None = None) -> list[int]:
+    """The certified stages carrying ratio c and, if given, net point ``point``."""
+    return [
+        j
+        for j in sched.certified_windows()
+        if sched.stage(j).ratio == c and (point is None or sched.delta_pair(j) == point)
+    ]
+
+
 def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> WeakLimitReport:
     """Verify the quarter-correlation identities for one pair and ratio."""
     c = rat(c)
     if c not in sched.targets.singular:
         raise ValueError(f"{c} is not a singular target of this schedule")
     k = max(a.stage, b.stage)
-    matching = [j for j in sched.certified_windows() if sched.stage(j).ratio == c]
+    matching = carrying_stages(sched, c)
     if len([j for j in matching if j > k]) < 2:
         raise NoMatchingStages(
             f"need at least two certified stages above {k} carrying c={c}"
@@ -338,8 +347,10 @@ class PerturbedLimitReport:
     At each certified stage carrying (c, a, b) the correlation at the
     tower height is compared with a quarter of the correlation of the
     a-translated pair (same for the stretched height and b); the errors
-    must fall below the per-stage boundary-sliver tolerance at the final
-    two matching stages.
+    must fall below the per-stage boundary-sliver tolerance at the last
+    two matching stages.  A point that only one certified stage carries
+    passes on that one stage; on an 8-stage desk schedule with a depth-1
+    net every point is such a point.
     """
 
     ratio: Rat
@@ -371,11 +382,7 @@ def check_perturbed_limit(
         raise ConfigError("schedule was built without perturbations")
     if (a_shift, b_shift) not in sched.perturbation.points():
         raise ValueError(f"({a_shift}, {b_shift}) is not a point of the dyadic net")
-    matching = [
-        j
-        for j in sched.certified_windows()
-        if sched.stage(j).ratio == c and sched.delta_pair(j) == (a_shift, b_shift)
-    ]
+    matching = carrying_stages(sched, c, (a_shift, b_shift))
     if not matching:
         raise NoMatchingStages(
             f"no certified stage carries c={c} with net point "

@@ -44,6 +44,15 @@ def built(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def built_desk(desk, tmp_path_factory):
+    """The 8-stage desk schedule (BASE_CONFIG at 8 stages), whose stages
+    cover every target; ``built`` is too short for the singular ones."""
+    out = tmp_path_factory.mktemp("cli_desk")
+    (out / "schedule.json").write_text(desk.to_json() + "\n")
+    return out
+
+
 class TestBuild:
     def test_writes_schedule_and_log(self, built):
         sched = json.loads((built / "schedule.json").read_text())
@@ -164,6 +173,18 @@ class TestLoaderErrors:
              "policy.gauge: only a table gauge reads values, not kind 'pow2'"),
             ("verify", ("policy", "gauge", "values"), ["2/1"],
              "policy.gauge: only a table gauge reads values, not kind 'pow2'"),
+            ("build", ("policy",), {"gauge": {"kind": "table", "floor": "4/1",
+                                              "values": ["2/1"]}},
+             "policy.gauge: a table gauge reads no floor, so it must stay 16/1"),
+            ("verify", ("policy", "gauge"), {"kind": "table", "floor": "4/1",
+                                             "values": ["2/1"]},
+             "policy.gauge: a table gauge reads no floor, so it must stay 16/1"),
+            ("build", ("policy",), {"top_spacer": {"collide_ratio": "3/1"}},
+             "policy.top_spacer: mode 'multiplier' reads no collide_ratio, so it must "
+             "stay 2/1"),
+            ("verify", ("policy", "top_spacer", "collide_ratio"), "3/1",
+             "policy.top_spacer: mode 'multiplier' reads no collide_ratio, so it must "
+             "stay 2/1"),
             ("build", ("base_width",), "1/0", "base_width: expected a 'p/q' string"),
             ("verify", ("stages", 0, "multiplier"), True,
              "stages[0].multiplier: expected a 'p/q' string"),
@@ -216,6 +237,8 @@ class TestLoaderErrors:
         ],
         ids=["stages-int", "spacer-1/0", "entry-stages-list", "gauge-null",
              "config-gauge-values-untabled", "schedule-gauge-values-untabled",
+             "config-gauge-floor-tabled", "schedule-gauge-floor-tabled",
+             "config-collide-ratio-unread", "schedule-collide-ratio-unread",
              "base-width-1/0", "multiplier-true", "index-true", "top-spacer-true",
              "entry-stage-float", "index-float", "index-string", "max-retries-neg",
              "max-retries-float", "escalation-window-float",
@@ -274,17 +297,18 @@ class TestLoaderErrors:
 
 
 class TestVerify:
-    def test_all_pass_exit_0(self, built):
+    def test_all_pass_exit_0(self, built_desk, tmp_path):
         result = CliRunner().invoke(
-            main, ["verify", "-s", str(built / "schedule.json"), "-o", str(built)]
+            main, ["verify", "-s", str(built_desk / "schedule.json"), "-o", str(tmp_path)]
         )
         assert result.exit_code == 0, result.output
+        assert "singular: 110/110 pair checks pass" in result.output
         assert "PASS" in result.output
-        assert (built / "weak_limits.json").exists()
-        assert (built / "dissipativity.json").exists()
+        assert (tmp_path / "weak_limits.json").exists()
+        assert (tmp_path / "dissipativity.json").exists()
 
-    def test_deterministic_reports(self, built, tmp_path):
-        args = ["verify", "-s", str(built / "schedule.json")]
+    def test_deterministic_reports(self, built_desk, tmp_path):
+        args = ["verify", "-s", str(built_desk / "schedule.json")]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert CliRunner().invoke(main, args + ["-o", str(out1)]).exit_code == 0
         assert CliRunner().invoke(main, args + ["-o", str(out2)]).exit_code == 0
@@ -293,13 +317,15 @@ class TestVerify:
         # every file the run writes, pinned byte for byte
         assert {p.name: sha256(p) for p in out1.iterdir()} == {
             "dissipativity.json":
-                "ea1c25356d49cf99e87fcc10304537a8d1c4fed895d1dd25e7cc5d3cf383d3d6",
+                "177995d7ca3194593c75aa21133fbe096e7a287dfef292a687e710e8589a6d12",
             "evidence_3_2.json":
-                "0169c457695970ec4f456ca4e377903fa026afe9715d3a8a9e1821a56914fead",
+                "d954132b1563a1ead7ae3f2189554861a02d4fc3712bff56756259ab2bbf38c7",
+            "evidence_5_2.json":
+                "7e3520ad508cad2eae988db8964ac649876705e8785d94286cbc0f490dae2615",
             "verify_summary.txt":
-                "4d595423bdcaa33ddfb551139fca72286d3060f8f69658e8c9402cee95e43fda",
+                "1a40e024017ae594f9c24176b1df92787b7bd536e51b43849b3bb8db24194432",
             "weak_limits.json":
-                "ebd3b4cf9f7cb782f87aa500fa78554a54b95b5f50af7245f2a552e6033a83cf",
+                "68ec8659639de40353fe2fe03089f57d29a2958af7f38f6a47e80da3d85f5de2",
         }
 
     def test_broken_schedule_exit_3(self, tmp_path):
@@ -404,16 +430,77 @@ class TestRatioSelection:
          ("3/2", "weak_limits.json", "dissipativity.json")],
         ids=["dissipative", "singular"],
     )
-    def test_all_runs_kinds_holding_ratio(self, built, tmp_path, ratio, written, skipped):
+    def test_all_runs_kinds_holding_ratio(
+        self, built_desk, tmp_path, ratio, written, skipped
+    ):
         result = CliRunner().invoke(
             main,
-            ["verify", "-s", str(built / "schedule.json"), "-o", str(tmp_path),
+            ["verify", "-s", str(built_desk / "schedule.json"), "-o", str(tmp_path),
              "--ratio", ratio],
         )
         assert result.exit_code == 0, result.output
         assert not (tmp_path / skipped).exists()
         report = json.loads((tmp_path / written).read_text())
         assert report and {r["ratio"] for r in report} == {ratio}
+
+
+class TestCoverage:
+    """``verify`` checks every requested (kind, ratio), or it exits 2 before
+    it writes anything and names each one the schedule is too short for."""
+
+    @pytest.mark.parametrize(
+        "extra, which, named",
+        [
+            ({}, "all", ["singular 3/2", "singular 5/2"]),
+            ({}, "dissipative", []),
+            ({"targets": {"entry_stages": {"2/1": 2, "3/1": 5}}}, "all",
+             ["singular 3/2", "singular 5/2", "dissipative 3/1"]),
+            ({"targets": {"entry_stages": {"2/1": 2, "3/1": 5}}}, "dissipative",
+             ["dissipative 3/1"]),
+            ({"stages": 4, "perturbation": {"net_depth": 1}}, "perturbed",
+             ["perturbed 5/2"]),
+            ({"stages": 4, "perturbation": {"net_depth": 1}}, "all",
+             ["dissipative 3/1", "perturbed 5/2"]),
+        ],
+        ids=["6-stages", "6-stages-dissipative", "late-entry", "late-entry-dissipative",
+             "perturbed-4-stages", "perturbed-4-stages-all"],
+    )
+    def test_uncovered_target_exit_2(self, tmp_path, extra, which, named):
+        cfg = write_config(tmp_path, extra)
+        built = tmp_path / "built"
+        assert CliRunner().invoke(
+            main, ["build", "-c", str(cfg), "-o", str(built)]
+        ).exit_code == 0
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main,
+            ["verify", "-s", str(built / "schedule.json"), "-o", str(out),
+             "--which", which],
+        )
+        if not named:
+            assert result.exit_code == 0, result.output
+            return
+        assert result.exit_code == 2, result.output
+        assert f"usage error: schedule too short to check {', '.join(named)}\n" in (
+            result.output
+        )
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+    ids=lambda path: path.stem,
+)
+def test_shipped_config_builds_and_verifies(config, tmp_path):
+    """Every config in ``configs/`` builds and passes ``verify``, except the
+    ``broken`` negative control, whose certificate fails."""
+    result = CliRunner().invoke(main, ["build", "-c", str(config), "-o", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    result = CliRunner().invoke(
+        main, ["verify", "-s", str(tmp_path / "schedule.json"), "-o", str(tmp_path)]
+    )
+    assert result.exit_code == (3 if config.stem == "broken" else 0), result.output
 
 
 @pytest.fixture(scope="module")

@@ -71,7 +71,7 @@ PINNED_EXITS = {
     "policy.max_retries": "2222222220002222222222",
     "policy.top_spacer": "2222222202222222222222",
     "policy.top_spacer.mode": "2222222222222222222222",
-    "policy.top_spacer.collide_ratio": "2222222222222222220002",
+    "policy.top_spacer.collide_ratio": "2222222222222222222022",
     "perturbation": "2022222202222222222222",
     "certify": "0222222222222222222222",
 }
