@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import click
@@ -40,20 +41,15 @@ from .errors import (
     RankOneError,
 )
 from .exactnum import rat, rat_str
-from .levelset import (
-    base_slab,
-    correlation,
-    correlation_profile,
-    find_dissipativity_witness,
-)
+from .levelset import base_slab, correlation, correlation_profile
 from .oracle import oracle_correlation
 from .verify import (
     DensityGrid,
     carrying_stages,
+    check_dissipativity,
     check_perturbed_limit,
     check_weak_limits,
     default_pair_family,
-    dissipativity_certificate,
     dissipativity_spot_check,
     hitting_report,
     singularity_evidence,
@@ -198,8 +194,8 @@ def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
     targets hold it (perturbed checks use the singular targets).  Every
     planned (kind, ratio) must be checkable on the built stages, or none
     runs: singular c needs two certified stages carrying c above the pair
-    family's top stage, dissipative d a window at or above its entry
-    stage, perturbed c one certified stage carrying c.
+    family's top stage, dissipative d a window of ``Schedule.windows_for``,
+    perturbed c one certified stage carrying c.
     """
     if which != "all":
         kinds: tuple[str, ...] = (which,)
@@ -265,37 +261,17 @@ def _verify_singular(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
     return passed == len(reports)
 
 
-_WORKER_SCHED: Schedule | None = None
-
-
-def _worker_init(sched_json: str) -> None:
-    global _WORKER_SCHED
-    _WORKER_SCHED = Schedule.from_json(sched_json)
-
-
-def _worker_window(task: tuple[Fraction, int]):
-    d, j = task
-    return find_dissipativity_witness(_WORKER_SCHED, d, j)
-
-
 def _verify_dissipative(
     sched, ratios, out_dir: Path, jobs: int, spot: int, seed: int, lines: list[str]
 ) -> bool:
-    tasks = [(d, j) for d in ratios for j in sched.windows_for(d)]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(ratios))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only where workers start
 
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(sched.to_json(),)
-        ) as pool:
-            found = dict(zip(tasks, pool.map(_worker_window, tasks)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            certs = list(pool.map(check_dissipativity, ratios, repeat(sched)))
     else:
-        found = {(d, j): find_dissipativity_witness(sched, d, j) for d, j in tasks}
-    certs = [
-        dissipativity_certificate(d, sched, [found[d, j] for j in sched.windows_for(d)])
-        for d in ratios
-    ]
+        certs = list(map(check_dissipativity, ratios, repeat(sched)))
     all_pass = all(cert.passed for cert in certs)
     reports = [write_block(cert) for cert in certs]
     if spot > 0:

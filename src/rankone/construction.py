@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Sequence
 
+from . import levelset
 from .errors import EmptyTargets, EscalationExhausted, StageOutOfRange
 from .exactnum import IntervalSet, Rat, rat, rat_str
 
@@ -204,7 +205,7 @@ class TargetSets:
         for dd, k in self.entry_stages:
             if dd == d:
                 return k
-        raise KeyError(f"{d} is not a dissipative target")
+        raise ValueError(f"{d} is not a dissipative target of this schedule")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TargetSets":
@@ -483,12 +484,23 @@ class Schedule:
         return self.width(j) * self.height(j)
 
     def certified_windows(self) -> list[int]:
-        """Window [h_j, h_{j+1}] is certifiable iff stage j+2 is built."""
+        """The windows [h_j, h_{j+1}] with stage j+2 built; as stages j, the
+        ones the weak and perturbed limits are checked at.  A dissipative
+        ratio's certificate covers those that ``windows_for`` returns."""
         return list(range(1, self.num_stages - 1))
 
     def windows_for(self, d) -> list[int]:
+        """The windows the d-certificate covers: the certified windows at or
+        above d's entry stage whose dilated top d*h_{j+1} the built towers
+        absorb, which the witness search needs."""
+        d = rat(d)
         k = self.targets.entry_stage(d)
-        return [j for j in self.certified_windows() if j >= k]
+        windows = [j for j in self.certified_windows() if j >= k]
+        reach = levelset.horizon(self)
+        # heights grow with j, so the absorbed windows are a prefix
+        while windows and d * self.height(windows[-1] + 1) > reach:
+            windows.pop()
+        return windows
 
     def dissipativity_threshold(self, d) -> Rat:
         """Times above this height are covered by the d-certificate."""
@@ -619,10 +631,10 @@ def build_schedule(
 ) -> Schedule:
     """Build a schedule and certify dissipativity on every covered window.
 
-    For each window [h_j, h_{j+1}] with stage j+2 built and each
-    dissipative ratio d already active there, the exact certificate from
-    the verification layer must produce an empty witness; otherwise the
-    multipliers of every stage feeding the failing certificate are
+    For each dissipative ratio d and each window [h_j, h_{j+1}] of
+    ``Schedule.windows_for(d)``, the exact witness search must find the
+    witness empty; otherwise the multipliers of every stage feeding the
+    first failing window (in window order, then family order) are
     escalated and the schedule is rebuilt, up to the policy's retry
     budget.
     """
@@ -642,8 +654,6 @@ def build_schedule(
     multipliers = {j: policy.start_multiplier(j) for j in range(1, j_max + 1)}
     escalations: list[EscalationEvent] = []
 
-    from . import levelset  # deferred: levelset needs no construction import
-
     retries = 0
     while True:
         stages = _assemble_stages(
@@ -660,20 +670,15 @@ def build_schedule(
         )
         if not certify:
             return sched
-        failure = None
-        for j in sched.certified_windows():
-            for d in targets.dissipative:
-                if targets.entry_stage(d) > j:
-                    continue
-                witness = levelset.find_dissipativity_witness(sched, d, j)
-                if not witness.is_empty():
-                    failure = (j, d, witness)
-                    break
-            if failure:
+        checks = sorted(
+            (j, i, d) for i, d in enumerate(targets.dissipative) for j in sched.windows_for(d)
+        )
+        for j_fail, _, d_fail in checks:
+            witness = levelset.find_dissipativity_witness(sched, d_fail, j_fail)
+            if not witness.is_empty():
                 break
-        if failure is None:
+        else:
             return sched
-        j_fail, d_fail, witness = failure
         if retries >= policy.max_retries:
             raise EscalationExhausted(j_fail, d_fail, witness, retries)
         # A collision on window j can be driven by the multiplier of any

@@ -96,6 +96,13 @@ def min_valid_stage(s: SlabSet, t, sched) -> int:
     return j
 
 
+def horizon(sched) -> Rat:
+    """The largest t for which the built towers absorb a +t translation of
+    the base slab: beyond it ``min_valid_stage(base_slab(sched), t)`` raises."""
+    unit, _, _, room = _lattice(sched)
+    return Fraction(room[-1], unit) - sched.height(1)
+
+
 # --------------------------------------------------------------------------
 # pointwise correlation
 

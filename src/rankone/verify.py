@@ -251,50 +251,32 @@ class DissipativityCertificate:
     passed: bool
 
 
-def dissipativity_windows(d, sched) -> list[int]:
-    """The windows the d-certificate covers; at least one must be built."""
+def check_dissipativity(d, sched) -> DissipativityCertificate:
+    """The d-certificate: the witness of every window of
+    ``sched.windows_for(d)``, of which there must be at least one."""
     d = rat(d)
-    if d not in sched.targets.dissipative:
-        raise ValueError(f"{d} is not a dissipative target of this schedule")
     windows = sched.windows_for(d)
     if not windows:
         raise UncertifiedWindow(
-            f"schedule too short: no certified window for d={d} at or above "
-            f"stage {sched.targets.entry_stage(d)}"
+            f"schedule too short: no window for d={d} at or above stage "
+            f"{sched.targets.entry_stage(d)} whose dilated top the towers absorb"
         )
-    return windows
-
-
-def dissipativity_certificate(
-    d, sched, witnesses: Sequence[IntervalSet]
-) -> DissipativityCertificate:
-    """Assemble the d-certificate from the witnesses of its windows, in order."""
-    d = rat(d)
-    windows = dissipativity_windows(d, sched)
-    verdicts = tuple(
-        WindowVerdict(
+    verdicts = []
+    for j in windows:
+        witness = find_dissipativity_witness(sched, d, j)
+        verdicts.append(WindowVerdict(
             window=j,
             range=(sched.height(j), sched.height(j + 1)),
             empty=witness.is_empty(),
             witness=witness,
-        )
-        for j, witness in zip(windows, witnesses, strict=True)
-    )
+        ))
     return DissipativityCertificate(
         ratio=d,
         entry_stage=sched.targets.entry_stage(d),
         threshold=sched.dissipativity_threshold(d),
-        windows=verdicts,
+        windows=tuple(verdicts),
         passed=all(v.empty for v in verdicts),
     )
-
-
-def check_dissipativity(d, sched) -> DissipativityCertificate:
-    d = rat(d)
-    witnesses = [
-        find_dissipativity_witness(sched, d, j) for j in dissipativity_windows(d, sched)
-    ]
-    return dissipativity_certificate(d, sched, witnesses)
 
 
 def dissipativity_spot_check(
@@ -439,8 +421,10 @@ class SpectralDensitySamples:
     quadratic with exact compact support [-T0, T0]; the density is its
     Fourier transform divided by 2*pi.  The nonzero pieces are exact, each
     in its own coordinate; the only floating step is the final evaluation
-    of each piece's cosine integral.  The compared fields are the keys of
-    ``density.json``; the samples go to the CSV.
+    of each piece's cosine integral.  phi is certified zero from
+    ``support_bound`` through ``certified_zero_through``, the top of the
+    last window the certificate covers.  The compared fields are the keys
+    of ``density.json``; the samples go to the CSV.
     """
 
     ratio: Rat
@@ -596,7 +580,7 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensi
     return SpectralDensitySamples(
         ratio=d,
         support_bound=t0,
-        certified_zero_through=sched.height(sched.num_stages - 1),
+        certified_zero_through=cert.windows[-1].range[1],
         frequencies=freqs,
         density=dens,
         piece_count=piece_count,

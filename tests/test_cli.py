@@ -355,35 +355,35 @@ class TestVerify:
         )
         assert result.exit_code == 2
 
-    def test_jobs_parallel_matches(self, built, tmp_path):
-        out = tmp_path / "parallel"
-        result = CliRunner().invoke(
-            main,
-            ["verify", "-s", str(built / "schedule.json"), "-o", str(out),
-             "--which", "dissipative", "--jobs", "2"],
-        )
-        assert result.exit_code == 0, result.output
-        seq = tmp_path / "sequential"
-        result = CliRunner().invoke(
-            main,
-            ["verify", "-s", str(built / "schedule.json"), "-o", str(seq),
-             "--which", "dissipative", "--jobs", "1"],
-        )
-        assert result.exit_code == 0, result.output
-        assert (seq / "dissipativity.json").read_bytes() == (
-            out / "dissipativity.json"
-        ).read_bytes()
+    def test_jobs_parallel_matches(self, built, broken, tmp_path):
+        """Workers write the same report as one process, also when the
+        certificates fail and their witnesses cross the process boundary."""
+        (tmp_path / "broken.json").write_text(broken.to_json() + "\n")
+        cases = [(built / "schedule.json", 0, None),
+                 (tmp_path / "broken.json", 3,
+                  "99e90e420238131394473b6d9d949a53eba907a426210c45346d74f01ddbc702")]
+        for schedule, code, digest in cases:
+            reports = []
+            for jobs in ("2", "1"):
+                out = tmp_path / f"{schedule.stem}-{jobs}"
+                result = CliRunner().invoke(
+                    main,
+                    ["verify", "-s", str(schedule), "-o", str(out),
+                     "--which", "dissipative", "--jobs", jobs],
+                )
+                assert result.exit_code == code, result.output
+                reports.append((out / "dissipativity.json").read_bytes())
+            assert reports[0] == reports[1]
+            assert digest is None or sha256(out / "dissipativity.json") == digest
 
     def test_jobs_capped_at_task_count(self, built, tmp_path, monkeypatch):
-        from rankone import Schedule, cli
-        from rankone.verify import dissipativity_windows
-
+        """``--jobs 64`` starts one worker per ratio (a stub pool here, so no
+        process starts)."""
         pools = []
 
         class SerialPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 pools.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -391,20 +391,17 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli, "_WORKER_SCHED", None)
         result = CliRunner().invoke(
             main,
             ["verify", "-s", str(built / "schedule.json"), "-o", str(tmp_path),
              "--which", "dissipative", "--jobs", "64"],
         )
         assert result.exit_code == 0, result.output
-        sched = Schedule.from_json((built / "schedule.json").read_text())
-        tasks = sum(len(dissipativity_windows(d, sched)) for d in sched.targets.dissipative)
-        assert pools == [tasks]
+        assert pools == [2]  # the dissipative targets 2/1 and 3/1
 
     def test_missing_schedule_exit_2(self, tmp_path):
         result = CliRunner().invoke(
@@ -485,6 +482,33 @@ class TestCoverage:
             result.output
         )
         assert not out.exists()
+
+
+class TestLargeRatio:
+    """A dissipative ratio so large that the dilated tops of the last certified
+    windows pass what the built towers absorb: its certificate covers only the
+    windows below, and the density is certified zero through their top."""
+
+    @pytest.mark.parametrize("certify", [True, False], ids=["certify", "no-certify"])
+    def test_build_verify_density_exit_0(self, tmp_path, certify):
+        from rankone import Schedule
+
+        cfg = write_config(tmp_path, {"targets": {"dissipative": ["2/1", "100000/1"]},
+                                      "stages": 8, "certify": certify})
+        out = tmp_path / "out"
+        schedule = str(out / "schedule.json")
+        for argv in (["build", "-c", str(cfg)],
+                     ["verify", "-s", schedule],
+                     ["density", "-s", schedule, "--ratio", "100000/1",
+                      "--samples", "3", "--s-max", "1"]):
+            result = CliRunner().invoke(main, [*argv, "-o", str(out)])
+            assert result.exit_code == 0, result.output
+        report = json.loads((out / "dissipativity.json").read_text())
+        windows = {r["ratio"]: [w["window"] for w in r["windows"]] for r in report}
+        assert windows == {"2/1": [2, 3, 4, 5, 6], "100000/1": [3, 4, 5]}
+        h6 = Schedule.from_json(Path(schedule).read_text()).height(6)
+        density = json.loads((out / "density.json").read_text())
+        assert density["certified_zero_through"] == f"{h6.numerator}/{h6.denominator}"
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from rankone import (
 )
 from rankone.cli import load_config, schedule_from_config
 from rankone.construction import write_block
+from rankone.levelset import find_dissipativity_witness
 from rankone.verify import (
     DensityGrid,
     _si,
@@ -127,6 +128,23 @@ class TestDissipativity:
     def test_foreign_ratio_rejected(self, desk):
         with pytest.raises(ValueError):
             check_dissipativity(F(7, 2), desk)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sched, d: sched.windows_for(d),
+            lambda sched, d: sched.dissipativity_threshold(d),
+            lambda sched, d: find_dissipativity_witness(sched, d, 3),
+            lambda sched, d: dissipativity_spot_check(d, sched, 1, random.Random(0)),
+        ],
+        ids=["windows_for", "dissipativity_threshold", "find_dissipativity_witness",
+             "dissipativity_spot_check"],
+    )
+    def test_foreign_ratio_value_error(self, desk, call):
+        """A ratio outside the dissipative family is a usage error (exit 2 at
+        the command line), whichever call meets it first."""
+        with pytest.raises(ValueError, match="7/2 is not a dissipative target"):
+            call(desk, F(7, 2))
 
     def test_uncertified_window(self):
         from rankone import TargetSets, build_schedule
@@ -353,8 +371,6 @@ class TestHittingReport:
     [
         "check_weak_limits",
         "singularity_evidence",
-        "dissipativity_windows",
-        "dissipativity_certificate",
         "check_dissipativity",
         "dissipativity_spot_check",
         "perturbation_tolerance",
