@@ -14,7 +14,9 @@ the verification layer needs reduces to three exact computations:
   enumerating the per-stage column-offset difference patterns that can
   land in the window (a pruned DFS over the stage structure) and sweeping
   the resulting trapezoid slope events; hitting sets skip the sweep and
-  merge the trapezoids' supports;
+  merge the trapezoids' supports, enumerated one stage short: the pair
+  stage's supports merge once into a template, shifted by every partial
+  sum of the stages above;
 * an empty-intersection witness search for pairs (t, d*t), run as a
   paired DFS over two pattern stacks so the huge hitting sets of top-level
   windows never have to be materialized.
@@ -22,12 +24,12 @@ the verification layer needs reduces to three exact computations:
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import HorizonExceeded, StageOutOfRange
@@ -119,7 +121,7 @@ def correlation(a: SlabSet, b: SlabSet, t, sched) -> Rat:
     t = rat(t)
     if t < 0:
         return correlation(b, a, -t, sched)
-    j, scale, t_s, _, las, lbs, patterns = _lattice_window(a, b, t, t, sched)
+    j, _, scale, t_s, _, las, lbs, patterns = _lattice_window(a, b, t, t, sched)
     total = 0
     for delta, m in patterns.items():
         shift = t_s - delta
@@ -164,8 +166,18 @@ class PiecewiseLinear:
 
 
 def _merge_runs(pieces: Iterable[tuple], lo, hi) -> list[tuple]:
-    """``merge_sorted(pieces)`` clipped to [lo, hi)."""
-    return [(max(a, lo), min(b, hi)) for a, b in merge_sorted(pieces) if a < hi and lo < b]
+    """``merge_sorted(pieces)`` clipped to [lo, hi): every run clipped, the
+    empty ones dropped.  The runs are sorted and disjoint, so two bisections
+    find those that meet the window and only the outer two need clipping."""
+    if lo >= hi:
+        return []
+    runs = merge_sorted(pieces)
+    first = bisect_right(runs, lo, key=itemgetter(1))  # the first run ending after lo
+    runs = runs[first:bisect_left(runs, hi, key=itemgetter(0))]
+    if runs:
+        runs[0] = (max(runs[0][0], lo), runs[0][1])
+        runs[-1] = (runs[-1][0], min(runs[-1][1], hi))
+    return runs
 
 
 def _lattice_set(unit: int, runs: list[tuple]) -> IntervalSet:
@@ -244,23 +256,26 @@ def _window(window) -> tuple[Rat, Rat]:
     return w_lo, w_hi
 
 
-def _lattice_window(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
-    """The pair's stage j, a lattice scale clearing the window and the
-    pair's base intervals (at pair stage k), the scaled window ends and base
-    intervals, and the pattern sums {delta: copy pairs} within one base
-    height of the window.  The ends satisfy 0 <= w_lo <= w_hi; a pointwise
+def _lattice_window(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched, skip: int = 0):
+    """The pair's stage j and stage k, a lattice scale clearing the window
+    and the pair's base intervals (at stage k), the scaled window ends and
+    base intervals, and the pattern sums {delta: copy pairs} over stages
+    k+skip..j-1 within one base height of the window, widened by the reach
+    of the skipped stages.  The ends satisfy 0 <= w_lo <= w_hi; a pointwise
     query is the window [t, t]."""
     j = max(min_valid_stage(a, w_hi, sched), b.stage)
     k = max(a.stage, b.stage)
     la = _levels_at(sched, a, k)
     lb = _levels_at(sched, b, k)
     ends = [w_lo, w_hi] + [x for iv in la + lb for x in iv]
-    scale = lcm(_lattice(sched)[0], denominator_lcm(ends))
+    unit, _, reach, _ = _lattice(sched)
+    scale = lcm(unit, denominator_lcm(ends))
     las, lbs = ([(int(lo * scale), int(hi * scale)) for lo, hi in iv] for iv in (la, lb))
     w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
-    pad = int(sched.height(k) * scale)
-    patterns = _pattern_sums(sched, k, j, scale, w_lo_s - pad, w_hi_s + pad)
-    return j, scale, w_lo_s, w_hi_s, las, lbs, patterns
+    low = min(k + skip, j)
+    pad = int(sched.height(k) * scale) + scale // unit * (reach[low - 1] - reach[k - 1])
+    patterns = _pattern_sums(sched, low, j, scale, w_lo_s - pad, w_hi_s + pad)
+    return j, k, scale, w_lo_s, w_hi_s, las, lbs, patterns
 
 
 def _lattice_profile(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
@@ -271,7 +286,7 @@ def _lattice_profile(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
     the measure width(j) * v / scale.  Copies are grouped by pattern, so the
     work scales with the patterns near the window, not with the copy count.
     """
-    j, scale, w_lo_s, w_hi_s, las, lbs, patterns = _lattice_window(a, b, w_lo, w_hi, sched)
+    j, _, scale, w_lo_s, w_hi_s, las, lbs, patterns = _lattice_window(a, b, w_lo, w_hi, sched)
 
     # slope changes of the summed trapezoids; the window ends join as
     # zero changes so that the sweep below passes them
@@ -323,14 +338,24 @@ def correlation_profile(a: SlabSet, b: SlabSet, window, sched) -> PiecewiseLinea
 
 def _hitting_runs(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
     """The lattice scale and the integer runs [lo, hi) of ``hitting_set``
-    on [w_lo, w_hi]: for one base-interval pair the supports share one
-    width, so over sorted pattern sums they come sorted, and the pairs'
-    streams merge."""
-    _, scale, lo, hi, las, lbs, patterns = _lattice_window(a, b, w_lo, w_hi, sched)
-    deltas = sorted(patterns)
-    widths = {(qlo - phi, qhi - plo) for plo, phi in las for qlo, qhi in lbs}
-    streams = (zip(map(c1.__add__, deltas), map(c4.__add__, deltas)) for c1, c4 in widths)
-    return scale, _merge_runs(heapq.merge(*streams), lo, hi)
+    on [w_lo, w_hi].
+
+    The set is the union of the supports (p + v + c1, p + v + c4), with
+    c1 = qlo - phi and c4 = qhi - plo for base intervals [plo, phi) of a
+    and [qlo, qhi) of b, over every pattern sum p + v: p a partial sum over
+    stages k+1..j-1 and v an offset difference of the pair stage k (only 0
+    when k == j).  That is the union over the partials p of p + C, where the
+    template C merges the supports (v + c1, v + c4): the DFS stops one stage
+    early, and over sorted partials the shifted templates come nearly
+    sorted."""
+    j, k, scale, lo, hi, las, lbs, partials = _lattice_window(a, b, w_lo, w_hi, sched, 1)
+    unit, diffs, _, _ = _lattice(sched)
+    vs = [scale // unit * v for v, _ in diffs[k]] if k < j else [0]
+    template = merge_sorted(sorted(
+        (v + qlo - phi, v + qhi - plo) for v in vs for plo, phi in las for qlo, qhi in lbs
+    ))
+    runs = sorted([(p + c1, p + c4) for p in sorted(partials) for c1, c4 in template])
+    return scale, _merge_runs(runs, lo, hi)
 
 
 def hitting_set(a: SlabSet, b: SlabSet, window, sched) -> IntervalSet:

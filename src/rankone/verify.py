@@ -632,7 +632,7 @@ def annotate_landmark(terms: tuple[tuple[str, int, int], ...], tn: int, td: int)
 def hitting_report(sched, j: int) -> str:
     """Exact hitting intervals on window [h_j, h_{j+1}] with landmark
     annotations, as the report's text: that of ``json.dumps(..., indent=2,
-    sort_keys=True)`` and a newline, written in one pass from the runs."""
+    sort_keys=True)`` and a newline, formatted from the runs and joined once."""
     y = base_slab(sched)
     window = (sched.height(j), sched.height(j + 1))
     scale, runs = _hitting_runs(y, y, *window, sched)
@@ -642,13 +642,14 @@ def hitting_report(sched, j: int) -> str:
         g = math.gcd(n, scale)
         return f"{n // g}/{scale // g}"
 
-    entry = ('    {\n      "interval": [\n        "%s",\n        "%s"\n      ],\n'
+    entry = (',\n    {\n      "interval": [\n        "%s",\n        "%s"\n      ],\n'
              '      "landmark": "%s"\n    }')
-    entries = ",\n".join(
-        entry % (frac(lo), frac(hi), annotate_landmark(terms, lo + hi, 2 * scale))
-        for lo, hi in runs
-    )
-    intervals = f"[\n{entries}\n  ]" if runs else "[]"
+    parts = ['{\n  "intervals": [']
+    parts += (entry % (frac(lo), frac(hi), annotate_landmark(terms, lo + hi, 2 * scale))
+              for lo, hi in runs)
+    if runs:
+        parts[1] = parts[1][1:]  # the first entry follows no comma
     w_lo, w_hi = map(rat_str, window)
-    return (f'{{\n  "intervals": {intervals},\n  "range": [\n    "{w_lo}",\n    "{w_hi}"\n'
-            f'  ],\n  "window": {j}\n}}\n')
+    parts.append(("\n  ]" if runs else "]") + f',\n  "range": [\n    "{w_lo}",\n    "{w_hi}"\n'
+                 f'  ],\n  "window": {j}\n}}\n')
+    return "".join(parts)

@@ -603,6 +603,19 @@ class TestArtifacts:
         assert "not built" in result.output
         assert not list(out.glob("profile.*"))
 
+    def test_profile_window_past_horizon_writes_nothing(self, built_desk, tmp_path):
+        """Window 7 of the 8-stage desk ends at h_8, which no built tower
+        absorbs: the report is refused before anything is written."""
+        out = tmp_path / "prof"
+        result = CliRunner().invoke(
+            main,
+            ["profile", "-s", str(built_desk / "schedule.json"), "-o", str(out),
+             "--window", "7"],
+        )
+        assert result.exit_code == 4, result.output
+        assert "horizon exceeded" in result.output
+        assert not list(out.glob("profile.*")) and not list(out.glob("hitting_window_*"))
+
     def test_density_csv_and_mass(self, built, tmp_path):
         out = tmp_path / "dens"
         result = CliRunner().invoke(

@@ -27,6 +27,7 @@ from rankone import (
 from rankone import levelset
 from rankone.cli import load_config, schedule_from_config
 from rankone.construction import Schedule
+from rankone.exactnum import merge_sorted
 from rankone.levelset import PiecewiseLinear, find_dissipativity_witness
 from rankone.verify import (
     annotate_landmark,
@@ -471,6 +472,10 @@ class TestHittingSetAgainstSupport:
         "broken", "stage2_quarters02", "stage2_quarters02", (F(0), F(11025, 4))))
     @example(data=None, case=(  # eight base intervals of a against two of b
         "desk", "stage1_quarters02", "stage2_quarters02", (F(1, 3), F(305809, 4))))
+    @example(data=None, case=(  # pair stage k == j: no stage to enumerate
+        "desk", "stage1_quarter0", "stage2_half0", (F(0), F(1, 2))))
+    @example(data=None, case=(  # k + 1 == j: the template alone, partials {0}
+        "desk", "stage1_full", "stage1_full", (F(0), F(1))))
     @settings(max_examples=80, deadline=None)
     def test_hitting_set_equals_profile_support(self, desk, broken, deep16, data, case):
         scheds = {"desk": desk, "broken": broken, "deep16": deep16}
@@ -503,6 +508,30 @@ class TestHittingSetAgainstSupport:
             (F(1, 2), F(2)): ((F(3, 4), F(7, 4)),),
             (F(3, 8), F(5, 8)): (),
         }
+
+    def test_fold_cases_have_their_stages(self, desk):
+        """The pair stage k and stage j of the two template edge cases above."""
+        fam = dict(default_pair_family(desk))
+        cases = [("stage1_quarter0", "stage2_half0", (F(0), F(1, 2))),
+                 ("stage1_full", "stage1_full", (F(0), F(1)))]
+        stages = [levelset._lattice_window(fam[a], fam[b], *w, desk)[:2] for a, b, w in cases]
+        assert stages == [(2, 2), (2, 1)]
+
+    def test_hitting_report_stops_one_stage_early(self, broken, monkeypatch):
+        """The report enumerates the partial sums above the pair stage only:
+        on broken window 5 that is 26,365 sums, where the full sums over
+        every stage down to the pair stage number 342,735."""
+        returned = []
+        pattern_sums = levelset._pattern_sums
+
+        def counted(*args):
+            sums = pattern_sums(*args)
+            returned.append(len(sums))
+            return sums
+
+        monkeypatch.setattr(levelset, "_pattern_sums", counted)
+        assert hitting_report(broken, 5)
+        assert 0 < sum(returned) <= 26_365
 
     def test_hitting_path_builds_no_profile(self, broken, monkeypatch):
         """The hitting set and report never fall back to the profile sweep."""
@@ -545,6 +574,27 @@ class TestHittingSetAgainstSupport:
         assert json.loads(hitting_report(broken, 4))["intervals"]
         with pytest.raises(AssertionError, match="Fraction per endpoint"):
             find_dissipativity_witness(broken, 2, 4)  # the patch is in effect
+
+
+class TestMergeRuns:
+    """``_merge_runs`` against its definition: every run of ``merge_sorted``
+    clipped to [lo, hi), the empty ones dropped."""
+
+    @given(
+        spans=st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 8)), max_size=12),
+        lo=st.integers(-25, 25),
+        width=st.integers(-3, 30),
+    )
+    @example(spans=[], lo=0, width=5)  # empty input
+    @example(spans=[(-4, 6), (5, 4)], lo=2, width=3)  # runs end at lo, start at hi
+    @example(spans=[(-4, 6), (5, 4)], lo=0, width=8)  # two runs, both clipped
+    @example(spans=[(-4, 24)], lo=0, width=5)  # one run straddles both ends
+    @example(spans=[(-4, 24)], lo=5, width=-2)  # hi < lo: nothing
+    def test_clips_merged_runs(self, spans, lo, width):
+        pieces = sorted((a, a + n) for a, n in spans)
+        hi = lo + width
+        clipped = [(max(a, lo), min(b, hi)) for a, b in merge_sorted(pieces)]
+        assert levelset._merge_runs(pieces, lo, hi) == [(a, b) for a, b in clipped if a < b]
 
 
 class TestLandmarkLabels:
