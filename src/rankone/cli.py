@@ -405,12 +405,11 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
 @click.option("--ratio", "-d", default="2/1")
 @click.option("--s-max", default=DensityGrid.s_max, type=float)
 @click.option("--samples", default=DensityGrid.samples, type=int)
-@click.option("--mass-s", default=DensityGrid.mass_s, type=float)
-def density(schedule, out, ratio, s_max, samples, mass_s):
+def density(schedule, out, ratio, s_max, samples):
     """Spectral-density samples for a dissipative ratio (CSV + summary)."""
     out_dir = Path(out)
     sched = _load_schedule(schedule)
-    grid = DensityGrid(s_max=s_max, samples=samples, mass_s=mass_s)
+    grid = DensityGrid(s_max=s_max, samples=samples)
     dens = spectral_density(rat(ratio), sched, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["s,density"]

@@ -92,6 +92,14 @@ def read_list(value, item=read_rat) -> tuple:
     return tuple(_at(i, item, v) for i, v in enumerate(value))
 
 
+def read_interval_set(value) -> IntervalSet:
+    """An interval set as ``to_pairs`` writes it: canonical [lo, hi) pairs."""
+    pairs = read_list(value, read_list)
+    if (out := IntervalSet(pairs)).intervals != pairs:
+        raise ValueError(f"expected ascending, disjoint [lo, hi) pairs, got {value!r}")
+    return out
+
+
 def read_object(value, readers=None) -> dict:
     """An object of a document; given ``readers``, with exactly their keys,
     each value read by its reader."""
@@ -410,7 +418,7 @@ class EscalationEvent:
             cls,
             d,
             window=read_int,
-            witness=lambda w: IntervalSet(read_list(w, read_list)),
+            witness=read_interval_set,
             escalated_stages=lambda s: read_list(s, read_int),
         )
 

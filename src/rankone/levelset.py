@@ -7,9 +7,9 @@ first tower that absorbs a translation is a bisection on it, and every
 time query below opens one window on it (``_lattice_window``).  Everything
 the verification layer needs reduces to three exact computations:
 
-* pointwise correlations mu(T_t A /\\ B), the zero-width window [t, t]:
-  the offset-difference patterns within one base height of t weight the
-  overlaps of the pair's base intervals (no sweep, no float prefilter);
+* pointwise correlations mu(T_t A /\\ B): the zero-width window [t, t] of
+  the profile sweep below, which only the copy-pair trapezoids positive
+  at t enter (no float prefilter);
 * exact piecewise-linear correlation profiles over a window, obtained by
   enumerating the per-stage column-offset difference patterns that can
   land in the window (a pruned DFS over the stage structure) and sweeping
@@ -103,34 +103,6 @@ def horizon(sched) -> Rat:
     the base slab: beyond it ``min_valid_stage(base_slab(sched), t)`` raises."""
     unit, _, _, room = _lattice(sched)
     return Fraction(room[-1], unit) - sched.height(1)
-
-
-# --------------------------------------------------------------------------
-# pointwise correlation
-
-
-def correlation(a: SlabSet, b: SlabSet, t, sched) -> Rat:
-    """Exact mu(T_t A /\\ B); negative t by the symmetry with (B, A, -t).
-
-    In tower j the refined copies of A and B sit at column offsets P and Q
-    above the pair stage k, and a copy pair overlaps as its base intervals
-    shifted by t - (Q - P).  Grouping the pairs by the pattern sum Q - P
-    (only those within one base height of t can overlap) turns the measure
-    into an integer sum over the base-interval pairs at stage k.
-    """
-    t = rat(t)
-    if t < 0:
-        return correlation(b, a, -t, sched)
-    j, _, scale, t_s, _, las, lbs, patterns = _lattice_window(a, b, t, t, sched)
-    total = 0
-    for delta, m in patterns.items():
-        shift = t_s - delta
-        for plo, phi in las:
-            for qlo, qhi in lbs:
-                overlap = min(phi + shift, qhi) - max(plo + shift, qlo)
-                if overlap > 0:
-                    total += m * overlap
-    return sched.width(j) * Fraction(total, scale)
 
 
 # --------------------------------------------------------------------------
@@ -334,6 +306,20 @@ def correlation_profile(a: SlabSet, b: SlabSet, window, sched) -> PiecewiseLinea
         breakpoints=tuple(Fraction(t, scale) for t in bps),
         values=tuple(v * unit for v in vals),
     )
+
+
+def correlation(a: SlabSet, b: SlabSet, t, sched) -> Rat:
+    """Exact mu(T_t A /\\ B); negative t by the symmetry with (B, A, -t).
+
+    The profile sweep's zero-width window [t, t]: only the copy-pair
+    trapezoids whose open support holds t enter, and the sweep's value at t
+    is their sum.
+    """
+    t = rat(t)
+    if t < 0:
+        return correlation(b, a, -t, sched)
+    j, scale, _, (value,) = _lattice_profile(a, b, t, t, sched)
+    return sched.width(j) * Fraction(value, scale)
 
 
 def _hitting_runs(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):

@@ -402,15 +402,16 @@ def check_perturbed_limit(
 
 @dataclass(frozen=True)
 class DensityGrid:
+    """The sampled frequencies; the mass check's range follows the ratio."""
+
     s_max: float = 200.0
     samples: int = 8001
-    mass_s: float = 4000.0
 
     def __post_init__(self):
         if self.samples < 3 or self.samples % 2 == 0:
             raise ValueError("samples must be an odd count >= 3")
-        if not all(math.isfinite(x) and x > 0 for x in (self.s_max, self.mass_s)):
-            raise ValueError("grid bounds must be finite and positive")
+        if not (math.isfinite(self.s_max) and self.s_max > 0):
+            raise ValueError("s_max must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -423,8 +424,9 @@ class SpectralDensitySamples:
     in its own coordinate; the only floating step is the final evaluation
     of each piece's cosine integral.  phi is certified zero from
     ``support_bound`` through ``certified_zero_through``, the top of the
-    last window the certificate covers.  The compared fields are the keys
-    of ``density.json``; the samples go to the CSV.
+    last window the certificate covers.  The closed-form mass over
+    [-S, S], S = ``mass_range_s`` = 2000 d, should be phi(0).  The compared
+    fields are the keys of ``density.json``; the samples go to the CSV.
     """
 
     ratio: Rat
@@ -564,8 +566,9 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensi
     )
 
     # closed-form mass over [-S, S]: (2/pi) int phi(t) sin(S t)/t dt, with
-    # phi = k0 + k1 t + k2 t^2 on each piece [a, b]
-    s_mass = grid.mass_s
+    # phi = k0 + k1 t + k2 t^2 on each piece [a, b].  The slopes of rho(d t)
+    # scale with d, so the mass beyond S is about d/S: S follows d
+    s_mass = float(2000 * d)
     mass = 0.0
     for a, L, c0, c1, c2 in pieces:
         af, bf = float(a), float(a + L)

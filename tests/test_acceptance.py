@@ -321,7 +321,7 @@ def test_criterion_7_structural_invariants(desk):
 
 
 def test_criterion_8_spectral_density(desk):
-    grid = DensityGrid(s_max=200.0, samples=8001, mass_s=4000.0)
+    grid = DensityGrid(s_max=200.0, samples=8001)
     dens = spectral_density(F(2), desk, grid)
     assert dens.phi_at_zero == 1  # mu(Y)^2 for the desk configuration
     nonneg = dens.min_density >= -1e-6
@@ -332,6 +332,6 @@ def test_criterion_8_spectral_density(desk):
         8,
         ok,
         f"density for d=2: min sample {dens.min_density:.2e} >= -1e-6, "
-        f"symmetric, mass over [-{grid.mass_s:.0f}, {grid.mass_s:.0f}] = "
+        f"symmetric, mass over [-{dens.mass_range_s:.0f}, {dens.mass_range_s:.0f}] = "
         f"{dens.mass_range_value:.6f} within 1% of mu(Y)^2 = 1",
     )

@@ -206,6 +206,11 @@ class TestLoaderErrors:
              "escalations[0].window: expected an integer"),
             ("verify", ("escalations",), [dict(ESCALATION, escalated_stages=["x"])],
              "escalations[0].escalated_stages[0]: expected an integer"),
+            ("verify", ("escalations",), [dict(ESCALATION, witness=[["3/1", "1/1"]])],
+             "escalations[0].witness: expected ascending, disjoint [lo, hi) pairs"),
+            ("verify", ("escalations",),
+             [dict(ESCALATION, witness=[["5/1", "6/1"], ["5/1", "7/1"]])],
+             "escalations[0].witness: expected ascending, disjoint [lo, hi) pairs"),
             ("verify", ("bogus",), 1, "schedule.json: unknown keys ['bogus']"),
             ("verify", ("stages", 0, "bogus"), 1, "stages[0]: unknown keys ['bogus']"),
             ("build", ("targets", "entry_stages"), {"2/1": 2, "4/2": 5, "3/1": 3},
@@ -242,7 +247,8 @@ class TestLoaderErrors:
              "base-width-1/0", "multiplier-true", "index-true", "top-spacer-true",
              "entry-stage-float", "index-float", "index-string", "max-retries-neg",
              "max-retries-float", "escalation-window-float",
-             "escalated-stages-string", "unknown-top-key", "unknown-stage-key",
+             "escalated-stages-string", "witness-inverted", "witness-overlapping",
+             "unknown-top-key", "unknown-stage-key",
              "config-ratio-twice", "schedule-ratio-twice", "config-key-twice",
              "schedule-key-twice", "config-nested-key-twice",
              "schedule-nested-key-twice", "schedule-entry-stage-twice",
@@ -509,6 +515,9 @@ class TestLargeRatio:
         h6 = Schedule.from_json(Path(schedule).read_text()).height(6)
         density = json.loads((out / "density.json").read_text())
         assert density["certified_zero_through"] == f"{h6.numerator}/{h6.denominator}"
+        # the mass range follows the ratio: 2000 * 100000
+        assert density["mass_range_s"] == 200000000.0
+        assert abs(density["mass_range_value"] - 1) < 0.01
 
 
 @pytest.mark.parametrize(

@@ -369,6 +369,24 @@ class TestProfile:
                     t = w[0] + (w[1] - w[0]) * F(rng.randrange(2**10), 2**10)
                     assert prof.value_at(t) == correlation(a, b, t, desk)
 
+    def test_agrees_with_refinement(self, desk):
+        # correlation runs the profile's own sweep at [t, t], so only this
+        # engine-independent reference checks the sweep at its breakpoints
+        # and between them; the private copy keeps its refinements apart
+        sched = Schedule.from_json(desk.to_json())
+        reference = TestLatticeAgainstRefinement.reference
+        rng = random.Random(11)
+        fam = default_pair_family(sched)
+        for w in [(F(0), sched.height(2)), (sched.height(2), sched.height(3))]:
+            for _ in range(3):
+                _, a = fam[rng.randrange(len(fam))]
+                _, b = fam[rng.randrange(len(fam))]
+                prof = correlation_profile(a, b, w, sched)
+                bps = prof.breakpoints
+                times = list(bps) + [(t0 + t1) / 2 for t0, t1 in zip(bps, bps[1:])]
+                for t in rng.sample(times, min(len(times), 20)):
+                    assert prof.value_at(t) == reference(a, b, t, sched)
+
     def test_empty_window(self, desk):
         y = base_slab(desk)
         prof = correlation_profile(y, y, (F(7, 2), 16), desk)

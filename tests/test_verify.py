@@ -253,7 +253,7 @@ class TestPerturbedLimits:
 
 class TestSpectralDensity:
     def test_density_for_two(self, desk):
-        grid = DensityGrid(s_max=120.0, samples=4001, mass_s=4000.0)
+        grid = DensityGrid(s_max=120.0, samples=4001)
         dens = spectral_density(F(2), desk, grid)
         assert dens.support_bound == desk.height(2)
         mid = len(dens.density) // 2
@@ -266,7 +266,7 @@ class TestSpectralDensity:
     def test_density_for_three(self, desk):
         # second dissipative ratio: support bound is the stage-3 height
         dens = spectral_density(
-            F(3), desk, DensityGrid(s_max=50.0, samples=1001, mass_s=2000.0)
+            F(3), desk, DensityGrid(s_max=50.0, samples=1001)
         )
         assert dens.support_bound == desk.height(3)
         assert dens.min_density >= -1e-6
