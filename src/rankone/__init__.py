@@ -10,7 +10,6 @@ from .construction import (
     TopSpacerRule,
     build_schedule,
     enumerate_ratios,
-    perturbation_schedule,
 )
 from .errors import (
     ConfigError,
@@ -21,7 +20,6 @@ from .errors import (
     NotDissipative,
     RankOneError,
     StageOutOfRange,
-    UncertifiedWindow,
 )
 from .exactnum import IntervalSet, Rat, rat, rat_str
 from .levelset import (

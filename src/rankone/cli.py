@@ -24,7 +24,6 @@ from .construction import (
     StagePolicy,
     TargetSets,
     build_schedule,
-    int_digit_limit,
     read_bool,
     read_int,
     read_json,
@@ -101,15 +100,7 @@ def schedule_from_config(cfg: dict) -> Schedule:
         ))
     except _MALFORMED as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    sched = build_schedule(j_max=args.pop("stages"), **args)
-    limit = int_digit_limit()
-    bound = 10**limit
-    for st in sched.stages if limit else ():
-        nums = (st.height, st.width, st.multiplier, *st.spacers, *st.offsets)
-        if any(max(abs(x.numerator), x.denominator) >= bound for x in nums):
-            raise ConfigError(f"invalid config: stage {st.index} has a number of more "
-                              f"than {limit} digits, which no schedule document holds")
-    return sched
+    return build_schedule(j_max=args.pop("stages"), **args)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -190,12 +181,13 @@ def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
     """The certificate kinds ``verify`` runs, each with the ratios it checks.
 
     On a perturbed schedule ``all`` skips the exact-quarter singular
-    checks, which cannot hold there.  ``ratio`` keeps the kinds whose
-    targets hold it (perturbed checks use the singular targets).  Every
-    planned (kind, ratio) must be checkable on the built stages, or none
-    runs: singular c needs two certified stages carrying c above the pair
-    family's top stage, dissipative d a window of ``Schedule.windows_for``,
-    perturbed c one certified stage carrying c.
+    checks, which cannot hold there; a kind requested by name must have
+    targets.  ``ratio`` keeps the kinds whose targets hold it (perturbed
+    checks use the singular targets).  Every planned (kind, ratio) must be
+    checkable on the built stages, or none runs: singular c needs two
+    certified stages carrying c above the pair family's top stage,
+    dissipative d a window of ``Schedule.windows_for``, perturbed c one
+    certified stage carrying c.
     """
     if which != "all":
         kinds: tuple[str, ...] = (which,)
@@ -208,6 +200,8 @@ def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
         kind: targets.dissipative if kind == "dissipative" else targets.singular
         for kind in kinds
     }
+    if which != "all" and not plan[which]:
+        raise ConfigError(f"this schedule has no {which} targets")
     if ratio is not None:
         only = rat(ratio)
         plan = {kind: (only,) for kind, ratios in plan.items() if only in ratios}

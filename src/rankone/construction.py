@@ -65,9 +65,11 @@ def read_rat(value) -> Rat:
 def _too_long(*digits: str) -> str:
     """Why a number of these digit strings is refused, or '' if none is."""
     limit = int_digit_limit()
-    if limit and max(map(len, digits)) > limit:
-        return f"a number of more than {limit} digits, which no schedule document holds"
-    return ""
+    return _past_limit(limit) if limit and max(map(len, digits)) > limit else ""
+
+
+def _past_limit(limit: int) -> str:
+    return f"a number of more than {limit} digits, which no schedule document holds"
 
 
 def _at(key, read, value):
@@ -544,7 +546,7 @@ class Schedule:
 
 
 # --------------------------------------------------------------------------
-# ratio enumeration and perturbation assignment
+# ratio enumeration
 
 
 def enumerate_ratios(values: Sequence[Rat], j_max: int) -> tuple[Rat, ...]:
@@ -565,27 +567,6 @@ def enumerate_ratios(values: Sequence[Rat], j_max: int) -> tuple[Rat, ...]:
     return tuple(out[:j_max])
 
 
-def perturbation_schedule(
-    values: Sequence[Rat], j_max: int, net_depth: int
-) -> dict[int, tuple[Rat, Rat]]:
-    """Per-stage (delta1, delta3) pairs cycling through a dyadic net.
-
-    The stages carrying each ratio walk the net {0, 1/2^n, ..., 1}^2 in
-    row-major order, so in the infinite ideal the pairs assigned to any
-    fixed ratio are dense in the unit square at the requested depth.
-    """
-    spec = PerturbationSpec(net_depth=net_depth)
-    net = spec.points()
-    ratios = enumerate_ratios(values, j_max)
-    counters: dict[Rat, int] = {}
-    out: dict[int, tuple[Rat, Rat]] = {}
-    for j, c in enumerate(ratios, start=1):
-        i = counters.get(c, 0)
-        out[j] = net[i % len(net)]
-        counters[c] = i + 1
-    return out
-
-
 # --------------------------------------------------------------------------
 # the builder
 
@@ -594,15 +575,25 @@ def _assemble_stages(
     base_width: Rat,
     base_height: Rat,
     ratios: Sequence[Rat],
-    deltas: Mapping[int, tuple[Rat, Rat]],
+    net: Sequence[tuple[Rat, Rat]],
     multipliers: Mapping[int, Rat],
     top_rule: TopSpacerRule,
+    bound: int,
 ) -> tuple[StageParams, ...]:
+    """The stages of one build, each settled here: stage j takes ratios[j-1]
+    and multipliers[j], and the i-th stage carrying a ratio takes the net
+    point net[i % len(net)], so the stages of each ratio walk the net in
+    row-major order.  A stage with a height, width, multiplier, spacer or
+    offset of ``bound`` or more in numerator or denominator is refused
+    (``bound`` 0: none is)."""
     stages: list[StageParams] = []
+    visits: dict[Rat, int] = {}
     h = base_height
     w = base_width
     for j, c in enumerate(ratios, start=1):
-        d1, d3 = deltas.get(j, (ZERO, ZERO))
+        i = visits.get(c, 0)
+        visits[c] = i + 1
+        d1, d3 = net[i % len(net)]
         m = multipliers[j]
         s2 = m * h
         if top_rule.mode == "collide":
@@ -610,6 +601,10 @@ def _assemble_stages(
         else:
             s4 = m * s2
         s = (d1, s2, (c - 1) * h + d3, s4)
+        offsets = _stacking_offsets(h, s)
+        nums = (h, w, m, *s, *offsets)
+        if bound and any(max(abs(x.numerator), x.denominator) >= bound for x in nums):
+            raise ValueError(f"stage {j} has {_past_limit(int_digit_limit())}")
         stages.append(
             StageParams(
                 index=j,
@@ -619,7 +614,7 @@ def _assemble_stages(
                 delta3=d3,
                 height=h,
                 width=w,
-                offsets=_stacking_offsets(h, s),
+                offsets=offsets,
                 multiplier=m,
             )
         )
@@ -644,7 +639,8 @@ def build_schedule(
     witness empty; otherwise the multipliers of every stage feeding the
     first failing window (in window order, then family order) are
     escalated and the schedule is rebuilt, up to the policy's retry
-    budget.
+    budget.  A stage with a number past the interpreter's digit limit is
+    a ValueError, raised as the stages are assembled.
     """
     base_width = rat(base_width)
     base_height = rat(base_height)
@@ -654,10 +650,9 @@ def build_schedule(
         raise ValueError("need at least one stage")
     policy = policy or StagePolicy()
     ratios = enumerate_ratios(targets.singular, j_max)
-    if perturbation is not None:
-        deltas = perturbation_schedule(targets.singular, j_max, perturbation.net_depth)
-    else:
-        deltas = {}
+    net = perturbation.points() if perturbation is not None else ((ZERO, ZERO),)
+    limit = int_digit_limit()
+    bound = 10**limit if limit else 0
 
     multipliers = {j: policy.start_multiplier(j) for j in range(1, j_max + 1)}
     escalations: list[EscalationEvent] = []
@@ -665,7 +660,7 @@ def build_schedule(
     retries = 0
     while True:
         stages = _assemble_stages(
-            base_width, base_height, ratios, deltas, multipliers, policy.top_spacer
+            base_width, base_height, ratios, net, multipliers, policy.top_spacer, bound
         )
         sched = Schedule(
             base_width=base_width,

@@ -38,11 +38,8 @@ class HorizonExceeded(RankOneError):
 
 
 class NoMatchingStages(RankOneError):
-    """No certified stage matches the requested ratio / perturbation point."""
-
-
-class UncertifiedWindow(RankOneError):
-    """The schedule is too short to certify any window for this ratio."""
+    """The schedule is too short for a requested check: no certified stage
+    carries the ratio (and net point), or no window certifies it."""
 
 
 class NotDissipative(RankOneError):

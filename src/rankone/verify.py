@@ -29,7 +29,6 @@ from .errors import (
     NoMatchingStages,
     NotDissipative,
     RankOneError,
-    UncertifiedWindow,
 )
 from .exactnum import IntervalSet, Rat, rat, rat_str
 from .levelset import (
@@ -257,7 +256,7 @@ def check_dissipativity(d, sched) -> DissipativityCertificate:
     d = rat(d)
     windows = sched.windows_for(d)
     if not windows:
-        raise UncertifiedWindow(
+        raise NoMatchingStages(
             f"schedule too short: no window for d={d} at or above stage "
             f"{sched.targets.entry_stage(d)} whose dilated top the towers absorb"
         )

@@ -415,6 +415,20 @@ class TestVerify:
         )
         assert result.exit_code == 2
 
+    def test_requested_kind_without_targets_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, {"stages": 8, "targets": {"dissipative": []}})
+        built = tmp_path / "built"
+        result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(built)])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "verify", "-s", str(built / "schedule.json"), "--which", "dissipative",
+            "-o", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "usage error: this schedule has no dissipative targets" in result.output
+        assert not out.exists()
+
     def test_perturbed_on_base_schedule_exit_2(self, built):
         result = CliRunner().invoke(
             main,

@@ -13,7 +13,6 @@ from rankone import (
     TargetSets,
     build_schedule,
     enumerate_ratios,
-    perturbation_schedule,
 )
 
 
@@ -177,11 +176,17 @@ class TestPerturbationSchedule:
             assert desk.delta_pair(j) == (0, 0)
 
     def test_row_major_assignment_per_ratio(self):
-        assign = perturbation_schedule((F(3, 2), F(5, 2)), 12, 1)
-        ratios = enumerate_ratios((F(3, 2), F(5, 2)), 12)
-        stages_c1 = [j for j in range(1, 13) if ratios[j - 1] == F(3, 2)]
-        got = [assign[j] for j in stages_c1[:4]]
-        assert got == [(F(0), F(0)), (F(0), F(1, 2)), (F(0), F(1)), (F(1, 2), F(0))]
+        # 3/2 carries stages 1, 2, 4, ..., 20: its 10th visit is stage 18
+        sched = build_schedule(
+            1, 1, TargetSets(singular=(F(3, 2), F(5, 2))), 20,
+            perturbation=PerturbationSpec(net_depth=1), certify=False,
+        )
+        net = list(PerturbationSpec(net_depth=1).points())
+        walk = {c: [sched.delta_pair(st.index) for st in sched.stages if st.ratio == c]
+                for c in (F(3, 2), F(5, 2))}
+        assert walk[F(3, 2)][:9] == net
+        assert walk[F(3, 2)][9] == (F(0), F(0))
+        assert walk[F(5, 2)] == net[: len(walk[F(5, 2)])]
 
     def test_deltas_land_in_stages(self, desk_perturbed):
         for j in range(1, desk_perturbed.num_stages + 1):
@@ -189,6 +194,15 @@ class TestPerturbationSchedule:
             assert st.spacers[0] == st.delta1
             assert st.spacers[2] == (st.ratio - 1) * st.height + st.delta3
             assert 0 <= st.delta1 <= 1 and 0 <= st.delta3 <= 1
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("certify", [True, False])
+    def test_stage_past_digit_limit_refused(self, certify):
+        # the spacers of stage 119 have 4,303 digits, past CPython's default 4300
+        targets = TargetSets(singular=(F(3, 2), F(5, 2)), dissipative=(F(2), F(3)))
+        with pytest.raises(ValueError, match="^stage 119 has a number of more than 4300 digits"):
+            build_schedule(1, 1, targets, 120, certify=certify)
 
 
 class TestEscalation:

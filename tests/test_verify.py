@@ -9,7 +9,6 @@ import pytest
 from rankone import (
     NoMatchingStages,
     NotDissipative,
-    UncertifiedWindow,
     base_slab,
     check_dissipativity,
     check_perturbed_limit,
@@ -152,7 +151,7 @@ class TestDissipativity:
         targets = TargetSets(singular=(F(3, 2),), dissipative=(F(2),))
         sched = build_schedule(1, 1, targets, 3)
         # entry stage 2 but only window 1 is certified
-        with pytest.raises(UncertifiedWindow):
+        with pytest.raises(NoMatchingStages):
             check_dissipativity(F(2), sched)
 
     def test_broken_schedule_fails_with_witness(self, broken):
