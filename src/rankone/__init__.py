@@ -13,7 +13,6 @@ from .construction import (
 )
 from .errors import (
     ConfigError,
-    EmptyTargets,
     EscalationExhausted,
     HorizonExceeded,
     NoMatchingStages,

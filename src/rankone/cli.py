@@ -24,6 +24,7 @@ from .construction import (
     StagePolicy,
     TargetSets,
     build_schedule,
+    field_reader,
     read_bool,
     read_int,
     read_json,
@@ -95,8 +96,8 @@ def schedule_from_config(cfg: dict) -> Schedule:
     try:
         args = read_object(cfg, dict(
             base_width=read_rat, base_height=read_rat, stages=read_int, certify=read_bool,
-            targets=TargetSets.from_dict, policy=StagePolicy.from_dict,
-            perturbation=PerturbationSpec.from_dict,
+            targets=TargetSets.from_dict, policy=field_reader(StagePolicy),
+            perturbation=field_reader(PerturbationSpec | None),
         ))
     except _MALFORMED as exc:
         raise ConfigError(f"invalid config: {exc}") from exc

@@ -16,11 +16,13 @@ import re
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import accumulate
-from typing import Mapping, Sequence
+from types import NoneType, UnionType
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from . import levelset
-from .errors import EmptyTargets, EscalationExhausted, StageOutOfRange
+from .errors import EscalationExhausted, StageOutOfRange
 from .exactnum import IntervalSet, Rat, rat, rat_str
 
 ZERO = Fraction(0)
@@ -28,7 +30,9 @@ ONE = Fraction(1)
 
 
 # --------------------------------------------------------------------------
-# document fields: the one parser of config and schedule JSON
+# document fields: the one parser of config and schedule JSON.  A block is
+# a dataclass, read by ``read_block`` with each field's reader taken from
+# its annotation and written back by ``write_block``.
 
 _FRACTION = re.compile(r"-?\d+(/0*[1-9]\d*)?")
 
@@ -136,15 +140,48 @@ def read_json(text: str):
     return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_parse_int)
 
 
+_SCALAR_READERS = {Rat: read_rat, int: read_int, IntervalSet: read_interval_set, str: lambda v: v}
+
+
+def field_reader(hint):
+    """The reader of a document field annotated ``hint``: ``Rat``, ``int``,
+    ``IntervalSet``, ``str`` (taken as is; the constructors check it), a
+    homogeneous ``tuple`` of one of these (a list), a dataclass (its block,
+    through its ``from_dict`` if it has one) or ``X | None`` (null or {}
+    read as None).  Any other annotation is a TypeError."""
+    if hint in _SCALAR_READERS:
+        return _SCALAR_READERS[hint]
+    if is_dataclass(hint):
+        return getattr(hint, "from_dict", None) or partial(read_block, hint)
+    args = get_args(hint)
+    if get_origin(hint) is tuple and len(set(args) - {...}) == 1:
+        return partial(read_list, item=field_reader(args[0]))
+    if get_origin(hint) is UnionType and len(args) == 2 and NoneType in args:
+        read = field_reader(args[0] if args[1] is NoneType else args[1])
+        return lambda v: None if v is None or v == {} else read(v)
+    raise TypeError(f"no document reader for {hint!r}")
+
+
+@cache
+def _block_readers(cls, **readers) -> dict:
+    hints = get_type_hints(cls)
+    keys = [f.name for f in fields(cls) if f.compare]
+    return {k: readers.get(k) or field_reader(hints[k]) for k in keys}
+
+
 def read_block(cls, value, **readers):
     """Dataclass ``cls`` from a document object whose keys are exactly its
-    compared fields, each read by ``readers[name]`` (default ``read_rat``)."""
-    keys = [f.name for f in fields(cls) if f.compare]
-    return cls(**read_object(value, {k: readers.get(k, read_rat) for k in keys}))
+    compared fields, each read by ``readers[name]`` or else by the
+    ``field_reader`` of its annotation.  The table is cached per class and
+    ``readers``, so these must be module-level functions, not lambdas."""
+    return cls(**read_object(value, _block_readers(cls, **readers)))
 
 
 def write_block(value):
-    """The document form of ``value``, the inverse of ``read_block``."""
+    """The document form of ``value``, the inverse of ``read_block``: a
+    rational as 'p/q', an interval set as its pairs, a tuple as a list, a
+    dataclass as an object of its compared fields (``TargetSets`` entry
+    stages keyed by ratio)."""
     if isinstance(value, Fraction):
         return rat_str(value)
     if isinstance(value, IntervalSet):
@@ -187,6 +224,8 @@ class TargetSets:
         dissipative = tuple(rat(d) for d in self.dissipative)
         object.__setattr__(self, "singular", singular)
         object.__setattr__(self, "dissipative", dissipative)
+        if not singular:
+            raise ValueError("need at least one singular target ratio")
         for x in singular + dissipative:
             if x <= 1:
                 raise ValueError(f"target ratios must exceed 1, got {x}")
@@ -220,15 +259,14 @@ class TargetSets:
     @classmethod
     def from_dict(cls, d: dict) -> "TargetSets":
         """Parse a ``targets`` block; null or {} entry stages take their defaults."""
-        return read_block(
-            cls,
-            d,
-            singular=read_list,
-            dissipative=read_list,
-            entry_stages=lambda m: () if m is None else tuple(
-                (read_rat(r), _at(r, read_int, k)) for r, k in read_object(m).items()
-            ),
-        )
+        return read_block(cls, d, entry_stages=_read_entry_stages)
+
+
+def _read_entry_stages(m) -> tuple:
+    """Entry stages as an object keyed by ratio, so that '2/1' and '4/2' collide."""
+    if m is None:
+        return ()
+    return tuple((read_rat(r), _at(r, read_int, k)) for r, k in read_object(m).items())
 
 
 # --------------------------------------------------------------------------
@@ -313,19 +351,6 @@ class StagePolicy:
     def start_multiplier(self, j: int) -> Rat:
         return self.gauge.value(j) * self.initial_multiplier
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StagePolicy":
-        # the constructors check the gauge kind and the top-spacer mode
-        return read_block(
-            cls,
-            d,
-            gauge=lambda g: read_block(
-                GaugeSpec, g, kind=lambda v: v, values=read_list
-            ),
-            max_retries=read_int,
-            top_spacer=lambda t: read_block(TopSpacerRule, t, mode=lambda v: v),
-        )
-
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -341,13 +366,6 @@ class PerturbationSpec:
         step = Fraction(1, 2**self.net_depth)
         levels = [i * step for i in range(2**self.net_depth + 1)]
         return tuple((a, b) for a in levels for b in levels)
-
-    @classmethod
-    def from_dict(cls, d: dict | None) -> "PerturbationSpec | None":
-        """Parse a ``perturbation`` block; null or {} means none."""
-        if d is None or d == {}:
-            return None
-        return read_block(cls, d, net_depth=read_int)
 
 
 # --------------------------------------------------------------------------
@@ -400,10 +418,6 @@ class StageParams:
     def next_height(self) -> Rat:
         return self.offsets[3] + self.height + self.spacers[3]
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StageParams":
-        return read_block(cls, d, index=read_int, spacers=read_list, offsets=read_list)
-
 
 @dataclass(frozen=True)
 class EscalationEvent:
@@ -413,16 +427,6 @@ class EscalationEvent:
     new_multiplier: Rat
     witness: IntervalSet
     escalated_stages: tuple[int, ...] = ()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EscalationEvent":
-        return read_block(
-            cls,
-            d,
-            window=read_int,
-            witness=read_interval_set,
-            escalated_stages=lambda s: read_list(s, read_int),
-        )
 
 
 @dataclass(frozen=True)
@@ -530,15 +534,7 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
-        return read_block(
-            cls,
-            d,
-            targets=TargetSets.from_dict,
-            policy=StagePolicy.from_dict,
-            stages=lambda s: read_list(s, StageParams.from_dict),
-            perturbation=PerturbationSpec.from_dict,
-            escalations=lambda e: read_list(e, EscalationEvent.from_dict),
-        )
+        return read_block(cls, d)
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
@@ -558,7 +554,7 @@ def enumerate_ratios(values: Sequence[Rat], j_max: int) -> tuple[Rat, ...]:
     """
     vals = tuple(rat(v) for v in values)
     if not vals:
-        raise EmptyTargets("need at least one singular target ratio")
+        raise ValueError("need at least one singular target ratio")
     out: list[Rat] = []
     block = 1
     while len(out) < j_max:

@@ -7,10 +7,6 @@ class RankOneError(Exception):
     """Base class for every error raised by this package."""
 
 
-class EmptyTargets(RankOneError):
-    """Raised when a construction needs a nonempty target ratio set."""
-
-
 class EscalationExhausted(RankOneError):
     """A dissipativity certificate kept failing after the retry budget.
 

@@ -29,6 +29,7 @@ from .errors import (
     NoMatchingStages,
     NotDissipative,
     RankOneError,
+    StageOutOfRange,
 )
 from .exactnum import IntervalSet, Rat, rat, rat_str
 from .levelset import (
@@ -634,7 +635,10 @@ def annotate_landmark(terms: tuple[tuple[str, int, int], ...], tn: int, td: int)
 def hitting_report(sched, j: int) -> str:
     """Exact hitting intervals on window [h_j, h_{j+1}] with landmark
     annotations, as the report's text: that of ``json.dumps(..., indent=2,
-    sort_keys=True)`` and a newline, formatted from the runs and joined once."""
+    sort_keys=True)`` and a newline, formatted from the runs and joined once.
+    A window outside 1..num_stages is refused by its number."""
+    if not 1 <= j <= sched.num_stages:
+        raise StageOutOfRange(f"window {j} not built (have 1..{sched.num_stages})")
     y = base_slab(sched)
     window = (sched.height(j), sched.height(j + 1))
     scale, runs = _hitting_runs(y, y, *window, sched)

@@ -239,6 +239,48 @@ class TestLoaderErrors:
              "stages: a number of more than 4300 digits"),
             ("verify", ("stages", 0, "index"), Literal("-" + "1" * 4400),
              "stages[0].index: a number of more than 4300 digits"),
+            # every refusal of a block's constructor keeps its message
+            ("build", ("policy",), {"initial_multiplier": "1/2"},
+             "policy: initial multiplier must be >= 1"),
+            ("build", ("policy",), {"escalation_factor": "1/1"},
+             "policy: escalation factor must exceed 1"),
+            ("build", ("perturbation",), {"net_depth": 0},
+             "perturbation: net depth must be >= 1"),
+            ("build", ("policy",), {"gauge": {"kind": "table", "values": []}},
+             "policy.gauge: table gauge needs values"),
+            ("build", ("policy",), {"gauge": {"kind": "table", "values": ["4/1", "2/1"]}},
+             "policy.gauge: gauge table must be non-decreasing"),
+            ("build", ("policy",), {"gauge": {"kind": "bogus"}},
+             "unknown gauge kind 'bogus'"),
+            ("build", ("policy",), {"top_spacer": {"mode": "bogus"}},
+             "unknown top-spacer mode 'bogus'"),
+            ("build", ("targets", "dissipative"), ["2/1", "2/1"],
+             "targets: duplicate entries in the dissipative family"),
+            ("build", ("targets", "singular"), ["3/2", "2/1"], "must be disjoint"),
+            ("build", ("targets", "singular"), ["1/1"], "target ratios must exceed 1, got 1"),
+            ("build", ("targets", "entry_stages"), {"2/1": 0, "3/1": 3},
+             "entry stage for d=2 must be >= 1"),
+            ("build", ("targets", "entry_stages"), {"2/1": 2},
+             "entry_stages must cover exactly the dissipative family"),
+            ("build", ("base_width",), "0/1", "base width and height must be positive"),
+            ("build", ("stages",), 0, "need at least one stage"),
+            ("verify", ("stages", 0, "spacers", 0), "-1/1",
+             "stages[0]: spacer heights must be non-negative"),
+            ("verify", ("stages", 0, "delta1"), "2/1", "perturbations must lie in [0, 1]"),
+            ("verify", ("stages", 0, "delta1"), "1/2",
+             "first spacer must equal the delta1 perturbation"),
+            ("verify", ("stages", 0, "spacers", 2), "7/1",
+             "third spacer must equal (ratio-1)*height + delta3"),
+            ("verify", ("stages", 0, "offsets", 3), "99/1",
+             "offsets do not satisfy the stacking recurrence"),
+            ("verify", ("stages", 0, "spacers"), ["0/1", "16/1", "1/2"],
+             "a stage needs four spacers and four offsets"),
+            ("verify", ("stages", 1, "index"), 5, "stage indices must run 1..n, got 5 at 2"),
+            ("verify", ("stages", 1, "width"), "1/2", "stage 2 width breaks the quartering rule"),
+            ("verify", ("base_height",), "2/1", "stage 1 height must equal the base height"),
+            ("verify", ("stages",), [], "a schedule needs at least one stage"),
+            ("build", ("targets", "singular"), [],
+             "invalid config: targets: need at least one singular target ratio"),
         ],
         ids=["stages-int", "spacer-1/0", "entry-stages-list", "gauge-null",
              "config-gauge-values-untabled", "schedule-gauge-values-untabled",
@@ -254,7 +296,15 @@ class TestLoaderErrors:
              "schedule-nested-key-twice", "schedule-entry-stage-twice",
              "multiplier-off-spacer", "schedule-numerator-digits",
              "schedule-denominator-digits", "config-numerator-digits",
-             "config-int-digits", "schedule-int-digits"],
+             "config-int-digits", "schedule-int-digits",
+             "initial-multiplier-half", "escalation-factor-one", "net-depth-zero",
+             "gauge-table-empty", "gauge-table-decreasing", "gauge-kind-bogus",
+             "top-spacer-mode-bogus", "dissipative-twice", "families-overlap",
+             "singular-one", "entry-stage-zero", "entry-stages-partial",
+             "base-width-zero", "stages-zero", "spacer-negative", "delta1-past-one",
+             "delta1-off-spacer", "third-spacer-off", "offset-off-recurrence",
+             "three-spacers", "index-out-of-order", "width-off-quartering",
+             "base-height-off-stage", "no-stages", "singular-empty"],
     )
     def test_malformed_input_exit_2(self, built, tmp_path, command, path, value, names):
         if command == "verify":
@@ -625,6 +675,32 @@ class TestArtifacts:
         assert result.exit_code == 2, result.output
         assert "not built" in result.output
         assert not list(out.glob("profile.*"))
+
+    @pytest.mark.parametrize("window", ["0", "9"])
+    def test_profile_window_out_of_range_named(self, built_desk, tmp_path, window):
+        """A window outside 1..8 of the 8-stage desk is refused by its own
+        number, not by the tower stage it would read."""
+        out = tmp_path / "prof"
+        result = CliRunner().invoke(
+            main,
+            ["profile", "-s", str(built_desk / "schedule.json"), "-o", str(out),
+             "--window", window],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"usage error: window {window} not built (have 1..8)" in result.output
+        assert not out.exists()
+
+    def test_profile_last_window_past_horizon(self, built_desk, tmp_path):
+        """Window 8 is built but ends at h_9, past the horizon: exit 4."""
+        out = tmp_path / "prof"
+        result = CliRunner().invoke(
+            main,
+            ["profile", "-s", str(built_desk / "schedule.json"), "-o", str(out),
+             "--window", "8"],
+        )
+        assert result.exit_code == 4, result.output
+        assert "horizon exceeded" in result.output
+        assert not out.exists()
 
     def test_profile_window_past_horizon_writes_nothing(self, built_desk, tmp_path):
         """Window 7 of the 8-stage desk ends at h_8, which no built tower

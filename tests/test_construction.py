@@ -1,19 +1,25 @@
+import dataclasses
 import hashlib
+import json
 from fractions import Fraction as F
+from typing import get_args, get_type_hints
 
 import pytest
 
 from rankone import (
-    EmptyTargets,
     EscalationExhausted,
     GaugeSpec,
+    IntervalSet,
     PerturbationSpec,
     Schedule,
+    StageParams,
     StagePolicy,
     TargetSets,
+    TopSpacerRule,
     build_schedule,
     enumerate_ratios,
 )
+from rankone.construction import EscalationEvent, field_reader, read_json, write_block
 
 
 class TestTargetSets:
@@ -66,7 +72,7 @@ class TestEnumerateRatios:
             assert got.count(vals[i - 1]) >= 2
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyTargets):
+        with pytest.raises(ValueError, match="need at least one singular target ratio"):
             enumerate_ratios((), 3)
 
 
@@ -233,3 +239,69 @@ class TestEscalation:
         assert digest == (
             "4d38d9dcd8cb9a896a6bdc577619b7015063a7e7d9f43b468470e2eebf6936a6"
         )
+
+
+def _blocks_in(hint) -> list:
+    """The dataclasses an annotation names, at any depth."""
+    if dataclasses.is_dataclass(hint):
+        return [hint]
+    return [cls for arg in get_args(hint) for cls in _blocks_in(arg)]
+
+
+def _document_blocks() -> list:
+    """Every dataclass a schedule document reaches, Schedule first."""
+    blocks, todo = [], [Schedule]
+    while todo:
+        cls = todo.pop()
+        if cls not in blocks:
+            blocks.append(cls)
+            hints = get_type_hints(cls)
+            todo += [b for f in dataclasses.fields(cls) if f.compare
+                     for b in _blocks_in(hints[f.name])]
+    return blocks
+
+
+def _sample_blocks() -> list:
+    """One non-default instance of each document block."""
+    gauge = GaugeSpec(kind="table", values=(F(2), F(4)))
+    top = TopSpacerRule(mode="collide", collide_ratio=F(3))
+    policy = StagePolicy(gauge=gauge, initial_multiplier=F(3, 2), escalation_factor=F(3),
+                         max_retries=7, top_spacer=top)
+    net = PerturbationSpec(net_depth=2)
+    targets = TargetSets(singular=(F(3, 2), F(5, 2)), dissipative=(F(2), F(3)),
+                         entry_stages=((F(2), 3), (F(3), 5)))
+    event = EscalationEvent(window=2, ratio=F(2), old_multiplier=F(16), new_multiplier=F(32),
+                            witness=IntervalSet([(F(5, 2), F(3)), (F(5), F(6))]),
+                            escalated_stages=(1, 2))
+    sched = build_schedule(1, 1, targets, 3, policy=policy, perturbation=net, certify=False)
+    sched = dataclasses.replace(sched, escalations=(event,))
+    return [gauge, top, policy, net, targets, event, sched.stages[1], sched]
+
+
+class TestDocumentReaders:
+    def test_every_field_has_a_reader(self):
+        # an annotation without a reader fails here, not in a user's load
+        blocks = _document_blocks()
+        assert set(blocks) == {Schedule, TargetSets, StagePolicy, GaugeSpec, TopSpacerRule,
+                               PerturbationSpec, StageParams, EscalationEvent}
+        for cls in blocks:
+            hints = get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                if f.compare and (cls, f.name) != (TargetSets, "entry_stages"):
+                    assert callable(field_reader(hints[f.name])), (cls, f.name)
+
+    @pytest.mark.parametrize("hint", [float, dict, list[F], tuple[F, int], F | int])
+    def test_unsupported_annotation_refused(self, hint):
+        with pytest.raises(TypeError, match="no document reader"):
+            field_reader(hint)
+
+    @pytest.mark.parametrize("block", _sample_blocks(), ids=lambda b: type(b).__name__)
+    def test_round_trip(self, block):
+        doc = read_json(json.dumps(write_block(block)))
+        back = field_reader(type(block))(doc)
+        assert back == block
+        assert write_block(back) == write_block(block)
+
+    def test_sample_stage_is_perturbed(self):
+        stage = _sample_blocks()[6]
+        assert (stage.delta1, stage.delta3) == (F(0), F(1, 4))
