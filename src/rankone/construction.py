@@ -329,6 +329,10 @@ class TopSpacerRule:
         if self.mode == "multiplier" and self.collide_ratio != 2:
             raise ValueError("mode 'multiplier' reads no collide_ratio, so it must stay 2/1")
 
+    def top(self, m: Rat, s2: Rat) -> Rat:
+        """The top spacer over middle spacer s2 of a stage with multiplier m."""
+        return (self.collide_ratio if self.mode == "collide" else m) * s2
+
 
 @dataclass(frozen=True)
 class StagePolicy:
@@ -464,6 +468,10 @@ class Schedule:
                 raise ValueError(f"stage {i} width breaks the quartering rule")
             if st.ratio not in allowed:
                 raise ValueError(f"stage {i} ratio {st.ratio} not in the singular family")
+            if st.multiplier < self.policy.start_multiplier(i):
+                raise ValueError(f"stage {i} multiplier is below the policy's start")
+            if st.spacers[3] != self.policy.top_spacer.top(st.multiplier, st.spacers[1]):
+                raise ValueError(f"stage {i} top spacer breaks the policy's rule")
             width = width / 4
         for prev, nxt in zip(self.stages, self.stages[1:]):
             if nxt.height != prev.next_height:
@@ -592,11 +600,7 @@ def _assemble_stages(
         d1, d3 = net[i % len(net)]
         m = multipliers[j]
         s2 = m * h
-        if top_rule.mode == "collide":
-            s4 = top_rule.collide_ratio * s2
-        else:
-            s4 = m * s2
-        s = (d1, s2, (c - 1) * h + d3, s4)
+        s = (d1, s2, (c - 1) * h + d3, top_rule.top(m, s2))
         offsets = _stacking_offsets(h, s)
         nums = (h, w, m, *s, *offsets)
         if bound and any(max(abs(x.numerator), x.denominator) >= bound for x in nums):

@@ -2,10 +2,11 @@
 
 A slab set is a union of full-width horizontal slabs of one tower,
 described by its stage and the interval set of its levels.  The schedule's
-stage geometry is derived once, as an integer lattice (``_lattice``); the
-first tower that absorbs a translation is a bisection on it, and every
-time query below opens one window on it (``_lattice_window``).  Everything
-the verification layer needs reduces to three exact computations:
+stage geometry is derived once, as an integer lattice (``_lattice``): a
+slab's levels lift to a higher tower through its column offsets on it
+(``_lift``), the first tower that absorbs a translation is a bisection on
+it, and every time query below opens one window on it (``_lattice_window``).
+Everything the verification layer needs reduces to three exact computations:
 
 * pointwise correlations mu(T_t A /\\ B): the zero-width window [t, t] of
   the profile sweep below, which only the copy-pair trapezoids positive
@@ -61,23 +62,19 @@ def base_slab(sched) -> SlabSet:
 
 
 # --------------------------------------------------------------------------
-# refinement
+# lifting to a tower
 
 
-def _levels_at(sched, s: SlabSet, j: int) -> tuple[tuple[Rat, Rat], ...]:
-    """Levels of slab ``s`` re-expressed in tower ``j`` (cached)."""
-    key = ("levels", s, j)
-    cached = sched.runtime_cache.get(key)
-    if cached is not None:
-        return cached
-    if j == s.stage:
-        out = s.levels.intervals
-    else:
-        prev = _levels_at(sched, s, j - 1)
-        copies = ((lo + off, hi + off) for off in sched.offsets(j - 1) for lo, hi in prev)
-        out = tuple(_merge_runs(copies, 0, sched.height(j)))
-    sched.runtime_cache[key] = out
-    return out
+def _lift(sched, s: SlabSet, k: int, scale: int) -> list[tuple[int, int]]:
+    """The levels of slab ``s`` in tower ``k`` as integer runs on 1/scale, a
+    multiple of the lattice unit: its own levels scaled once, then copied
+    through the column offsets of stages s.stage..k-1 and merged."""
+    unit, _, _, _, offsets = _lattice(sched)
+    m = scale // unit
+    runs = [(int(lo * scale), int(hi * scale)) for lo, hi in s.levels.intervals]
+    for st in range(s.stage, k):
+        runs = merge_sorted([(lo + m * o, hi + m * o) for o in offsets[st] for lo, hi in runs])
+    return runs
 
 
 def min_valid_stage(s: SlabSet, t, sched) -> int:
@@ -89,7 +86,7 @@ def min_valid_stage(s: SlabSet, t, sched) -> int:
         raise ValueError("negative times are handled by callers via symmetry")
     if s.levels.is_empty():
         return s.stage
-    unit, _, reach, room = _lattice(sched)
+    unit, _, reach, room, _ = _lattice(sched)
     need = ceil((s.levels.intervals[-1][1] + t) * unit) - reach[s.stage - 1]
     j = bisect_left(room, need, s.stage)
     if j > sched.num_stages:
@@ -101,7 +98,7 @@ def min_valid_stage(s: SlabSet, t, sched) -> int:
 def horizon(sched) -> Rat:
     """The largest t for which the built towers absorb a +t translation of
     the base slab: beyond it ``min_valid_stage(base_slab(sched), t)`` raises."""
-    unit, _, _, room = _lattice(sched)
+    unit, _, _, room, _ = _lattice(sched)
     return Fraction(room[-1], unit) - sched.height(1)
 
 
@@ -159,7 +156,7 @@ def _lattice_set(unit: int, runs: list[tuple]) -> IntervalSet:
     )
 
 
-def _lattice(sched) -> tuple[int, list[list[tuple[int, int]]], list[int], list[int]]:
+def _lattice(sched) -> tuple[int, list, list[int], list[int], list[list[int]]]:
     """The schedule's integer geometry, derived once per schedule.
 
     Returns the lcm D of the denominators of every tower height and column
@@ -168,7 +165,8 @@ def _lattice(sched) -> tuple[int, list[list[tuple[int, int]]], list[int], list[i
     largest |pattern sum| that stages 1..s can contribute (the rise of a
     top edge from tower 1 to tower s+1); and room[s] = h_s*D - reach[s-1],
     which never decreases: consecutive entries differ by the top spacer
-    times D.  Lists are indexed by stage, entry 0 standing for "no stage".
+    times D; and per stage s, its column offsets in units of 1/D.  Lists
+    are indexed by stage, entry 0 standing for "no stage".
     """
     cached = sched.runtime_cache.get("lattice")
     if cached is not None:
@@ -177,15 +175,15 @@ def _lattice(sched) -> tuple[int, list[list[tuple[int, int]]], list[int], list[i
     offsets = [sched.offsets(s) for s in range(1, n + 1)]
     heights = [sched.height(j) for j in range(1, n + 2)]
     unit = denominator_lcm(heights + [x for o in offsets for x in o])
+    scaled_offsets = [[]] + [[int(x * unit) for x in o] for o in offsets]
     diffs: list[list[tuple[int, int]]] = [[]]
     reach = [0]
     room = [0]
-    for h, o in zip(heights, offsets):
-        scaled = [int(x * unit) for x in o]
+    for h, scaled in zip(heights, scaled_offsets[1:]):
         diffs.append(sorted(Counter(b - a for a in scaled for b in scaled).items()))
         room.append(int(h * unit) - reach[-1])
         reach.append(reach[-1] + scaled[3] - scaled[0])
-    cached = sched.runtime_cache["lattice"] = (unit, diffs, reach, room)
+    cached = sched.runtime_cache["lattice"] = (unit, diffs, reach, room, scaled_offsets)
     return cached
 
 
@@ -201,7 +199,7 @@ def _pattern_sums(
     on it is m times one on D: the search runs on D with the band rounded
     inward, and the surviving sums are multiplied by m.
     """
-    unit, diffs, reach, _ = _lattice(sched)
+    unit, diffs, reach, _, _ = _lattice(sched)
     m = scale // unit
     lo, hi = -(-lo // m), hi // m
     level: dict[int, int] = {0: 1}
@@ -230,19 +228,18 @@ def _window(window) -> tuple[Rat, Rat]:
 
 def _lattice_window(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched, skip: int = 0):
     """The pair's stage j and stage k, a lattice scale clearing the window
-    and the pair's base intervals (at stage k), the scaled window ends and
-    base intervals, and the pattern sums {delta: copy pairs} over stages
-    k+skip..j-1 within one base height of the window, widened by the reach
-    of the skipped stages.  The ends satisfy 0 <= w_lo <= w_hi; a pointwise
+    and the pair's levels, the scaled window ends and base intervals (the
+    levels lifted to stage k), and the pattern sums {delta: copy pairs}
+    over stages k+skip..j-1 within one base height of the window, widened
+    by the reach of the skipped stages.  The ends satisfy 0 <= w_lo <= w_hi; a pointwise
     query is the window [t, t]."""
     j = max(min_valid_stage(a, w_hi, sched), b.stage)
     k = max(a.stage, b.stage)
-    la = _levels_at(sched, a, k)
-    lb = _levels_at(sched, b, k)
-    ends = [w_lo, w_hi] + [x for iv in la + lb for x in iv]
-    unit, _, reach, _ = _lattice(sched)
+    # a lift adds only offsets on the lattice unit: the own levels give the scale
+    ends = [w_lo, w_hi] + [x for s in (a, b) for iv in s.levels.intervals for x in iv]
+    unit, _, reach, _, _ = _lattice(sched)
     scale = lcm(unit, denominator_lcm(ends))
-    las, lbs = ([(int(lo * scale), int(hi * scale)) for lo, hi in iv] for iv in (la, lb))
+    las, lbs = _lift(sched, a, k, scale), _lift(sched, b, k, scale)
     w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
     low = min(k + skip, j)
     pad = int(sched.height(k) * scale) + scale // unit * (reach[low - 1] - reach[k - 1])
@@ -335,7 +332,7 @@ def _hitting_runs(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
     early, and over sorted partials the shifted templates come nearly
     sorted."""
     j, k, scale, lo, hi, las, lbs, partials = _lattice_window(a, b, w_lo, w_hi, sched, 1)
-    unit, diffs, _, _ = _lattice(sched)
+    unit, diffs, _, _, _ = _lattice(sched)
     vs = [scale // unit * v for v, _ in diffs[k]] if k < j else [0]
     template = merge_sorted(sorted(
         (v + qlo - phi, v + qhi - plo) for v in vs for plo, phi in las for qlo, qhi in lbs
@@ -380,7 +377,7 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
     h_base = sched.height(k)
 
     # every time here is a tower height, so the lattice unit clears it
-    scale, diffs, reach, _ = _lattice(sched)
+    scale, diffs, reach, _, _ = _lattice(sched)
     w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
     thr_s = int(threshold * scale)
     e = int(h_base * scale)  # half-width of a base-pair trapezoid support

@@ -36,7 +36,7 @@ from .levelset import (
     SlabSet,
     _hitting_runs,
     _lattice_profile,
-    _levels_at,
+    _lattice_window,
     base_slab,
     correlation,
     find_dissipativity_witness,
@@ -348,12 +348,11 @@ def perturbation_tolerance(a: SlabSet, b: SlabSet, sched, j: int) -> Rat:
 
     The exact cross-column cancellation leaves at most one column's worth
     of edge slivers, each of height <= 1 (the net is inside [0,1]) and of
-    width w_j; the count is bounded by the slab edge counts at the pair's
-    own stage.
+    width w_j; the count is bounded by the slabs' runs at the pair's own
+    stage, lifted by the zero window [0, 0], which searches no stage.
     """
-    k = max(a.stage, b.stage)
-    n_edges = 2 * len(_levels_at(sched, a, k)) + 2 * len(_levels_at(sched, b, k))
-    return Fraction(n_edges) * sched.width(j)
+    las, lbs = _lattice_window(a, b, 0, 0, sched)[5:7]
+    return Fraction(2 * len(las) + 2 * len(lbs)) * sched.width(j)
 
 
 def check_perturbed_limit(

@@ -275,6 +275,8 @@ class TestLoaderErrors:
              "offsets do not satisfy the stacking recurrence"),
             ("verify", ("stages", 0, "spacers"), ["0/1", "16/1", "1/2"],
              "a stage needs four spacers and four offsets"),
+            ("verify", ("stages", -1, "spacers", 3), "5/1",
+             "stage 6 top spacer breaks the policy's rule"),
             ("verify", ("stages", 1, "index"), 5, "stage indices must run 1..n, got 5 at 2"),
             ("verify", ("stages", 1, "width"), "1/2", "stage 2 width breaks the quartering rule"),
             ("verify", ("base_height",), "2/1", "stage 1 height must equal the base height"),
@@ -303,8 +305,8 @@ class TestLoaderErrors:
              "singular-one", "entry-stage-zero", "entry-stages-partial",
              "base-width-zero", "stages-zero", "spacer-negative", "delta1-past-one",
              "delta1-off-spacer", "third-spacer-off", "offset-off-recurrence",
-             "three-spacers", "index-out-of-order", "width-off-quartering",
-             "base-height-off-stage", "no-stages", "singular-empty"],
+             "three-spacers", "top-spacer-off-policy", "index-out-of-order",
+             "width-off-quartering", "base-height-off-stage", "no-stages", "singular-empty"],
     )
     def test_malformed_input_exit_2(self, built, tmp_path, command, path, value, names):
         if command == "verify":

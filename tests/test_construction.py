@@ -158,6 +158,22 @@ class TestDeterminismAndSerialization:
         with pytest.raises(ValueError, match="stacking recurrence"):
             Schedule.from_dict(d)
 
+    def test_multiplier_below_policy_start_rejected(self, desk):
+        from rankone.exactnum import rat_str
+
+        d = desk.to_dict()
+        # the last stage, consistent in itself, with half the gauge's multiplier
+        st = d["stages"][-1]
+        j, h, c = st["index"], F(st["height"]), F(st["ratio"])
+        m = desk.policy.start_multiplier(j) / 2
+        sp = (F(0), m * h, (c - 1) * h, m * m * h)
+        off = (F(0), h + sp[0], 2 * h + sp[0] + sp[1], 3 * h + sp[0] + sp[1] + sp[2])
+        st["spacers"] = [rat_str(x) for x in sp]
+        st["offsets"] = [rat_str(x) for x in off]
+        st["multiplier"] = rat_str(m)
+        with pytest.raises(ValueError, match=f"stage {j} multiplier is below the policy's start"):
+            Schedule.from_dict(d)
+
     def test_rebuild_identical(self, desk):
         again = build_schedule(
             1, 1, TargetSets(singular=(F(3, 2), F(5, 2)), dissipative=(F(2), F(3))), 8

@@ -273,7 +273,7 @@ class TestLatticeAgainstRefinement:
         family = default_pair_family(sched)
         if data.draw(st.booleans(), label="from family"):
             return data.draw(st.sampled_from(family), label="slab")[1]
-        stage = data.draw(st.integers(1, 2), label="stage")
+        stage = data.draw(st.integers(1, 4), label="stage")
         n = data.draw(st.sampled_from([2, 3, 8, 12]), label="grid")
         cuts = data.draw(
             st.lists(st.integers(0, n), min_size=2, max_size=6, unique=True),
@@ -334,6 +334,26 @@ class TestLatticeAgainstRefinement:
             j for j in range(s.stage, sched.num_stages + 1) if t <= room(j)
         )
         assert min_valid_stage(s, t, sched) == expected
+
+    def test_lift_merges_touching_copies(self, desk):
+        # desk's first spacer is 0, so copies 1 and 2 of the base tower touch
+        y, unit = base_slab(desk), levelset._lattice(desk)[0]
+        lifted = levelset._lift(desk, y, 2, unit)
+        assert len(lifted) == 3
+        assert lifted == [(lo * unit, hi * unit) for lo, hi in refine(y, 2, desk).levels.intervals]
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lift_equals_refinement(self, desk, desk_perturbed, data):
+        shared = data.draw(st.sampled_from([desk, desk_perturbed]))
+        sched = Schedule.from_json(shared.to_json())
+        s = self.draw_slab(data, sched)
+        k = data.draw(st.integers(s.stage, 6), label="tower")
+        unit = levelset._lattice(sched)[0]
+        # 24 clears draw_slab's grids; any further multiple of the unit must do
+        scale = unit * 24 * data.draw(st.sampled_from([1, 7]), label="scale factor")
+        expected = [(lo * scale, hi * scale) for lo, hi in refine(s, k, sched).levels.intervals]
+        assert levelset._lift(sched, s, k, scale) == expected
 
     def test_no_float_in_levelset(self):
         source = inspect.getsource(levelset)
@@ -815,8 +835,4 @@ class TestLattice:
                     check_weak_limits(a, b, c, sched)
         for d in sched.targets.dissipative:
             dissipativity_spot_check(d, sched, 100, random.Random(0))
-        others = [
-            key for key in sched.runtime_cache
-            if not (isinstance(key, tuple) and key[0] == "levels")
-        ]
-        assert others == ["lattice"]
+        assert list(sched.runtime_cache) == ["lattice"]
