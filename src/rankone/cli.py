@@ -390,7 +390,8 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
         {"t_min": rat_str(lo), "t_max": rat_str(hi), **write_block(prof)},
     )
     if hits is not None:
-        (out_dir / f"hitting_window_{window_index}.json").write_text(hits)
+        with open(out_dir / f"hitting_window_{window_index}.json", "w") as f:
+            f.writelines(hits)
     click.echo(f"profile on [{lo}, {hi}]: {len(prof.breakpoints)} breakpoints")
 
 

@@ -45,21 +45,25 @@ def denominator_lcm(values: Iterable[Rat]) -> int:
     return out
 
 
-def merge_sorted(pieces: Iterable[tuple]) -> list[tuple]:
+def merge_sorted(pieces: Iterable[tuple]) -> Iterator[tuple]:
     """The disjoint, non-touching runs covering the half-open intervals
-    [a, b) of ``pieces``, which come sorted by ``a``; empty pieces drop."""
-    runs: list[tuple] = []
-    end = None
+    [a, b) of ``pieces``, which come sorted by ``a``; empty pieces drop.
+
+    The runs are yielded as they close, so a caller that consumes them in
+    order never holds more than the run being extended."""
+    start = end = None
     for a, b in pieces:
         if a >= b:
             continue
-        if end is None or a > end:
-            runs.append((a, b))
-            end = b
+        if end is None:
+            start, end = a, b
+        elif a > end:
+            yield start, end
+            start, end = a, b
         elif b > end:
             end = b
-            runs[-1] = (runs[-1][0], b)
-    return runs
+    if end is not None:
+        yield start, end
 
 
 class IntervalSet:

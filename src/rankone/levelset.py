@@ -17,7 +17,8 @@ Everything the verification layer needs reduces to three exact computations:
   the resulting trapezoid slope events; hitting sets skip the sweep and
   merge the trapezoids' supports, enumerated one stage short: the pair
   stage's supports merge once into a template, shifted by every partial
-  sum of the stages above;
+  sum of the stages above; the shifted runs are merged and clipped lazily,
+  so a report can be written run by run without holding the set;
 * an empty-intersection witness search for pairs (t, d*t), run as a
   paired DFS over two pattern stacks so the huge hitting sets of top-level
   windows never have to be materialized.
@@ -25,13 +26,15 @@ Everything the verification layer needs reduces to three exact computations:
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import ceil, lcm
-from operator import itemgetter
-from typing import Iterable
+from operator import add
+from typing import Iterable, Iterator
 
 from .errors import HorizonExceeded, StageOutOfRange
 from .exactnum import IntervalSet, Rat, denominator_lcm, merge_sorted, rat
@@ -73,7 +76,8 @@ def _lift(sched, s: SlabSet, k: int, scale: int) -> list[tuple[int, int]]:
     m = scale // unit
     runs = [(int(lo * scale), int(hi * scale)) for lo, hi in s.levels.intervals]
     for st in range(s.stage, k):
-        runs = merge_sorted([(lo + m * o, hi + m * o) for o in offsets[st] for lo, hi in runs])
+        runs = list(merge_sorted([(lo + m * o, hi + m * o)
+                                  for o in offsets[st] for lo, hi in runs]))
     return runs
 
 
@@ -134,22 +138,21 @@ class PiecewiseLinear:
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
-def _merge_runs(pieces: Iterable[tuple], lo, hi) -> list[tuple]:
-    """``merge_sorted(pieces)`` clipped to [lo, hi): every run clipped, the
-    empty ones dropped.  The runs are sorted and disjoint, so two bisections
-    find those that meet the window and only the outer two need clipping."""
+def _merge_runs(pieces: Iterable[tuple], lo, hi) -> Iterator[tuple]:
+    """``merge_sorted(pieces)`` clipped to [lo, hi), lazily: every run
+    clipped, the empty ones dropped.  The runs come sorted and disjoint, so
+    those ending by lo are skipped and the first starting at hi ends it."""
     if lo >= hi:
-        return []
-    runs = merge_sorted(pieces)
-    first = bisect_right(runs, lo, key=itemgetter(1))  # the first run ending after lo
-    runs = runs[first:bisect_left(runs, hi, key=itemgetter(0))]
-    if runs:
-        runs[0] = (max(runs[0][0], lo), runs[0][1])
-        runs[-1] = (runs[-1][0], min(runs[-1][1], hi))
-    return runs
+        return
+    for a, b in merge_sorted(pieces):
+        if b <= lo:
+            continue
+        if a >= hi:
+            return
+        yield (a if a > lo else lo), (b if b < hi else hi)
 
 
-def _lattice_set(unit: int, runs: list[tuple]) -> IntervalSet:
+def _lattice_set(unit: int, runs: Iterable[tuple]) -> IntervalSet:
     """The runs [lo, hi) in units of 1/unit, one ``Fraction`` per endpoint."""
     return IntervalSet._wrap(
         tuple((Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in runs)
@@ -320,8 +323,8 @@ def correlation(a: SlabSet, b: SlabSet, t, sched) -> Rat:
 
 
 def _hitting_runs(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
-    """The lattice scale and the integer runs [lo, hi) of ``hitting_set``
-    on [w_lo, w_hi].
+    """The lattice scale and an iterator over the integer runs [lo, hi) of
+    ``hitting_set`` on [w_lo, w_hi], in increasing order.
 
     The set is the union of the supports (p + v + c1, p + v + c4), with
     c1 = qlo - phi and c4 = qhi - plo for base intervals [plo, phi) of a
@@ -329,16 +332,20 @@ def _hitting_runs(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
     stages k+1..j-1 and v an offset difference of the pair stage k (only 0
     when k == j).  That is the union over the partials p of p + C, where the
     template C merges the supports (v + c1, v + c4): the DFS stops one stage
-    early, and over sorted partials the shifted templates come nearly
-    sorted."""
+    early.  Over the sorted partials, each template run (c1, c4) shifts into
+    one sorted stream; ``heapq.merge`` interleaves those few streams, so the
+    runs are merged and clipped as they are consumed and no list of them is
+    built.  The window's stage check and the DFS run before this returns."""
     j, k, scale, lo, hi, las, lbs, partials = _lattice_window(a, b, w_lo, w_hi, sched, 1)
     unit, diffs, _, _, _ = _lattice(sched)
     vs = [scale // unit * v for v, _ in diffs[k]] if k < j else [0]
-    template = merge_sorted(sorted(
+    template = list(merge_sorted(sorted(
         (v + qlo - phi, v + qhi - plo) for v in vs for plo, phi in las for qlo, qhi in lbs
-    ))
-    runs = sorted([(p + c1, p + c4) for p in sorted(partials) for c1, c4 in template])
-    return scale, _merge_runs(runs, lo, hi)
+    )))
+    partials = sorted(partials)
+    streams = [zip(map(add, partials, repeat(c1)), map(add, partials, repeat(c4)))
+               for c1, c4 in template]
+    return scale, _merge_runs(heapq.merge(*streams), lo, hi)
 
 
 def hitting_set(a: SlabSet, b: SlabSet, window, sched) -> IntervalSet:

@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain, islice, repeat
+from operator import add, floordiv
+from typing import Iterator, Sequence
 
 from .errors import (
     ConfigError,
@@ -597,6 +600,11 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensi
 # --------------------------------------------------------------------------
 # hitting-set report (landmark annotation)
 
+# entries formatted per chunk of the hitting report's text
+_CHUNK_RUNS = 2048
+_ENTRY = ('\n    {\n      "interval": [\n        "%d/%d",\n        "%d/%d"\n      ],\n'
+          '      "landmark": "%s"\n    }')
+
 
 def window_landmarks(sched, j: int) -> dict[str, Rat]:
     st = sched.stage(j)
@@ -631,30 +639,63 @@ def annotate_landmark(terms: tuple[tuple[str, int, int], ...], tn: int, td: int)
     return best_name
 
 
-def hitting_report(sched, j: int) -> str:
+def _block_labels(terms: tuple[tuple[str, int, int], ...], mids: list[int], td: int) -> list[str]:
+    """``annotate_landmark(terms, m, td)`` for each of the strictly
+    increasing midpoints m in ``mids``, found block by block.
+
+    A landmark's label holds on one interval of t, its nearest-in-log cell
+    within [v/2, 2v], so its block ends where a bisection first finds
+    another label.  "unresolved" holds between those intervals: its block
+    ends at the first midpoint reaching the next landmark's v/2.
+    """
+    # the least midpoint at or above each landmark's lower reach v/2
+    reach = sorted(-(-vn * td // (2 * vd)) for _, vn, vd in terms)
+    labels: list[str] = []
+    i, n = 0, len(mids)
+    while i < n:
+        name = annotate_landmark(terms, mids[i], td)
+        if name == "unresolved":
+            r = bisect_right(reach, mids[i])
+            end = bisect_left(mids, reach[r], i + 1) if r < len(reach) else n
+        else:
+            end = bisect_left(range(n), True, i + 1,
+                              key=lambda x: annotate_landmark(terms, mids[x], td) != name)
+        labels += repeat(name, end - i)
+        i = end
+    return labels
+
+
+def _report_chunks(scale: int, runs: Iterator[tuple[int, int]], terms, tail: str) -> Iterator[str]:
+    """The report's text from its integer runs on 1/scale, ``_CHUNK_RUNS``
+    entries at a time: each chunk reduces its endpoints in one ``gcd`` pass,
+    labels its midpoints by blocks and fills one template with one ``%``."""
+    yield '{\n  "intervals": ['
+    sep = ""
+    while chunk := list(islice(runs, _CHUNK_RUNS)):
+        ends = list(chain.from_iterable(chunk))
+        gs = list(map(math.gcd, ends, repeat(scale)))
+        fracs = chain.from_iterable(zip(map(floordiv, ends, gs), map(floordiv, repeat(scale), gs)))
+        labels = _block_labels(terms, list(map(add, ends[::2], ends[1::2])), 2 * scale)
+        values = tuple(chain.from_iterable(zip(fracs, fracs, fracs, fracs, labels)))
+        yield sep + ",".join(repeat(_ENTRY, len(chunk))) % values
+        sep = ","
+    yield ("\n  ]" if sep else "]") + tail
+
+
+def hitting_report(sched, j: int) -> Iterator[str]:
     """Exact hitting intervals on window [h_j, h_{j+1}] with landmark
-    annotations, as the report's text: that of ``json.dumps(..., indent=2,
-    sort_keys=True)`` and a newline, formatted from the runs and joined once.
-    A window outside 1..num_stages is refused by its number."""
+    annotations, as the report's text in chunks: joined, they are
+    ``json.dumps(..., indent=2, sort_keys=True)`` and a newline.
+
+    The window is checked and its runs set up before this returns, so a
+    window outside 1..num_stages (refused by its number) or past the
+    horizon raises here; the runs are then merged and formatted only as
+    the chunks are consumed."""
     if not 1 <= j <= sched.num_stages:
         raise StageOutOfRange(f"window {j} not built (have 1..{sched.num_stages})")
     y = base_slab(sched)
     window = (sched.height(j), sched.height(j + 1))
     scale, runs = _hitting_runs(y, y, *window, sched)
-    terms = landmark_terms(window_landmarks(sched, j))
-
-    def frac(n: int) -> str:
-        g = math.gcd(n, scale)
-        return f"{n // g}/{scale // g}"
-
-    entry = (',\n    {\n      "interval": [\n        "%s",\n        "%s"\n      ],\n'
-             '      "landmark": "%s"\n    }')
-    parts = ['{\n  "intervals": [']
-    parts += (entry % (frac(lo), frac(hi), annotate_landmark(terms, lo + hi, 2 * scale))
-              for lo, hi in runs)
-    if runs:
-        parts[1] = parts[1][1:]  # the first entry follows no comma
     w_lo, w_hi = map(rat_str, window)
-    parts.append(("\n  ]" if runs else "]") + f',\n  "range": [\n    "{w_lo}",\n    "{w_hi}"\n'
-                 f'  ],\n  "window": {j}\n}}\n')
-    return "".join(parts)
+    tail = f',\n  "range": [\n    "{w_lo}",\n    "{w_hi}"\n  ],\n  "window": {j}\n}}\n'
+    return _report_chunks(scale, runs, landmark_terms(window_landmarks(sched, j)), tail)

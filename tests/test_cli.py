@@ -666,6 +666,21 @@ class TestArtifacts:
             "90138b67a9641091124e3c2b5dceb9222497d69a71ab5ae3a5af33ce279bf38f"
         )
 
+    def test_profile_broken_window_5_bytes(self, broken, tmp_path):
+        """The hitting report as ``profile --window 5`` writes it, chunk by
+        chunk, has the digest of the report's joined text."""
+        (tmp_path / "schedule.json").write_text(broken.to_json() + "\n")
+        out = tmp_path / "prof"
+        result = CliRunner().invoke(
+            main,
+            ["profile", "-s", str(tmp_path / "schedule.json"), "-o", str(out),
+             "--window", "5"],
+        )
+        assert result.exit_code == 0, result.output
+        assert sha256(out / "hitting_window_5.json") == (
+            "b673a9a47f1b2280ac2a3003adaa337bf4e2c9a93b1f9a691c047ac2125d6baa"
+        )
+
     @pytest.mark.parametrize("window", ["0", "9"])
     def test_profile_unbuilt_window_writes_nothing(self, built, tmp_path, window):
         out = tmp_path / "prof"

@@ -1,5 +1,7 @@
 import inspect
+import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -30,6 +32,7 @@ from rankone.construction import Schedule
 from rankone.exactnum import merge_sorted
 from rankone.levelset import PiecewiseLinear, find_dissipativity_witness
 from rankone.verify import (
+    _block_labels,
     annotate_landmark,
     check_weak_limits,
     default_pair_family,
@@ -568,7 +571,7 @@ class TestHittingSetAgainstSupport:
             return sums
 
         monkeypatch.setattr(levelset, "_pattern_sums", counted)
-        assert hitting_report(broken, 5)
+        assert "".join(hitting_report(broken, 5))
         assert 0 < sum(returned) <= 26_365
 
     def test_hitting_path_builds_no_profile(self, broken, monkeypatch):
@@ -580,7 +583,7 @@ class TestHittingSetAgainstSupport:
         y = base_slab(broken)
         window = (broken.height(2), broken.height(3))
         assert hitting_set(y, y, window, broken)
-        assert json.loads(hitting_report(broken, 4))["intervals"]
+        assert json.loads("".join(hitting_report(broken, 4)))["intervals"]
         with pytest.raises(AssertionError, match="built a profile"):
             correlation_profile(y, y, window, broken)  # the patch is in effect
 
@@ -591,7 +594,7 @@ class TestHittingSetAgainstSupport:
         """The report's text is ``json.dumps(indent=2, sort_keys=True)`` of
         what it holds, and its intervals are ``hitting_set``'s."""
         sched = request.getfixturevalue(name)
-        text = hitting_report(sched, j)
+        text = "".join(hitting_report(sched, j))
         rep = json.loads(text)
         assert text == json.dumps(rep, indent=2, sort_keys=True) + "\n"
         y = base_slab(sched)
@@ -609,7 +612,7 @@ class TestHittingSetAgainstSupport:
 
         monkeypatch.setattr(levelset, "hitting_set", fractions)
         monkeypatch.setattr(levelset, "_lattice_set", fractions)
-        assert json.loads(hitting_report(broken, 4))["intervals"]
+        assert json.loads("".join(hitting_report(broken, 4)))["intervals"]
         with pytest.raises(AssertionError, match="Fraction per endpoint"):
             find_dissipativity_witness(broken, 2, 4)  # the patch is in effect
 
@@ -632,7 +635,7 @@ class TestMergeRuns:
         pieces = sorted((a, a + n) for a, n in spans)
         hi = lo + width
         clipped = [(max(a, lo), min(b, hi)) for a, b in merge_sorted(pieces)]
-        assert levelset._merge_runs(pieces, lo, hi) == [(a, b) for a, b in clipped if a < b]
+        assert list(levelset._merge_runs(pieces, lo, hi)) == [(a, b) for a, b in clipped if a < b]
 
 
 class TestLandmarkLabels:
@@ -695,6 +698,68 @@ class TestLandmarkLabels:
         assert annotate_landmark(terms, t.numerator, t.denominator) == expected
         tn, td = 6 * t.numerator, 6 * t.denominator  # unreduced
         assert annotate_landmark(terms, tn, td) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_labels_equal_labels_run_by_run(self, data):
+        """The report labels its increasing midpoints block by block, by
+        bisection; each label must be ``annotate_landmark``'s.  Midpoints
+        sit on and beside every label edge: equal landmark values, exact
+        ties at t^2 = v1*v2 in both dict orders, and gaps wider than 4x
+        between landmarks, which leave several unresolved blocks."""
+        kind = data.draw(st.sampled_from(["equal", "tie", "gaps", "any"]), label="kind")
+        pos = st.fractions(min_value=F(1, 12), max_value=60, max_denominator=12)
+        if kind == "equal":
+            v = data.draw(pos, label="v")
+            values = [v, data.draw(pos, label="other"), v]
+        elif kind == "tie":  # a^2 c and b^2 c tie at t = a b c
+            a, b = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True))
+            c = data.draw(pos, label="c")
+            values = [a * a * c, b * b * c]
+        elif kind == "gaps":
+            v = data.draw(pos, label="v")
+            values = []
+            for _ in range(data.draw(st.integers(2, 4), label="landmarks")):
+                values.append(v)
+                v *= data.draw(st.integers(5, 12), label="gap")
+        else:
+            values = data.draw(st.lists(
+                st.fractions(min_value=-2, max_value=60, max_denominator=12), min_size=1, max_size=4
+            ), label="values")
+        if data.draw(st.booleans(), label="reversed"):
+            values.reverse()
+        terms = landmark_terms(dict(zip("abcd", values)))
+        # the label edges: v/2, v and 2v, and every rational tie sqrt(v1 v2)
+        edges = [e for _, vn, vd in terms for e in (F(vn, 2 * vd), F(vn, vd), F(2 * vn, vd))]
+        for (_, n1, d1), (_, n2, d2) in itertools.combinations(terms, 2):
+            num, den = n1 * n2, d1 * d2
+            if math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den:
+                edges.append(F(math.isqrt(num), math.isqrt(den)))
+        # a lattice fine enough for a point strictly inside every gap
+        td = 4 * math.lcm(*(e.denominator for e in edges)) * data.draw(st.integers(1, 3), label="k")
+        points = {int(e * td) + k for e in edges for k in (-1, 0, 1)}
+        points |= set(data.draw(st.lists(st.integers(1, 130 * td), max_size=20), label="more"))
+        mids = sorted(m for m in points if m > 0)
+        labels = _block_labels(terms, mids, td)
+        assert labels == [annotate_landmark(terms, m, td) for m in mids]
+        if kind == "gaps":
+            blocks = [name for name, _ in itertools.groupby(labels)]
+            assert blocks.count("unresolved") >= 3
+
+    @pytest.mark.parametrize(
+        "name, j", [("desk", 2), ("desk", 3), ("deep16", 3), ("broken", 4), ("broken", 5)]
+    )
+    def test_block_labels_on_report_windows(self, request, name, j):
+        """The block labels of every run of a report window, against
+        ``annotate_landmark`` run by run."""
+        sched = request.getfixturevalue(name)
+        y = base_slab(sched)
+        scale, runs = levelset._hitting_runs(y, y, sched.height(j), sched.height(j + 1), sched)
+        mids = [lo + hi for lo, hi in runs]
+        terms = landmark_terms(window_landmarks(sched, j))
+        assert _block_labels(terms, mids, 2 * scale) == [
+            annotate_landmark(terms, m, 2 * scale) for m in mids
+        ]
 
 
 class TestPiecewiseLinear:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -322,7 +323,7 @@ class TestSpectralDensity:
 
 class TestHittingReport:
     def test_landmark_annotations(self, desk):
-        rep = json.loads(hitting_report(desk, 2))
+        rep = json.loads("".join(hitting_report(desk, 2)))
         assert rep["intervals"]
         names = {e["landmark"] for e in rep["intervals"]}
         assert "tower_height" in names
@@ -339,7 +340,7 @@ class TestHittingReport:
         # the Fraction-based sweep, support and labels serialized by
         # ``json.dumps(indent=2, sort_keys=True)``, which the one-pass text
         # on the lattice must reproduce byte for byte
-        text = hitting_report(broken, 4)
+        text = "".join(hitting_report(broken, 4))
         assert len(json.loads(text)["intervals"]) == 6085
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "719f08f33959b152c98d5bda43f9e58c7d888be0001a73d250b69e4dba264560"
@@ -348,17 +349,42 @@ class TestHittingReport:
     def test_broken_window_5_bytes_unchanged(self, broken):
         # the bench's sweep workload writes this report with
         # ``rankone profile --window 5``; its digest is the bench gate's
-        text = hitting_report(broken, 5)
+        text = "".join(hitting_report(broken, 5))
         assert len(json.loads(text)["intervals"]) == 79093
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "b673a9a47f1b2280ac2a3003adaa337bf4e2c9a93b1f9a691c047ac2125d6baa"
         )
 
+    @pytest.mark.parametrize("chunk", [1, 2, 6085])
+    def test_chunk_boundaries_keep_the_bytes(self, broken, monkeypatch, chunk):
+        """The text does not depend on where its chunks end: one run per
+        chunk, two, and all 6,085 runs of broken window 4 in one."""
+        import rankone.verify as verify
+
+        monkeypatch.setattr(verify, "_CHUNK_RUNS", chunk)
+        text = "".join(hitting_report(broken, 4))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "719f08f33959b152c98d5bda43f9e58c7d888be0001a73d250b69e4dba264560"
+        )
+
+    def test_stream_peak_below_its_text(self, broken):
+        """Consuming the report of broken window 5 chunk by chunk never
+        holds as much as its own 9,763,736-byte text: no list of its runs,
+        entries or text is built."""
+        tracemalloc.start()
+        try:
+            size = sum(map(len, hitting_report(broken, 5)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size == 9_763_736
+        assert peak < size
+
     def test_no_runs_give_an_empty_list(self, desk, monkeypatch):
         import rankone.verify as verify
 
-        monkeypatch.setattr(verify, "_hitting_runs", lambda *args: (1, []))
-        text = hitting_report(desk, 2)
+        monkeypatch.setattr(verify, "_hitting_runs", lambda *args: (1, iter([])))
+        text = "".join(hitting_report(desk, 2))
         assert '\n  "intervals": [],\n' in text
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
         assert json.loads(text) == {"intervals": [], "range": ["553/2", "305809/4"],
