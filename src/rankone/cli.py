@@ -146,23 +146,10 @@ def main():
 @click.option("--config", "-c", required=True, type=click.Path(dir_okay=False))
 @click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
 def build(config, out):
-    """Build a schedule from a JSON config and write it with a build log."""
+    """Build a schedule from a JSON config and write it as schedule.json."""
     out_dir = Path(out)
     sched = schedule_from_config(load_config(config))
     _write_json(out_dir / "schedule.json", sched.to_dict())
-    log = {
-        "stages": sched.num_stages,
-        "certified_windows": sched.certified_windows(),
-        "escalations": write_block(sched.escalations),
-        "final_multipliers": {
-            str(st.index): rat_str(st.multiplier) for st in sched.stages
-        },
-        "tower_measures": {
-            str(j): rat_str(sched.tower_measure(j))
-            for j in range(1, sched.num_stages + 1)
-        },
-    }
-    _write_json(out_dir / "build_log.json", log)
     if not sched.certified_windows():
         click.echo("built schedule: no certified windows (schedule too short)")
     else:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate
 from types import NoneType, UnionType
-from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 from . import levelset
 from .errors import EscalationExhausted, StageOutOfRange
@@ -387,7 +387,8 @@ class StageParams:
     """Everything stage j contributes: spacers, height, width, offsets.
 
     offsets[i] is the base height of column copy i+1 of tower j inside
-    tower j+1; the exact recurrences are asserted at construction.
+    tower j+1.  Only ratio, delta1, delta3 and multiplier are free; the
+    other fields are what ``_assemble_stages`` derives from them.
     """
 
     index: int
@@ -400,27 +401,13 @@ class StageParams:
     offsets: tuple[Rat, Rat, Rat, Rat]
     multiplier: Rat
 
-    def __post_init__(self):
-        s = self.spacers
-        h = self.height
-        if len(s) != 4 or len(self.offsets) != 4:
-            raise ValueError("a stage needs four spacers and four offsets")
-        if any(x < 0 for x in s):
-            raise ValueError("spacer heights must be non-negative")
-        if not (ZERO <= self.delta1 <= ONE and ZERO <= self.delta3 <= ONE):
-            raise ValueError("perturbations must lie in [0, 1]")
-        if s[0] != self.delta1:
-            raise ValueError("first spacer must equal the delta1 perturbation")
-        if s[2] != (self.ratio - 1) * h + self.delta3:
-            raise ValueError("third spacer must equal (ratio-1)*height + delta3")
-        if s[1] != self.multiplier * h:
-            raise ValueError("second spacer must equal multiplier*height")
-        if self.offsets != _stacking_offsets(h, s):
-            raise ValueError("offsets do not satisfy the stacking recurrence")
-
     @property
     def next_height(self) -> Rat:
         return self.offsets[3] + self.height + self.spacers[3]
+
+
+# the fields _assemble_stages derives, in the order a mismatch is reported
+_DERIVED = ("index", "height", "width", "spacers", "offsets")
 
 
 @dataclass(frozen=True)
@@ -437,10 +424,11 @@ class EscalationEvent:
 class Schedule:
     """An immutable, fully determined finite-stage construction record.
 
-    Construction validates the cross-stage recurrences, so a deserialized
-    schedule is guaranteed to describe an actual stacking flow (each
-    stage's height is the previous stage's derived height, widths quarter,
-    ratios come from the singular family).
+    Construction checks each stage's free choices (its ratio is in the
+    singular family, its multiplier at least the policy's start, its
+    perturbations in [0, 1]) and then that every other field is what
+    ``_assemble_stages`` derives from them, so a deserialized schedule is
+    guaranteed to describe an actual stacking flow.
     """
 
     base_width: Rat
@@ -457,27 +445,25 @@ class Schedule:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("a schedule needs at least one stage")
-        if self.stages[0].height != self.base_height:
-            raise ValueError("stage 1 height must equal the base height")
-        width = self.base_width
         allowed = set(self.targets.singular)
-        for i, st in enumerate(self.stages, start=1):
-            if st.index != i:
-                raise ValueError(f"stage indices must run 1..n, got {st.index} at {i}")
-            if st.width != width:
-                raise ValueError(f"stage {i} width breaks the quartering rule")
+        for j, st in enumerate(self.stages, start=1):
             if st.ratio not in allowed:
-                raise ValueError(f"stage {i} ratio {st.ratio} not in the singular family")
-            if st.multiplier < self.policy.start_multiplier(i):
-                raise ValueError(f"stage {i} multiplier is below the policy's start")
-            if st.spacers[3] != self.policy.top_spacer.top(st.multiplier, st.spacers[1]):
-                raise ValueError(f"stage {i} top spacer breaks the policy's rule")
-            width = width / 4
-        for prev, nxt in zip(self.stages, self.stages[1:]):
-            if nxt.height != prev.next_height:
-                raise ValueError(
-                    f"stage {nxt.index} height breaks the stacking recurrence"
-                )
+                raise ValueError(f"stage {j} ratio {st.ratio} not in the singular family")
+            if st.multiplier < self.policy.start_multiplier(j):
+                raise ValueError(f"stage {j} multiplier is below the policy's start")
+            if not (ZERO <= st.delta1 <= ONE and ZERO <= st.delta3 <= ONE):
+                raise ValueError(f"stage {j} perturbations must lie in [0, 1]")
+        choices = [(st.ratio, st.delta1, st.delta3, st.multiplier) for st in self.stages]
+        rebuilt = _assemble_stages(
+            self.base_width, self.base_height, choices, self.policy.top_spacer, 0
+        )
+        for j, (st, want) in enumerate(zip(self.stages, rebuilt), start=1):
+            for name in _DERIVED:
+                if getattr(st, name) != getattr(want, name):
+                    raise ValueError(
+                        f"stage {j} {name} is not what the stacking recurrence gives "
+                        "from its ratio, perturbation and multiplier"
+                    )
 
     @property
     def num_stages(self) -> int:
@@ -501,9 +487,6 @@ class Schedule:
 
     def offsets(self, j: int) -> tuple[Rat, Rat, Rat, Rat]:
         return self.stage(j).offsets
-
-    def tower_measure(self, j: int) -> Rat:
-        return self.width(j) * self.height(j)
 
     def certified_windows(self) -> list[int]:
         """The windows [h_j, h_{j+1}] with stage j+2 built; as stages j, the
@@ -578,29 +561,24 @@ def enumerate_ratios(values: Sequence[Rat], j_max: int) -> tuple[Rat, ...]:
 def _assemble_stages(
     base_width: Rat,
     base_height: Rat,
-    ratios: Sequence[Rat],
-    net: Sequence[tuple[Rat, Rat]],
-    multipliers: Mapping[int, Rat],
+    choices: Sequence[tuple[Rat, Rat, Rat, Rat]],
     top_rule: TopSpacerRule,
     bound: int,
 ) -> tuple[StageParams, ...]:
-    """The stages of one build, each settled here: stage j takes ratios[j-1]
-    and multipliers[j], and the i-th stage carrying a ratio takes the net
-    point net[i % len(net)], so the stages of each ratio walk the net in
-    row-major order.  A stage with a height, width, multiplier, spacer or
-    offset of ``bound`` or more in numerator or denominator is refused
-    (``bound`` 0: none is)."""
+    """The stages whose free choices are ``choices``, one (ratio, delta1,
+    delta3, multiplier) per stage, by the stacking recurrence: the one
+    place a stage's spacers, offsets, height and width are derived.  A
+    stage with a negative spacer, or with a height, width, multiplier,
+    spacer or offset of ``bound`` or more in numerator or denominator, is
+    refused (``bound`` 0: none is)."""
     stages: list[StageParams] = []
-    visits: dict[Rat, int] = {}
     h = base_height
     w = base_width
-    for j, c in enumerate(ratios, start=1):
-        i = visits.get(c, 0)
-        visits[c] = i + 1
-        d1, d3 = net[i % len(net)]
-        m = multipliers[j]
+    for j, (c, d1, d3, m) in enumerate(choices, start=1):
         s2 = m * h
         s = (d1, s2, (c - 1) * h + d3, top_rule.top(m, s2))
+        if any(x < 0 for x in s):
+            raise ValueError(f"stage {j} spacer heights must be non-negative")
         offsets = _stacking_offsets(h, s)
         nums = (h, w, m, *s, *offsets)
         if bound and any(max(abs(x.numerator), x.denominator) >= bound for x in nums):
@@ -638,9 +616,12 @@ def build_schedule(
     ``Schedule.windows_for(d)``, the exact witness search must find the
     witness empty; otherwise the multipliers of every stage feeding the
     first failing window (in window order, then family order) are
-    escalated and the schedule is rebuilt, up to the policy's retry
-    budget.  A stage with a number past the interpreter's digit limit is
-    a ValueError, raised as the stages are assembled.
+    escalated, and every stage is reassembled and every window
+    re-certified, up to the policy's retry budget.  The i-th stage
+    carrying a ratio takes the net point net[i % len(net)], so the stages
+    of each ratio walk the net in row-major order.  A stage with a number
+    past the interpreter's digit limit is a ValueError, raised as the
+    stages are assembled.
     """
     base_width = rat(base_width)
     base_height = rat(base_height)
@@ -651,6 +632,7 @@ def build_schedule(
     policy = policy or StagePolicy()
     ratios = enumerate_ratios(targets.singular, j_max)
     net = perturbation.points() if perturbation is not None else ((ZERO, ZERO),)
+    free = [(c, *net[ratios[:i].count(c) % len(net)]) for i, c in enumerate(ratios)]
     limit = int_digit_limit()
     bound = 10**limit if limit else 0
 
@@ -659,9 +641,8 @@ def build_schedule(
 
     retries = 0
     while True:
-        stages = _assemble_stages(
-            base_width, base_height, ratios, net, multipliers, policy.top_spacer, bound
-        )
+        choices = [(*f, multipliers[j]) for j, f in enumerate(free, start=1)]
+        stages = _assemble_stages(base_width, base_height, choices, policy.top_spacer, bound)
         sched = Schedule(
             base_width=base_width,
             base_height=base_height,

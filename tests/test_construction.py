@@ -19,7 +19,14 @@ from rankone import (
     build_schedule,
     enumerate_ratios,
 )
-from rankone.construction import EscalationEvent, field_reader, read_json, write_block
+from rankone.construction import (
+    EscalationEvent,
+    _assemble_stages,
+    field_reader,
+    read_json,
+    write_block,
+)
+from rankone.exactnum import rat_str
 
 
 class TestTargetSets:
@@ -128,12 +135,11 @@ class TestScheduleInvariants:
 
     def test_tower_measure_growth(self, desk):
         # mu(X_{j+1}) = mu(X_j) + w_{j+1} * sum(spacers); unbounded on the prefix
+        measure = [desk.width(j) * desk.height(j) for j in range(1, desk.num_stages + 1)]
         for j in range(1, desk.num_stages):
             st = desk.stage(j)
-            assert desk.tower_measure(j + 1) == desk.tower_measure(j) + desk.width(
-                j + 1
-            ) * sum(st.spacers)
-        assert desk.tower_measure(desk.num_stages) > 2**desk.num_stages
+            assert measure[j] == measure[j - 1] + desk.width(j + 1) * sum(st.spacers)
+        assert measure[-1] > 2**desk.num_stages
 
     def test_ratio_trace_matches_enumeration(self, desk):
         assert tuple(st.ratio for st in desk.stages) == enumerate_ratios(
@@ -143,8 +149,6 @@ class TestScheduleInvariants:
 
 class TestDeterminismAndSerialization:
     def test_tampered_schedule_rejected(self, desk):
-        from rankone.exactnum import rat_str
-
         d = desk.to_dict()
         # an internally consistent stage whose height breaks the chain
         h, c, m = F(999), F(5, 2), F(16)
@@ -159,8 +163,6 @@ class TestDeterminismAndSerialization:
             Schedule.from_dict(d)
 
     def test_multiplier_below_policy_start_rejected(self, desk):
-        from rankone.exactnum import rat_str
-
         d = desk.to_dict()
         # the last stage, consistent in itself, with half the gauge's multiplier
         st = d["stages"][-1]
@@ -173,6 +175,47 @@ class TestDeterminismAndSerialization:
         st["multiplier"] = rat_str(m)
         with pytest.raises(ValueError, match=f"stage {j} multiplier is below the policy's start"):
             Schedule.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "name, i",
+        [("index", None), ("height", None), ("width", None)]
+        + [("spacers", i) for i in range(4)]
+        + [("offsets", i) for i in range(4)],
+    )
+    def test_derived_field_off_by_one_rejected(self, desk, name, i):
+        d = desk.to_dict()
+        st = d["stages"][2]
+        if name == "index":
+            st[name] += 1
+        elif i is None:
+            st[name] = rat_str(F(st[name]) + 1)
+        else:
+            st[name][i] = rat_str(F(st[name][i]) + 1)
+        with pytest.raises(ValueError, match=f"^stage 3 {name} is not what the stacking "
+                                             "recurrence gives"):
+            Schedule.from_dict(d)
+
+    def test_negative_spacer_refused(self, desk):
+        # a top-spacer rule that the recurrence turns into a negative spacer
+        d = desk.to_dict()
+        d["policy"]["top_spacer"] = {"mode": "collide", "collide_ratio": "-2/1"}
+        with pytest.raises(ValueError, match="^stage 1 spacer heights must be non-negative"):
+            Schedule.from_dict(d)
+
+    def test_any_consistent_choices_load(self, desk):
+        # neither the diagonal ratio order nor the net walk of build_schedule
+        m = [desk.policy.start_multiplier(j) * 3 for j in range(1, 6)]
+        choices = [(F(5, 2), F(1, 3), F(1), m[0]), (F(5, 2), F(0), F(2, 7), m[1]),
+                   (F(3, 2), F(1), F(1, 3), m[2]), (F(5, 2), F(1, 2), F(0), m[3]),
+                   (F(3, 2), F(0), F(0), m[4])]
+        stages = _assemble_stages(F(3), F(1, 2), choices, desk.policy.top_spacer, 0)
+        sched = dataclasses.replace(desk, base_width=F(3), base_height=F(1, 2),
+                                    stages=stages, escalations=())
+        back = Schedule.from_json(sched.to_json())
+        assert back == sched
+        assert back.to_json() == sched.to_json()
+        assert [(st.ratio, st.delta1, st.delta3, st.multiplier)
+                for st in back.stages] == choices
 
     def test_rebuild_identical(self, desk):
         again = build_schedule(
