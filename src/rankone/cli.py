@@ -120,7 +120,10 @@ _EXIT_CODES = (
     (HorizonExceeded, 4, "horizon exceeded"),
     (NotDissipative, 3, "not dissipative"),
     (EscalationExhausted, 2, "escalation exhausted"),
-    ((RankOneError, ValueError), 2, "usage error"),
+    (RankOneError, 2, "usage error"),
+    (ValueError, 2, "usage error"),
+    (OSError, 2, "file error"),
+    (OverflowError, 2, "beyond the float range"),
 )
 
 
@@ -130,7 +133,7 @@ class _ExitCodeGroup(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (RankOneError, ValueError) as exc:
+        except tuple(kind for kind, _, _ in _EXIT_CODES) as exc:
             for kind, code, label in _EXIT_CODES:
                 if isinstance(exc, kind):
                     click.echo(f"{label}: {exc}", err=True)
@@ -366,11 +369,11 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
     hi = rat(t_max) if t_max is not None else sched.height(min(2, sched.num_stages))
     prof = correlation_profile(y, y, (lo, hi), sched)
     hits = hitting_report(sched, window_index) if window_index is not None else None
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["t,value"]
     for i in range(samples + 1):
         t = lo + (hi - lo) * Fraction(i, samples)
         rows.append(f"{float(t):.12e},{float(prof.value_at(t)):.12e}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "profile.csv").write_text("\n".join(rows) + "\n")
     _write_json(
         out_dir / "profile.json",
@@ -413,7 +416,8 @@ def density(schedule, out, ratio, s_max, samples):
 @click.option("--triples", default=12, type=click.IntRange(min=1))
 @click.option("--samples", default=2000, type=int)
 @click.option("--seed", default=0, type=int)
-@click.option("--t-max-stage", default=3, type=int)
+@click.option("--t-max-stage", default=3, type=click.IntRange(min=1),
+              help="triple i draws its time from [0, h_k], k = 1 + i mod this")
 def oracle(schedule, out, triples, samples, seed, t_max_stage):
     """Cross-check the exact engine against the orbit-simulation oracle."""
     out_dir = Path(out)
@@ -424,11 +428,10 @@ def oracle(schedule, out, triples, samples, seed, t_max_stage):
     denom = 2**16
     rows = ["name_a,name_b,t,exact,oracle,bound,ok"]
     violations = 0
-    t_hi = sched.height(t_stage)
-    for _ in range(triples):
+    for i in range(triples):
         name_a, a = family[rng.randrange(len(family))]
         name_b, b = family[rng.randrange(len(family))]
-        t = t_hi * Fraction(rng.randrange(denom), denom)
+        t = sched.height(1 + i % t_stage) * Fraction(rng.randrange(denom), denom)
         exact = correlation(a, b, t, sched)
         est = oracle_correlation(a, b, t, samples, sched)
         ok = abs(est.value - exact) <= est.bound

@@ -180,14 +180,16 @@ def read_block(cls, value, **readers):
 def write_block(value):
     """The document form of ``value``, the inverse of ``read_block``: a
     rational as 'p/q', an interval set as its pairs, a tuple as a list, a
-    dataclass as an object of its compared fields (``TargetSets`` entry
-    stages keyed by ratio)."""
+    dict by its values, a dataclass as an object of its compared fields
+    (``TargetSets`` entry stages keyed by ratio)."""
     if isinstance(value, Fraction):
         return rat_str(value)
     if isinstance(value, IntervalSet):
         return value.to_pairs()
     if isinstance(value, (tuple, list)):
         return [write_block(v) for v in value]
+    if isinstance(value, dict):
+        return {k: write_block(v) for k, v in value.items()}
     if not is_dataclass(value):
         return value
     out = {

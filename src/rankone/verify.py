@@ -119,6 +119,14 @@ def carrying_stages(sched, c: Rat, point: tuple[Rat, Rat] | None = None) -> list
     ]
 
 
+def _limit_walk(a: SlabSet, b: SlabSet, c: Rat, stages, sched) -> Iterator[tuple[int, Rat, Rat]]:
+    """(j, mu(T_{h_j} A /\\ B), mu(T_{c h_j} A /\\ B)) for each stage j of
+    ``stages``: what the exact and the perturbed weak limits compare."""
+    for j in stages:
+        h = sched.height(j)
+        yield j, correlation(a, b, h, sched), correlation(a, b, c * h, sched)
+
+
 def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> WeakLimitReport:
     """Verify the quarter-correlation identities for one pair and ratio."""
     c = rat(c)
@@ -133,30 +141,25 @@ def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> WeakLimitReport:
     mu_ab = correlation(a, b, ZERO, sched)
     target = mu_ab / 4
     product_target = mu_ab * mu_ab / 16
-    checks: list[StageCheck] = []
-    for j in matching:
-        h = sched.height(j)
-        v1 = correlation(a, b, h, sched)
-        v2 = correlation(a, b, c * h, sched)
-        checks.append(
-            StageCheck(
-                stage=j,
-                value_at_height=v1,
-                match_at_height=v1 == target,
-                value_at_stretched_height=v2,
-                match_at_stretched_height=v2 == target,
-                product=v1 * v2,
-                product_match=v1 * v2 == product_target,
-            )
+    checks = [
+        StageCheck(
+            stage=j,
+            value_at_height=v1,
+            match_at_height=v1 == target,
+            value_at_stretched_height=v2,
+            match_at_stretched_height=v2 == target,
+            product=v1 * v2,
+            product_match=v1 * v2 == product_target,
         )
+        for j, v1, v2 in _limit_walk(a, b, c, matching, sched)
+    ]
     # the identities hold for all sufficiently large stages: report the
     # start of the maximal suffix on which both hold at every stage
     threshold = None
     for ch in reversed(checks):
-        if ch.match_at_height and ch.match_at_stretched_height:
-            threshold = ch.stage
-        else:
+        if not (ch.match_at_height and ch.match_at_stretched_height):
             break
+        threshold = ch.stage
     return WeakLimitReport(
         ratio=c,
         target=target,
@@ -167,40 +170,17 @@ def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> WeakLimitReport:
     )
 
 
-@dataclass(frozen=True)
-class EvidenceEntry:
-    pair: tuple[str, str]
-    constant: Rat
-    sequence: tuple[tuple[int, Rat], ...]
-    informative: bool
+def singularity_evidence(c, reports: Sequence[tuple[str, str, WeakLimitReport]]) -> dict:
+    """The ``evidence_<c>.json`` document of passing (name_a, name_b, report)s.
 
-
-@dataclass(frozen=True)
-class SingularityEvidence:
-    """The non-vanishing product-correlation sequences.
-
-    Along the stages carrying c, the product correlation for the pair
+    Along the stages carrying c, the product correlation of each pair
     stays at a constant nonzero value, so it cannot vanish at infinity;
     a weak null limit is therefore impossible and the spectral measure
     of the pair vector has a singular component.  Pairs with disjoint
     slabs give the constant 0 and are flagged uninformative.
     """
-
-    ratio: Rat
-    entries: tuple[EvidenceEntry, ...]
-    informative: bool = field(init=False)
-    note: str = field(default=EVIDENCE_NOTE, init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "informative", any(e.informative for e in self.entries))
-
-
-def singularity_evidence(
-    c, reports: Sequence[tuple[str, str, WeakLimitReport]]
-) -> SingularityEvidence:
-    """Summarize the obstruction sequences of passing (name_a, name_b, report)s."""
     c = rat(c)
-    entries: list[EvidenceEntry] = []
+    entries = []
     for name_a, name_b, rep in reports:
         if rep.ratio != c:
             raise ValueError(
@@ -211,20 +191,20 @@ def singularity_evidence(
                 f"weak-limit check failed for ({name_a}, {name_b}); "
                 "evidence requires passing pairs"
             )
-        seq = tuple(
-            (ch.stage, ch.product)
-            for ch in rep.stages
-            if ch.stage >= rep.threshold_stage
-        )
-        entries.append(
-            EvidenceEntry(
-                pair=(name_a, name_b),
-                constant=rep.product_target,
-                sequence=seq,
-                informative=rep.product_target > 0,
-            )
-        )
-    return SingularityEvidence(ratio=c, entries=tuple(entries))
+        entries.append({
+            "pair": (name_a, name_b),
+            "constant": rep.product_target,
+            "sequence": tuple(
+                (ch.stage, ch.product) for ch in rep.stages if ch.stage >= rep.threshold_stage
+            ),
+            "informative": rep.product_target > 0,
+        })
+    return {
+        "ratio": c,
+        "entries": entries,
+        "informative": any(e["informative"] for e in entries),
+        "note": EVIDENCE_NOTE,
+    }
 
 
 # --------------------------------------------------------------------------
@@ -374,20 +354,15 @@ def check_perturbed_limit(
         )
     limit_h = correlation(a, b, -a_shift, sched) / 4
     limit_c = correlation(a, b, -b_shift, sched) / 4
-    checks: list[PerturbedStageCheck] = []
-    for j in matching:
-        h = sched.height(j)
-        e1 = abs(correlation(a, b, h, sched) - limit_h)
-        e2 = abs(correlation(a, b, c * h, sched) - limit_c)
-        tol = perturbation_tolerance(a, b, sched, j)
-        checks.append(
-            PerturbedStageCheck(
-                stage=j,
-                error_at_height=e1,
-                error_at_stretched_height=e2,
-                tolerance=tol,
-            )
+    checks = [
+        PerturbedStageCheck(
+            stage=j,
+            error_at_height=abs(v1 - limit_h),
+            error_at_stretched_height=abs(v2 - limit_c),
+            tolerance=perturbation_tolerance(a, b, sched, j),
         )
+        for j, v1, v2 in _limit_walk(a, b, c, matching, sched)
+    ]
     return PerturbedLimitReport(
         ratio=c,
         point=(a_shift, b_shift),

@@ -810,6 +810,83 @@ class TestArtifacts:
         assert len(rows) == 7
         assert all(row.endswith("True") for row in rows[1:])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_oracle_draws_reach_nonzero_correlations(self, built_desk, tmp_path, seed):
+        """Triple i draws t from [0, h_{1 + i mod 3}]: on [0, h_3] alone the
+        desk family's correlations are nonzero on under 2% of the times."""
+        out = tmp_path / "oracle"
+        result = CliRunner().invoke(
+            main, ["oracle", "-s", str(built_desk / "schedule.json"), "-o", str(out),
+                   "--seed", str(seed)],
+        )
+        assert result.exit_code == 0, result.output
+        rows = [row.split(",") for row in (out / "oracle.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 12
+        assert any(float(row[3]) != 0 for row in rows)
+
+
+# a base height of 401 digits: every stage height is past the float range
+HUGE_HEIGHT = "1" + "0" * 400
+
+
+@pytest.fixture(scope="module")
+def built_huge(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli_huge")
+    cfg = write_config(tmp, {"base_height": HUGE_HEIGHT})
+    result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(tmp)])
+    assert result.exit_code == 0, result.output
+    return tmp / "schedule.json"
+
+
+class TestExitCodeEscapes:
+    """Errors outside the package's own kinds still exit 2 with a message,
+    not with a traceback and exit 1."""
+
+    @pytest.mark.parametrize("command", ["build", "verify", "profile", "density", "oracle"])
+    def test_output_under_regular_file_exit_2(self, built_desk, tmp_path, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        source = (
+            ["-c", str(Path(__file__).resolve().parents[1] / "configs" / "desk.json")]
+            if command == "build"
+            else ["-s", str(built_desk / "schedule.json")]
+        )
+        result = CliRunner().invoke(main, [command, *source, "-o", str(blocker / "out")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "file error: " in result.stderr and "Not a directory" in result.stderr
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "x"
+
+    @pytest.mark.parametrize("command", ["profile", "density", "oracle"])
+    def test_heights_past_float_range_exit_2(self, built_huge, tmp_path, command):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [command, "-s", str(built_huge), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "beyond the float range: " in result.stderr
+        assert not out.exists()
+
+
+def test_committed_out_matches_a_fresh_run(tmp_path):
+    """``out/`` is what ``build`` on the desk config and ``verify
+    --spot-checks 50`` write, byte for byte."""
+    repo = Path(__file__).resolve().parents[1]
+    result = CliRunner().invoke(
+        main, ["build", "-c", str(repo / "configs" / "desk.json"), "-o", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    result = CliRunner().invoke(
+        main, ["verify", "-s", str(tmp_path / "schedule.json"), "-o", str(tmp_path),
+               "--spot-checks", "50"],
+    )
+    assert result.exit_code == 0, result.output
+    committed = sorted(path.name for path in (repo / "out").iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == committed
+    assert len(committed) == 6
+    for name in committed:
+        assert (tmp_path / name).read_bytes() == (repo / "out" / name).read_bytes(), name
+
 
 def test_cli_import_skips_heavy_modules(desk, tmp_path):
     """The process pool loads only where it is used; numpy and scipy load

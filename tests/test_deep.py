@@ -30,7 +30,7 @@ def test_deep16_full_verify_and_density():
                 if rep.passed:
                     passing.append((name_a, name_b, rep))
         passed += len(passing)
-        assert singularity_evidence(c, passing).informative
+        assert singularity_evidence(c, passing)["informative"]
     assert (passed, checked) == (110, 110)
 
     for d in sched.targets.dissipative:

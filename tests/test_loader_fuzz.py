@@ -137,12 +137,14 @@ def test_unmutated_inputs_pass(work):
         ["verify", "--which", "dissipative", "--spot-checks", "-1"],
         ["oracle", "--triples", "0"],
         ["oracle", "--triples", "-1"],
+        ["oracle", "--t-max-stage", "0"],
+        ["oracle", "--t-max-stage", "-1"],
         ["density", "--s-max", "nan"],
         ["density", "--s-max", "inf"],
         ["density", "--mass-s", "4000"],
     ],
     ids=["samples-0", "samples-neg", "jobs-0", "jobs-neg", "spot-checks-neg",
-         "triples-0", "triples-neg", "s-max-nan", "s-max-inf", "mass-s-removed"],
+         "triples-0", "triples-neg", "t-max-stage-0", "t-max-stage-neg", "s-max-nan", "s-max-inf", "mass-s-removed"],
 )
 def test_out_of_range_options_exit_2(work, args):
     result = _invoke(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from rankone import (
     NoMatchingStages,
     NotDissipative,
+    RankOneError,
     base_slab,
     check_dissipativity,
     check_perturbed_limit,
@@ -24,6 +26,7 @@ from rankone.cli import load_config, schedule_from_config
 from rankone.construction import write_block
 from rankone.levelset import find_dissipativity_witness
 from rankone.verify import (
+    EVIDENCE_NOTE,
     DensityGrid,
     _si,
     dissipativity_spot_check,
@@ -88,14 +91,25 @@ class TestSingularityEvidence:
         y = base_slab(desk)
         rep = check_weak_limits(y, y, F(3, 2), desk)
         ev = singularity_evidence(F(3, 2), [("y", "y", rep)])
-        entry = ev.entries[0]
-        assert entry.constant == F(1, 16)
-        assert entry.informative
-        assert all(v == F(1, 16) for _, v in entry.sequence)
+        entry = ev["entries"][0]
+        assert entry["pair"] == ("y", "y")
+        assert entry["constant"] == F(1, 16)
+        assert entry["informative"] and ev["informative"]
+        assert [s for s, _ in entry["sequence"]] == [2, 4, 6]
+        assert all(v == F(1, 16) for _, v in entry["sequence"])
         # consistency: the constant is the square of the factor target
-        assert entry.constant == rep.target**2
+        assert entry["constant"] == rep.target**2
+        assert ev["ratio"] == F(3, 2) and ev["note"] == EVIDENCE_NOTE
         with pytest.raises(ValueError):
             singularity_evidence(F(5, 2), [("y", "y", rep)])
+
+    def test_failed_report_refused(self, desk):
+        y = base_slab(desk)
+        rep = dataclasses.replace(
+            check_weak_limits(y, y, F(3, 2), desk), threshold_stage=None, passed=False
+        )
+        with pytest.raises(RankOneError, match="evidence requires passing pairs"):
+            singularity_evidence(F(3, 2), [("y", "y", rep)])
 
     def test_disjoint_pair_vacuous(self, desk):
         h1 = desk.height(1)
@@ -103,8 +117,9 @@ class TestSingularityEvidence:
         b = make_slab(desk, 1, [(h1 / 2, h1)])
         rep = check_weak_limits(a, b, F(3, 2), desk)
         ev = singularity_evidence(F(3, 2), [("a", "b", rep)])
-        assert not ev.entries[0].informative
-        assert not ev.informative
+        assert ev["entries"][0]["constant"] == 0
+        assert not ev["entries"][0]["informative"]
+        assert not ev["informative"]
 
     def test_nonzero_intersection_nonzero_constant(self, desk):
         h1 = desk.height(1)
@@ -112,7 +127,8 @@ class TestSingularityEvidence:
         y = base_slab(desk)
         rep = check_weak_limits(a, y, F(5, 2), desk)
         ev = singularity_evidence(F(5, 2), [("a", "y", rep)])
-        assert ev.entries[0].constant == (3 * F(1, 4) / 4) ** 2 > 0
+        assert ev["entries"][0]["constant"] == (3 * F(1, 4) / 4) ** 2 > 0
+        assert ev["informative"]
 
 
 class TestDissipativity:
@@ -394,6 +410,7 @@ class TestHittingReport:
 @pytest.mark.parametrize(
     "name",
     [
+        "_limit_walk",
         "check_weak_limits",
         "singularity_evidence",
         "check_dissipativity",
@@ -431,25 +448,15 @@ def test_no_to_dict_on_reports(module):
 
 
 def test_derived_report_fields_not_settable():
-    """``within``, ``informative`` and the limit constants are worked out
-    by the report itself, so a caller cannot write a false claim."""
-    from rankone.verify import (
-        EvidenceEntry,
-        PerturbedStageCheck,
-        SingularityEvidence,
-        WeakLimitReport,
-    )
+    """``within`` and the limit constants are worked out by the report
+    itself, so a caller cannot write a false claim."""
+    from rankone.verify import PerturbedStageCheck, WeakLimitReport
 
     check = PerturbedStageCheck(1, F(1, 8), F(1, 2), F(1, 4))
     assert not check.within
     assert PerturbedStageCheck(1, F(1, 4), F(0), F(1, 4)).within
     with pytest.raises(TypeError):
         PerturbedStageCheck(1, F(1, 2), F(1, 2), F(1, 4), within=True)
-    entry = EvidenceEntry(("a", "b"), F(0), ((2, F(0)),), False)
-    assert not SingularityEvidence(F(3, 2), (entry,)).informative
-    for kwargs in ({"informative": True}, {"note": "x"}):
-        with pytest.raises(TypeError):
-            SingularityEvidence(F(3, 2), (entry,), **kwargs)
     with pytest.raises(TypeError):
         WeakLimitReport(
             F(3, 2), F(1), F(1), (), None, False, factor_limit_constant=F(1, 3)
