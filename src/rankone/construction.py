@@ -426,46 +426,69 @@ class EscalationEvent:
 class Schedule:
     """An immutable, fully determined finite-stage construction record.
 
-    Construction checks each stage's free choices (its ratio is in the
-    singular family, its multiplier at least the policy's start, its
-    perturbations in [0, 1]) and then that every other field is what
-    ``_assemble_stages`` derives from them, so a deserialized schedule is
-    guaranteed to describe an actual stacking flow.
+    Made from a positive base tower and its free choices, one (ratio,
+    delta1, delta3, multiplier) per stage.  Construction checks the choices
+    (ratio singular, multiplier at least the policy's start, perturbations
+    in [0, 1]) and the escalation record, and derives ``stages`` with
+    ``_assemble_stages``; no argument sets ``stages`` or ``runtime_cache``.
     """
 
     base_width: Rat
     base_height: Rat
     targets: TargetSets
     policy: StagePolicy
-    stages: tuple[StageParams, ...]
+    choices: tuple[tuple[Rat, Rat, Rat, Rat], ...] = field(compare=False)
     perturbation: PerturbationSpec | None = None
     escalations: tuple[EscalationEvent, ...] = ()
-    runtime_cache: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
+    stages: tuple[StageParams, ...] = field(init=False)
+    runtime_cache: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.stages:
+        object.__setattr__(self, "choices", tuple(map(tuple, self.choices)))
+        if self.base_width <= 0 or self.base_height <= 0:
+            raise ValueError("base width and height must be positive")
+        if not self.choices:
             raise ValueError("a schedule needs at least one stage")
         allowed = set(self.targets.singular)
-        for j, st in enumerate(self.stages, start=1):
-            if st.ratio not in allowed:
-                raise ValueError(f"stage {j} ratio {st.ratio} not in the singular family")
-            if st.multiplier < self.policy.start_multiplier(j):
+        for j, (c, d1, d3, m) in enumerate(self.choices, start=1):
+            if c not in allowed:
+                raise ValueError(f"stage {j} ratio {c} not in the singular family")
+            if m < self.policy.start_multiplier(j):
                 raise ValueError(f"stage {j} multiplier is below the policy's start")
-            if not (ZERO <= st.delta1 <= ONE and ZERO <= st.delta3 <= ONE):
+            if not (ZERO <= d1 <= ONE and ZERO <= d3 <= ONE):
                 raise ValueError(f"stage {j} perturbations must lie in [0, 1]")
-        choices = [(st.ratio, st.delta1, st.delta3, st.multiplier) for st in self.stages]
-        rebuilt = _assemble_stages(
-            self.base_width, self.base_height, choices, self.policy.top_spacer, 0
-        )
-        for j, (st, want) in enumerate(zip(self.stages, rebuilt), start=1):
-            for name in _DERIVED:
-                if getattr(st, name) != getattr(want, name):
-                    raise ValueError(
-                        f"stage {j} {name} is not what the stacking recurrence gives "
-                        "from its ratio, perturbation and multiplier"
-                    )
+        stages = _assemble_stages(self.base_width, self.base_height, self.choices,
+                                  self.policy.top_spacer)
+        object.__setattr__(self, "stages", stages)
+        if len(self.escalations) > self.policy.max_retries:
+            raise ValueError(
+                f"escalations: {len(self.escalations)} events, more than the "
+                f"policy's max_retries {self.policy.max_retries}"
+            )
+        for i, event in enumerate(self.escalations):
+            if why := self._refusal(event):
+                raise ValueError(f"escalations[{i}]: {why}")
+
+    def _refusal(self, event: EscalationEvent) -> str:
+        """Why ``event`` is no escalation ``build_schedule`` could have made
+        on this schedule's windows and policy, or '' if it could."""
+        d, j, bumped = event.ratio, event.window, event.escalated_stages
+        if d not in self.targets.dissipative:
+            return f"ratio {d} is not a dissipative target"
+        if j not in self.certified_windows() or j < self.targets.entry_stage(d):
+            return f"window {j} is not a certified window at or above the entry stage of {d}"
+        built = set(range(1, self.num_stages + 1))
+        if j not in bumped or list(bumped) != sorted(built.intersection(bumped)):
+            return (
+                f"escalated stages {list(bumped)} are not strictly increasing within "
+                f"1..{self.num_stages} and holding window {j}"
+            )
+        factor = self.policy.escalation_factor
+        if event.new_multiplier != event.old_multiplier * factor:
+            return f"new multiplier is not the old one times the escalation factor {factor}"
+        if event.witness.is_empty():
+            return "an escalation needs a nonempty witness"
+        return ""
 
     @property
     def num_stages(self) -> int:
@@ -527,7 +550,19 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
-        return read_block(cls, d)
+        """The schedule made from the stored stages' free choices; the first
+        stored stage and ``_DERIVED`` field that it derives otherwise is refused."""
+        args = read_object(d, _block_readers(cls))
+        stored = args.pop("stages")
+        sched = cls(choices=[(s.ratio, s.delta1, s.delta3, s.multiplier) for s in stored], **args)
+        for j, (st, want) in enumerate(zip(stored, sched.stages), start=1):
+            for name in _DERIVED:
+                if getattr(st, name) != getattr(want, name):
+                    raise ValueError(
+                        f"stage {j} {name} is not what the stacking recurrence gives "
+                        "from its ratio, perturbation and multiplier"
+                    )
+        return sched
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
@@ -565,14 +600,13 @@ def _assemble_stages(
     base_height: Rat,
     choices: Sequence[tuple[Rat, Rat, Rat, Rat]],
     top_rule: TopSpacerRule,
-    bound: int,
 ) -> tuple[StageParams, ...]:
     """The stages whose free choices are ``choices``, one (ratio, delta1,
     delta3, multiplier) per stage, by the stacking recurrence: the one
-    place a stage's spacers, offsets, height and width are derived.  A
-    stage with a negative spacer, or with a height, width, multiplier,
-    spacer or offset of ``bound`` or more in numerator or denominator, is
-    refused (``bound`` 0: none is)."""
+    place (``Schedule``'s construction) that derives a stage's spacers,
+    offsets, height and width.  A stage with a negative spacer, or with a
+    number past the interpreter's digit limit, is refused."""
+    bound = 10**limit if (limit := int_digit_limit()) else 0
     stages: list[StageParams] = []
     h = base_height
     w = base_width
@@ -584,7 +618,7 @@ def _assemble_stages(
         offsets = _stacking_offsets(h, s)
         nums = (h, w, m, *s, *offsets)
         if bound and any(max(abs(x.numerator), x.denominator) >= bound for x in nums):
-            raise ValueError(f"stage {j} has {_past_limit(int_digit_limit())}")
+            raise ValueError(f"stage {j} has {_past_limit(limit)}")
         stages.append(
             StageParams(
                 index=j,
@@ -627,30 +661,23 @@ def build_schedule(
     """
     base_width = rat(base_width)
     base_height = rat(base_height)
-    if base_width <= 0 or base_height <= 0:
-        raise ValueError("base width and height must be positive")
     if j_max < 1:
         raise ValueError("need at least one stage")
     policy = policy or StagePolicy()
     ratios = enumerate_ratios(targets.singular, j_max)
     net = perturbation.points() if perturbation is not None else ((ZERO, ZERO),)
     free = [(c, *net[ratios[:i].count(c) % len(net)]) for i, c in enumerate(ratios)]
-    limit = int_digit_limit()
-    bound = 10**limit if limit else 0
 
     multipliers = {j: policy.start_multiplier(j) for j in range(1, j_max + 1)}
     escalations: list[EscalationEvent] = []
 
-    retries = 0
     while True:
-        choices = [(*f, multipliers[j]) for j, f in enumerate(free, start=1)]
-        stages = _assemble_stages(base_width, base_height, choices, policy.top_spacer, bound)
         sched = Schedule(
             base_width=base_width,
             base_height=base_height,
             targets=targets,
             policy=policy,
-            stages=stages,
+            choices=[(*f, multipliers[j]) for j, f in enumerate(free, start=1)],
             perturbation=perturbation,
             escalations=tuple(escalations),
         )
@@ -665,8 +692,8 @@ def build_schedule(
                 break
         else:
             return sched
-        if retries >= policy.max_retries:
-            raise EscalationExhausted(j_fail, d_fail, witness, retries)
+        if len(escalations) >= policy.max_retries:
+            raise EscalationExhausted(j_fail, d_fail, witness, len(escalations))
         # A collision on window j can be driven by the multiplier of any
         # stage whose offsets enter the certificate: that is every stage
         # below the one needed to absorb the dilated window top, so all
@@ -687,4 +714,3 @@ def build_schedule(
                 escalated_stages=bumped,
             )
         )
-        retries += 1

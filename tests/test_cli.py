@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -159,12 +160,14 @@ def _dump(doc: dict, path, value) -> str:
     return json.dumps({path[0]: value.value})[:-1] + ", " + json.dumps(doc)[1:]
 
 
+# an escalation build_schedule could have made on the 6-stage ``built``
+# schedule: window 2 is certified and is 2/1's entry stage, 16 * 2 = 32
 ESCALATION = {
     "window": 2,
     "ratio": "2/1",
     "old_multiplier": "16/1",
     "new_multiplier": "32/1",
-    "witness": [],
+    "witness": [["5/2", "3/1"]],
     "escalated_stages": [1, 2],
 }
 
@@ -221,6 +224,33 @@ class TestLoaderErrors:
             ("verify", ("escalations",),
              [dict(ESCALATION, witness=[["5/1", "6/1"], ["5/1", "7/1"]])],
              "escalations[0].witness: expected ascending, disjoint [lo, hi) pairs"),
+            # an escalation record is checked against the schedule and policy
+            ("verify", ("escalations",), [dict(ESCALATION, ratio="5/2")],
+             "escalations[0]: ratio 5/2 is not a dissipative target"),
+            ("verify", ("escalations",), [dict(ESCALATION, window=5)],
+             "escalations[0]: window 5 is not a certified window at or above the entry "
+             "stage of 2"),
+            ("verify", ("escalations",), [dict(ESCALATION, window=1)],
+             "escalations[0]: window 1 is not a certified window at or above the entry "
+             "stage of 2"),
+            ("verify", ("escalations",), [dict(ESCALATION, escalated_stages=[2, 1])],
+             "escalations[0]: escalated stages [2, 1] are not strictly increasing within "
+             "1..6 and holding window 2"),
+            ("verify", ("escalations",), [dict(ESCALATION, escalated_stages=[0, 1, 2])],
+             "escalations[0]: escalated stages [0, 1, 2] are not strictly increasing"),
+            ("verify", ("escalations",), [dict(ESCALATION, escalated_stages=[2, 7])],
+             "escalations[0]: escalated stages [2, 7] are not strictly increasing"),
+            ("verify", ("escalations",), [dict(ESCALATION, escalated_stages=[1])],
+             "escalations[0]: escalated stages [1] are not strictly increasing"),
+            ("verify", ("escalations",), [ESCALATION, dict(ESCALATION, new_multiplier="48/1")],
+             "escalations[1]: new multiplier is not the old one times the escalation "
+             "factor 2"),
+            ("verify", ("escalations",), [dict(ESCALATION, witness=[])],
+             "escalations[0]: an escalation needs a nonempty witness"),
+            ("verify", ("escalations",), [ESCALATION] * 41,
+             "escalations: 41 events, more than the policy's max_retries 40"),
+            ("verify", ("stages", 0, "ratio"), "7/2",
+             "stage 1 ratio 7/2 not in the singular family"),
             ("verify", ("bogus",), 1, "schedule.json: unknown keys ['bogus']"),
             ("verify", ("stages", 0, "bogus"), 1, "stages[0]: unknown keys ['bogus']"),
             ("build", ("targets", "entry_stages"), {"2/1": 2, "4/2": 5, "3/1": 3},
@@ -249,6 +279,9 @@ class TestLoaderErrors:
              "stages: a number of more than 4300 digits"),
             ("verify", ("stages", 0, "index"), Literal("-" + "1" * 4400),
              "stages[0].index: a number of more than 4300 digits"),
+            # a stored multiplier whose derived top spacer passes the limit
+            ("verify", ("stages", -1, "multiplier"), "9" * 3000,
+             "stage 6 has a number of more than 4300 digits"),
             # every refusal of a block's constructor keeps its message
             ("build", ("policy",), {"initial_multiplier": "1/2"},
              "policy: initial multiplier must be >= 1"),
@@ -273,6 +306,7 @@ class TestLoaderErrors:
             ("build", ("targets", "entry_stages"), {"2/1": 2},
              "entry_stages must cover exactly the dissipative family"),
             ("build", ("base_width",), "0/1", "base width and height must be positive"),
+            ("verify", ("base_width",), "0/1", "base width and height must be positive"),
             ("build", ("stages",), 0, "need at least one stage"),
             ("verify", ("stages", 0, "spacers", 0), "-1/1", f"stage 1 spacers {OFF_RECURRENCE}"),
             ("verify", ("stages", 0, "delta1"), "2/1", "perturbations must lie in [0, 1]"),
@@ -297,18 +331,24 @@ class TestLoaderErrors:
              "entry-stage-float", "index-float", "index-string", "max-retries-neg",
              "max-retries-float", "escalation-window-float",
              "escalated-stages-string", "witness-inverted", "witness-overlapping",
+             "escalation-ratio-singular", "escalation-window-uncertified",
+             "escalation-window-below-entry", "escalated-stages-decreasing",
+             "escalated-stages-zero", "escalated-stages-past-last",
+             "escalated-stages-miss-window", "escalation-factor-off",
+             "escalation-witness-empty", "escalations-past-retries",
+             "stage-ratio-foreign",
              "unknown-top-key", "unknown-stage-key",
              "config-ratio-twice", "schedule-ratio-twice", "config-key-twice",
              "schedule-key-twice", "config-nested-key-twice",
              "schedule-nested-key-twice", "schedule-entry-stage-twice",
              "multiplier-off-spacer", "schedule-numerator-digits",
              "schedule-denominator-digits", "config-numerator-digits",
-             "config-int-digits", "schedule-int-digits",
+             "config-int-digits", "schedule-int-digits", "schedule-derived-digits",
              "initial-multiplier-half", "escalation-factor-one", "net-depth-zero",
              "gauge-table-empty", "gauge-table-decreasing", "gauge-kind-bogus",
              "top-spacer-mode-bogus", "dissipative-twice", "families-overlap",
              "singular-one", "entry-stage-zero", "entry-stages-partial",
-             "base-width-zero", "stages-zero", "spacer-negative", "delta1-past-one",
+             "base-width-zero", "schedule-base-width-zero", "stages-zero", "spacer-negative", "delta1-past-one",
              "delta1-off-spacer", "third-spacer-off", "offset-off-recurrence",
              "three-spacers", "top-spacer-off-policy", "index-out-of-order",
              "width-off-quartering", "base-height-off-stage", "no-stages", "singular-empty"],
@@ -329,6 +369,27 @@ class TestLoaderErrors:
         assert "error" in result.output
         assert names in result.output
         assert "set_int_max_str_digits" not in result.output
+
+    def test_consistent_escalations_load(self, built, tmp_path):
+        doc = json.loads((built / "schedule.json").read_text())
+        doc["escalations"] = [ESCALATION] * 40
+        src = tmp_path / "schedule.json"
+        src.write_text(json.dumps(doc))
+        result = CliRunner().invoke(
+            main, ["verify", "-s", str(src), "-o", str(tmp_path / "out"), "--which", "dissipative"]
+        )
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("text", [None, "not json", "[]"], ids=["missing", "text", "list"])
+    def test_unreadable_config_exit_2(self, tmp_path, text):
+        cfg = tmp_path / "config.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"usage error: cannot read config {cfg}: " in result.output
+        assert not out.exists()
 
     def test_numbers_past_digit_limit_exit_2(self, tmp_path):
         # at 120 stages the spacers of stage 119 have more digits than
@@ -409,6 +470,23 @@ class TestVerify:
         assert result.exit_code == 3
         report = json.loads((out / "dissipativity.json").read_text())
         assert any(w["witness"] for r in report for w in r["windows"])
+
+    def test_perturbed_singular_exit_3(self, desk_perturbed, tmp_path):
+        """The exact-quarter weak limits fail on a perturbed schedule."""
+        (tmp_path / "schedule.json").write_text(desk_perturbed.to_json() + "\n")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["verify", "-s", str(tmp_path / "schedule.json"), "-o", str(out),
+                   "--which", "singular"],
+        )
+        assert result.exit_code == 3, result.output
+        lines = result.output.splitlines()
+        assert lines[0] == "singular: 34/110 pair checks pass"
+        fails = [line for line in lines if line.startswith("  FAIL ")]
+        assert len(fails) == 76
+        assert fails[0] == "  FAIL c=3/2 pair ['stage1_full', 'stage1_full']"
+        assert lines[-1] == "FAIL: at least one certificate failed"
+        assert (out / "verify_summary.txt").exists()
 
     def test_foreign_ratio_exit_2(self, built):
         result = CliRunner().invoke(
@@ -809,6 +887,27 @@ class TestArtifacts:
         rows = (out / "oracle.csv").read_text().strip().splitlines()
         assert len(rows) == 7
         assert all(row.endswith("True") for row in rows[1:])
+
+    def test_oracle_row_outside_bound_exit_3(self, built, tmp_path, monkeypatch):
+        """An estimate off by more than its bound fails its row and exits 3."""
+        from rankone import cli
+
+        estimate = cli.oracle_correlation
+
+        def off(*args):
+            est = estimate(*args)
+            return dataclasses.replace(est, value=est.value + 2 * est.bound + 1)
+
+        monkeypatch.setattr(cli, "oracle_correlation", off)
+        out = tmp_path / "oracle"
+        result = CliRunner().invoke(
+            main, ["oracle", "-s", str(built / "schedule.json"), "-o", str(out),
+                   "--triples", "3", "--samples", "200"],
+        )
+        assert result.exit_code == 3, result.output
+        assert "oracle: 0/3 within the deterministic bound" in result.output
+        rows = (out / "oracle.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(row.endswith(",False") for row in rows)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_oracle_draws_reach_nonzero_correlations(self, built_desk, tmp_path, seed):

@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
+import importlib
 import json
+import pkgutil
+from collections.abc import Hashable
 from fractions import Fraction as F
 from typing import get_args, get_type_hints
 
 import pytest
 
+import rankone
 from rankone import (
     EscalationExhausted,
     GaugeSpec,
@@ -21,12 +25,12 @@ from rankone import (
 )
 from rankone.construction import (
     EscalationEvent,
-    _assemble_stages,
     field_reader,
     read_json,
     write_block,
 )
 from rankone.exactnum import rat_str
+from rankone.levelset import base_slab, correlation
 
 
 class TestTargetSets:
@@ -208,14 +212,28 @@ class TestDeterminismAndSerialization:
         choices = [(F(5, 2), F(1, 3), F(1), m[0]), (F(5, 2), F(0), F(2, 7), m[1]),
                    (F(3, 2), F(1), F(1, 3), m[2]), (F(5, 2), F(1, 2), F(0), m[3]),
                    (F(3, 2), F(0), F(0), m[4])]
-        stages = _assemble_stages(F(3), F(1, 2), choices, desk.policy.top_spacer, 0)
         sched = dataclasses.replace(desk, base_width=F(3), base_height=F(1, 2),
-                                    stages=stages, escalations=())
+                                    choices=choices, escalations=())
         back = Schedule.from_json(sched.to_json())
         assert back == sched
         assert back.to_json() == sched.to_json()
         assert [(st.ratio, st.delta1, st.delta3, st.multiplier)
                 for st in back.stages] == choices
+
+    def test_replace_derives_a_fresh_schedule(self, desk):
+        # a schedule made by replacing the choices of one whose lattice is
+        # cached correlates as a fresh load of its own document does
+        y = base_slab(desk)
+        times = [desk.height(j) + F(1, 3) for j in range(1, 5)]
+        assert [correlation(y, y, t, desk) for t in times]
+        doubled = dataclasses.replace(
+            desk, choices=[(c, d1, d3, 2 * m) for c, d1, d3, m in desk.choices]
+        )
+        fresh = Schedule.from_json(doubled.to_json())
+        assert fresh == doubled
+        for t in times:
+            assert correlation(y, y, t, doubled) == correlation(y, y, t, fresh)
+        assert correlation(y, y, doubled.height(3) + F(1, 3), doubled) == F(3, 16)
 
     def test_rebuild_identical(self, desk):
         again = build_schedule(
@@ -329,12 +347,27 @@ def _sample_blocks() -> list:
     net = PerturbationSpec(net_depth=2)
     targets = TargetSets(singular=(F(3, 2), F(5, 2)), dissipative=(F(2), F(3)),
                          entry_stages=((F(2), 3), (F(3), 5)))
-    event = EscalationEvent(window=2, ratio=F(2), old_multiplier=F(16), new_multiplier=F(32),
+    # window 3 is certified on five stages and is 2's entry stage; 16 * 3 = 48
+    event = EscalationEvent(window=3, ratio=F(2), old_multiplier=F(16), new_multiplier=F(48),
                             witness=IntervalSet([(F(5, 2), F(3)), (F(5), F(6))]),
-                            escalated_stages=(1, 2))
-    sched = build_schedule(1, 1, targets, 3, policy=policy, perturbation=net, certify=False)
+                            escalated_stages=(1, 2, 3))
+    sched = build_schedule(1, 1, targets, 5, policy=policy, perturbation=net, certify=False)
     sched = dataclasses.replace(sched, escalations=(event,))
     return [gauge, top, policy, net, targets, event, sched.stages[1], sched]
+
+
+def test_mutable_defaults_are_not_arguments():
+    # a mutable default passed through the constructor (as dataclasses.replace
+    # does) would be shared by two instances
+    for info in pkgutil.iter_modules(rankone.__path__):
+        module = importlib.import_module(f"rankone.{info.name}")
+        for cls in vars(module).values():
+            if not (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__):
+                continue
+            for f in dataclasses.fields(cls):
+                factory = f.default_factory
+                if factory is not dataclasses.MISSING and not isinstance(factory(), Hashable):
+                    assert not f.init, (cls.__name__, f.name)
 
 
 class TestDocumentReaders:
