@@ -11,15 +11,7 @@ from .construction import (
     build_schedule,
     enumerate_ratios,
 )
-from .errors import (
-    ConfigError,
-    EscalationExhausted,
-    HorizonExceeded,
-    NoMatchingStages,
-    NotDissipative,
-    RankOneError,
-    StageOutOfRange,
-)
+from .errors import EscalationExhausted, HorizonExceeded, NotDissipative, RankOneError
 from .exactnum import IntervalSet, Rat, rat, rat_str
 from .levelset import (
     PiecewiseLinear,

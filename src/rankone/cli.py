@@ -32,15 +32,8 @@ from .construction import (
     read_rat,
     write_block,
 )
-from .errors import (
-    ConfigError,
-    EscalationExhausted,
-    HorizonExceeded,
-    NoMatchingStages,
-    NotDissipative,
-    RankOneError,
-)
-from .exactnum import rat, rat_str
+from .errors import EscalationExhausted, HorizonExceeded, NotDissipative, RankOneError
+from .exactnum import rat_str
 from .levelset import base_slab, correlation, correlation_profile
 from .oracle import oracle_correlation
 from .verify import (
@@ -88,7 +81,7 @@ def load_config(path: str | Path) -> dict:
     try:
         raw = read_object(read_json(Path(path).read_text()))
     except (OSError, *_MALFORMED) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise RankOneError(f"cannot read config {path}: {exc}") from exc
     return _merge(DEFAULT_CONFIG, raw)
 
 
@@ -100,7 +93,7 @@ def schedule_from_config(cfg: dict) -> Schedule:
             perturbation=field_reader(PerturbationSpec | None),
         ))
     except _MALFORMED as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+        raise RankOneError(f"invalid config: {exc}") from exc
     return build_schedule(j_max=args.pop("stages"), **args)
 
 
@@ -113,7 +106,7 @@ def _load_schedule(path: str) -> Schedule:
     try:
         return Schedule.from_json(Path(path).read_text())
     except (OSError, *_MALFORMED) as exc:
-        raise ConfigError(f"cannot load schedule {path}: {exc}") from exc
+        raise RankOneError(f"cannot load schedule {path}: {exc}") from exc
 
 
 _EXIT_CODES = (
@@ -192,13 +185,13 @@ def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
         for kind in kinds
     }
     if which != "all" and not plan[which]:
-        raise ConfigError(f"this schedule has no {which} targets")
+        raise RankOneError(f"this schedule has no {which} targets")
     if ratio is not None:
-        only = rat(ratio)
+        only = read_rat(ratio)
         plan = {kind: (only,) for kind, ratios in plan.items() if only in ratios}
         if not plan:
-            raise ConfigError(
-                f"{only} is not a {' or '.join(kinds)} target of this schedule"
+            raise RankOneError(
+                f"{rat_str(only)} is not a {' or '.join(kinds)} target of this schedule"
             )
     top = max(slab.stage for _, slab in default_pair_family(sched))
     covers = {
@@ -213,7 +206,7 @@ def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
         if not covers[kind](x)
     ]
     if short:
-        raise NoMatchingStages(f"schedule too short to check {', '.join(short)}")
+        raise RankOneError(f"schedule too short to check {', '.join(short)}")
     return plan
 
 
@@ -318,23 +311,35 @@ def _verify_perturbed(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
 )
 @click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
 @click.option("--jobs", default=1, type=click.IntRange(min=1))
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=None, type=int, help="seeds the spot checks (default 0)")
 @click.option("--spot-checks", default=0, type=click.IntRange(min=0),
               help="random times per window")
 @click.option("--ratio", default=None,
               help="keep the selected kinds whose targets hold this ratio (p/q)")
 def verify(schedule, which, out, jobs, seed, spot_checks, ratio):
-    """Run certificates against a built schedule; exit 0 iff all pass."""
+    """Run certificates against a built schedule; exit 0 iff all pass.
+
+    Options that would be ignored are refused: ``--spot-checks`` and
+    ``--jobs`` when no dissipative ratio is checked, ``--seed`` without
+    spot checks."""
     out_dir = Path(out)
     lines: list[str] = []
     sched = _load_schedule(schedule)
     plan = _verify_plan(sched, which, ratio)
+    no_dissipative = "this run checks no dissipative ratio"
+    for name, ignored, why in (
+        ("--spot-checks", spot_checks > 0 and not plan.get("dissipative"), no_dissipative),
+        ("--jobs", jobs > 1 and not plan.get("dissipative"), no_dissipative),
+        ("--seed", seed is not None and not spot_checks, "--spot-checks is 0"),
+    ):
+        if ignored:
+            raise RankOneError(f"{name} would be ignored: {why}")
     ok = True
     if "singular" in plan:
         ok = _verify_singular(sched, plan["singular"], out_dir, lines) and ok
     if "dissipative" in plan:
         ok = _verify_dissipative(
-            sched, plan["dissipative"], out_dir, jobs, spot_checks, seed, lines
+            sched, plan["dissipative"], out_dir, jobs, spot_checks, seed or 0, lines
         ) and ok
     if "perturbed" in plan:
         ok = _verify_perturbed(sched, plan["perturbed"], out_dir, lines) and ok
@@ -365,8 +370,8 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
     out_dir = Path(out)
     sched = _load_schedule(schedule)
     y = base_slab(sched)
-    lo = rat(t_min)
-    hi = rat(t_max) if t_max is not None else sched.height(min(2, sched.num_stages))
+    lo = read_rat(t_min)
+    hi = read_rat(t_max) if t_max is not None else sched.height(min(2, sched.num_stages))
     prof = correlation_profile(y, y, (lo, hi), sched)
     hits = hitting_report(sched, window_index) if window_index is not None else None
     rows = ["t,value"]
@@ -396,7 +401,7 @@ def density(schedule, out, ratio, s_max, samples):
     out_dir = Path(out)
     sched = _load_schedule(schedule)
     grid = DensityGrid(s_max=s_max, samples=samples)
-    dens = spectral_density(rat(ratio), sched, grid)
+    dens = spectral_density(read_rat(ratio), sched, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["s,density"]
     for s, v in zip(dens.frequencies, dens.density):

@@ -22,7 +22,7 @@ from types import NoneType, UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 from . import levelset
-from .errors import EscalationExhausted, StageOutOfRange
+from .errors import EscalationExhausted, RankOneError
 from .exactnum import IntervalSet, Rat, rat, rat_str
 
 ZERO = Fraction(0)
@@ -56,8 +56,8 @@ int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def read_rat(value) -> Rat:
-    """A rational field of a document: only a 'p' or 'p/q' string (``rat``
-    also takes ints, decimals and padding), each number within the
+    """A rational as text, in a document field or a CLI option: only a 'p'
+    or 'p/q' string (no decimals, padding or '+'), each number within the
     interpreter's digit limit."""
     if not isinstance(value, str) or not _FRACTION.fullmatch(value):
         raise ValueError(f"expected a 'p/q' string, got {value!r}")
@@ -256,7 +256,7 @@ class TargetSets:
         for dd, k in self.entry_stages:
             if dd == d:
                 return k
-        raise ValueError(f"{d} is not a dissipative target of this schedule")
+        raise ValueError(f"{rat_str(d)} is not a dissipative target of this schedule")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TargetSets":
@@ -496,7 +496,7 @@ class Schedule:
 
     def stage(self, j: int) -> StageParams:
         if not 1 <= j <= self.num_stages:
-            raise StageOutOfRange(f"stage {j} not built (have 1..{self.num_stages})")
+            raise RankOneError(f"stage {j} not built (have 1..{self.num_stages})")
         return self.stages[j - 1]
 
     def height(self, j: int) -> Rat:
@@ -507,7 +507,7 @@ class Schedule:
 
     def width(self, j: int) -> Rat:
         if not 1 <= j <= self.num_stages + 1:
-            raise StageOutOfRange(f"stage {j} not built")
+            raise RankOneError(f"stage {j} not built")
         return self.base_width / Fraction(4) ** (j - 1)
 
     def offsets(self, j: int) -> tuple[Rat, Rat, Rat, Rat]:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class RankOneError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package, and the error of
+    a refused input (an unreadable config or schedule, a stage or window
+    not built, a check the schedule is too short for): the CLI's usage
+    error, exit 2."""
 
 
 class EscalationExhausted(RankOneError):
@@ -25,22 +28,9 @@ class EscalationExhausted(RankOneError):
         )
 
 
-class StageOutOfRange(RankOneError):
-    """Requested a tower stage the schedule does not contain."""
-
-
 class HorizonExceeded(RankOneError):
     """A flow time is too large for the built schedule to absorb."""
 
 
-class NoMatchingStages(RankOneError):
-    """The schedule is too short for a requested check: no certified stage
-    carries the ratio (and net point), or no window certifies it."""
-
-
 class NotDissipative(RankOneError):
     """A spectral density was requested for a ratio whose certificate fails."""
-
-
-class ConfigError(RankOneError):
-    """A run configuration failed validation."""

@@ -15,21 +15,14 @@ from typing import Iterable, Iterator
 Rat = Fraction
 
 
-def rat(value: int | str | Fraction) -> Rat:
-    """Coerce ints, Fractions or 'p/q' strings to an exact rational.
-
-    Malformed strings, a zero denominator included, raise ValueError;
-    bools raise TypeError, although Python counts them as ints.
-    """
+def rat(value: int | Fraction) -> Rat:
+    """Coerce an int or a Fraction to an exact rational; anything else,
+    bools (which Python counts as ints), floats and strings included,
+    raises TypeError.  Text is read by ``construction.read_rat``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot build a rational from {value!r}")
 
 

@@ -36,7 +36,7 @@ from math import ceil, lcm
 from operator import add
 from typing import Iterable, Iterator
 
-from .errors import HorizonExceeded, StageOutOfRange
+from .errors import HorizonExceeded, RankOneError
 from .exactnum import IntervalSet, Rat, denominator_lcm, merge_sorted, rat
 
 
@@ -50,7 +50,7 @@ class SlabSet:
 
 def make_slab(sched, stage: int, levels) -> SlabSet:
     if not 1 <= stage <= sched.num_stages:
-        raise StageOutOfRange(f"stage {stage} not built")
+        raise RankOneError(f"stage {stage} not built")
     if not isinstance(levels, IntervalSet):
         levels = IntervalSet(levels)
     env = levels.envelope()

@@ -27,13 +27,7 @@ from itertools import chain, islice, repeat
 from operator import add, floordiv
 from typing import Iterator, Sequence
 
-from .errors import (
-    ConfigError,
-    NoMatchingStages,
-    NotDissipative,
-    RankOneError,
-    StageOutOfRange,
-)
+from .errors import NotDissipative, RankOneError
 from .exactnum import IntervalSet, Rat, rat, rat_str
 from .levelset import (
     SlabSet,
@@ -131,11 +125,11 @@ def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> WeakLimitReport:
     """Verify the quarter-correlation identities for one pair and ratio."""
     c = rat(c)
     if c not in sched.targets.singular:
-        raise ValueError(f"{c} is not a singular target of this schedule")
+        raise ValueError(f"{rat_str(c)} is not a singular target of this schedule")
     k = max(a.stage, b.stage)
     matching = carrying_stages(sched, c)
     if len([j for j in matching if j > k]) < 2:
-        raise NoMatchingStages(
+        raise RankOneError(
             f"need at least two certified stages above {k} carrying c={c}"
         )
     mu_ab = correlation(a, b, ZERO, sched)
@@ -240,7 +234,7 @@ def check_dissipativity(d, sched) -> DissipativityCertificate:
     d = rat(d)
     windows = sched.windows_for(d)
     if not windows:
-        raise NoMatchingStages(
+        raise RankOneError(
             f"schedule too short: no window for d={d} at or above stage "
             f"{sched.targets.entry_stage(d)} whose dilated top the towers absorb"
         )
@@ -343,12 +337,12 @@ def check_perturbed_limit(
 ) -> PerturbedLimitReport:
     c, a_shift, b_shift = rat(c), rat(a_shift), rat(b_shift)
     if sched.perturbation is None:
-        raise ConfigError("schedule was built without perturbations")
+        raise RankOneError("schedule was built without perturbations")
     if (a_shift, b_shift) not in sched.perturbation.points():
         raise ValueError(f"({a_shift}, {b_shift}) is not a point of the dyadic net")
     matching = carrying_stages(sched, c, (a_shift, b_shift))
     if not matching:
-        raise NoMatchingStages(
+        raise RankOneError(
             f"no certified stage carries c={c} with net point "
             f"({a_shift}, {b_shift})"
         )
@@ -667,7 +661,7 @@ def hitting_report(sched, j: int) -> Iterator[str]:
     horizon raises here; the runs are then merged and formatted only as
     the chunks are consumed."""
     if not 1 <= j <= sched.num_stages:
-        raise StageOutOfRange(f"window {j} not built (have 1..{sched.num_stages})")
+        raise RankOneError(f"window {j} not built (have 1..{sched.num_stages})")
     y = base_slab(sched)
     window = (sched.height(j), sched.height(j + 1))
     scale, runs = _hitting_runs(y, y, *window, sched)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from rankone.errors import HorizonExceeded, RankOneError, StageOutOfRange
+from rankone.errors import HorizonExceeded, RankOneError
 from rankone.exactnum import IntervalSet, Rat, rat
 from rankone.levelset import SlabSet
 
@@ -113,7 +113,7 @@ def measure(s: SlabSet, sched) -> Rat:
 def refine(s: SlabSet, j: int, sched) -> SlabSet:
     """The same measurable set written as slabs of a later tower."""
     if j < s.stage or j > sched.num_stages:
-        raise StageOutOfRange(
+        raise RankOneError(
             f"cannot refine stage-{s.stage} slabs to stage {j} "
             f"(built: 1..{sched.num_stages})"
         )

@@ -14,7 +14,7 @@ import pytest
 
 from rankone import (
     IntervalSet,
-    NoMatchingStages,
+    RankOneError,
     base_slab,
     check_dissipativity,
     check_perturbed_limit,
@@ -161,7 +161,7 @@ def test_criterion_5_perturbed_weak_limits(desk_perturbed):
     checked_points = 0
     for a_shift, b_shift in net:
         if (a_shift, b_shift) not in realized:
-            with pytest.raises(NoMatchingStages):
+            with pytest.raises(RankOneError, match="no certified stage carries c=3/2"):
                 check_perturbed_limit(c, a_shift, b_shift, y, y, sched)
             continue
         rep = check_perturbed_limit(c, a_shift, b_shift, y, y, sched)

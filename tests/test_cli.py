@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from rankone.cli import main
+from rankone import errors
+from rankone.cli import _EXIT_CODES, main
 
 BASE_CONFIG = {
     "targets": {"singular": ["3/2", "5/2"], "dissipative": ["2/1", "3/1"]},
@@ -572,6 +573,100 @@ class TestVerify:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--which", "singular", "--spot-checks", "10", "--seed", "3", "--jobs", "4"],
+             "--spot-checks would be ignored: this run checks no dissipative ratio"),
+            (["--ratio", "3/2", "--jobs", "2"],
+             "--jobs would be ignored: this run checks no dissipative ratio"),
+            (["--which", "dissipative", "--seed", "3"],
+             "--seed would be ignored: --spot-checks is 0"),
+        ],
+        ids=["spot-checks-singular", "jobs-singular-ratio", "seed-without-spot-checks"],
+    )
+    def test_ignored_option_exit_2(self, built_desk, tmp_path, args, named):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["verify", "-s", str(built_desk / "schedule.json"), "-o", str(out), *args]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output == f"usage error: {named}\n"
+        assert not out.exists()
+
+    def test_spot_checks_seed_defaults_to_zero(self, built, tmp_path):
+        reports = []
+        for seed in ([], ["--seed", "0"]):
+            out = tmp_path / f"seed{len(seed)}"
+            result = CliRunner().invoke(
+                main,
+                ["verify", "-s", str(built / "schedule.json"), "-o", str(out),
+                 "--which", "dissipative", "--spot-checks", "5", *seed],
+            )
+            assert result.exit_code == 0, result.output
+            reports.append((out / "dissipativity.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert b'"spot_checks"' in reports[0]
+
+
+class TestRationalOptions:
+    """A rational typed on the command line has the documents' grammar:
+    only a 'p' or 'p/q' string."""
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("verify", "--ratio"), ("density", "--ratio"), ("profile", "--t-min"),
+         ("profile", "--t-max")],
+    )
+    @pytest.mark.parametrize(
+        "text", ["1.5", " 3/2", "+3/2", "3_0/20", "1e3", "2.0", "1/0", "abc"]
+    )
+    def test_non_pq_text_exit_2(self, built, tmp_path, command, option, text):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, [command, "-s", str(built / "schedule.json"), "-o", str(out), option, text]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output == f"usage error: expected a 'p/q' string, got {text!r}\n"
+        assert not out.exists()
+
+    def test_unreduced_and_integer_text_read_as_their_value(self, built, tmp_path):
+        outputs = []
+        for t_min, t_max in (("0", "6/4"), ("0/1", "3/2")):
+            out = tmp_path / t_max.replace("/", "_")
+            result = CliRunner().invoke(
+                main, ["profile", "-s", str(built / "schedule.json"), "-o", str(out),
+                       "--t-min", t_min, "--t-max", t_max],
+            )
+            assert result.exit_code == 0, result.output
+            outputs.append((result.output, *(
+                (out / name).read_bytes() for name in ("profile.csv", "profile.json")
+            )))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].startswith("profile on [0, 3/2]: ")
+        result = CliRunner().invoke(
+            main, ["verify", "-s", str(built / "schedule.json"), "-o", str(tmp_path),
+                   "--ratio", "3", "--which", "dissipative"],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "dissipativity.json").read_text())
+        assert [r["ratio"] for r in report] == ["3/1"]
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [(["verify", "--ratio", "7/1"], "singular or dissipative"),
+         (["density", "--ratio", "7/1"], "dissipative")],
+        ids=["verify", "density"],
+    )
+    def test_foreign_ratio_named_in_pq_form(self, built, tmp_path, args, named):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, [args[0], "-s", str(built / "schedule.json"), "-o", str(out), *args[1:]]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output == f"usage error: 7/1 is not a {named} target of this schedule\n"
+        assert not out.exists()
+
 
 class TestRatioSelection:
     """``--ratio`` keeps the selected kinds whose targets hold the ratio."""
@@ -613,9 +708,10 @@ class TestCoverage:
              ["perturbed 5/2"]),
             ({"stages": 4, "perturbation": {"net_depth": 1}}, "all",
              ["dissipative 3/1", "perturbed 5/2"]),
+            ({"stages": 1}, "singular", ["singular 3/2", "singular 5/2"]),
         ],
         ids=["6-stages", "6-stages-dissipative", "late-entry", "late-entry-dissipative",
-             "perturbed-4-stages", "perturbed-4-stages-all"],
+             "perturbed-4-stages", "perturbed-4-stages-all", "1-stage-singular"],
     )
     def test_uncovered_target_exit_2(self, tmp_path, extra, which, named):
         cfg = write_config(tmp_path, extra)
@@ -1011,3 +1107,34 @@ def test_cli_import_skips_heavy_modules(desk, tmp_path):
     assert lines[0] == "[]"
     assert lines[1].startswith("density d=2/1: ")
     assert lines[2] == "[]"
+
+
+def test_error_classes_one_per_exit_row():
+    """``rankone.errors`` holds one class per row of ``_EXIT_CODES``, and
+    each class is reported by its own row."""
+    classes = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)]
+    assert {cls.__name__ for cls in classes} == {
+        "RankOneError", "EscalationExhausted", "HorizonExceeded", "NotDissipative"
+    }
+    for cls in classes:
+        row = next(kind for kind, _, _ in _EXIT_CODES if issubclass(cls, kind))
+        assert row is cls
+
+
+def test_readme_command_options_exist():
+    """Every option in README's "Command line" block exists on its
+    subcommand, and the block shows every subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = set()
+    for line in block.splitlines():
+        words = line.split("#")[0].split()
+        assert words[0] == "rankone", line
+        command = main.commands[words[1]]
+        known = {opt for param in command.params for opt in param.opts + param.secondary_opts}
+        for word in words[2:]:
+            if word.startswith("-"):
+                assert word in known, f"{words[1]} has no option {word}"
+        shown.add(words[1])
+    assert shown == set(main.commands)

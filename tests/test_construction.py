@@ -118,6 +118,13 @@ class TestScheduleInvariants:
         for j in range(1, desk.num_stages + 1):
             assert desk.width(j) == F(4) ** (1 - j)
 
+    def test_unbuilt_stage_refused(self, desk):
+        assert desk.width(desk.num_stages + 1) == F(4) ** -desk.num_stages
+        with pytest.raises(rankone.RankOneError, match="^stage 0 not built \\(have 1..8\\)$"):
+            desk.stage(0)
+        with pytest.raises(rankone.RankOneError, match="^stage 10 not built$"):
+            desk.width(desk.num_stages + 2)
+
     def test_spacer_formulas(self, desk):
         for j in range(1, desk.num_stages + 1):
             st = desk.stage(j)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone import IntervalSet, rat, rat_str
-from rankone.construction import read_list
+from rankone.construction import read_list, read_rat
 
 from reference import (
     NonPositiveScale,
@@ -48,22 +48,29 @@ def common_denom(*sets):
 
 class TestRat:
     def test_parse_and_format(self):
-        assert rat("3/2") == F(3, 2)
-        assert rat("5") == F(5)
-        assert rat(7) == F(7)
+        assert read_rat("3/2") == F(3, 2)
+        assert read_rat("5") == F(5)
+        assert rat(7) == F(7) and type(rat(7)) is F
+        assert rat(F(3, 2)) == F(3, 2)
         assert rat_str(F(3, 2)) == "3/2"
         assert rat_str(F(5)) == "5/1"
-        assert rat(rat_str(F(-7, 3))) == F(-7, 3)
+        assert read_rat(rat_str(F(-7, 3))) == F(-7, 3)
 
     @pytest.mark.parametrize("text", ["1/0", "-3/00", "x"])
     def test_malformed_string_raises_value_error(self, text):
-        with pytest.raises(ValueError):
-            rat(text)
+        with pytest.raises(ValueError, match="expected a 'p/q' string"):
+            read_rat(text)
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_raises_type_error(self, flag):
         with pytest.raises(TypeError):
             rat(flag)
+
+    @pytest.mark.parametrize("value", ["3/2", "5", "1/0", "x", 1.5, 2.0])
+    def test_string_and_float_raise_type_error(self, value):
+        """``rat`` reads no text; strings go through ``read_rat``."""
+        with pytest.raises(TypeError, match="cannot build a rational from"):
+            rat(value)
 
 
 class TestIntervalSetExamples:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from rankone import (
     HorizonExceeded,
     IntervalSet,
-    StageOutOfRange,
+    RankOneError,
     StagePolicy,
     TargetSets,
     TopSpacerRule,
@@ -58,7 +58,7 @@ class TestSlabs:
     def test_make_slab_validates(self, desk):
         with pytest.raises(ValueError):
             make_slab(desk, 1, [(0, 2)])  # exceeds tower 1
-        with pytest.raises(StageOutOfRange):
+        with pytest.raises(RankOneError, match="stage 99 not built"):
             make_slab(desk, 99, [(0, 1)])
 
     def test_base_slab_measure(self, desk):
@@ -96,9 +96,9 @@ class TestRefine:
 
     def test_out_of_range(self, desk):
         y = base_slab(desk)
-        with pytest.raises(StageOutOfRange):
+        with pytest.raises(RankOneError, match="cannot refine stage-1 slabs to stage 9"):
             refine(y, 9, desk)
-        with pytest.raises(StageOutOfRange):
+        with pytest.raises(RankOneError, match="cannot refine stage-2 slabs to stage 1"):
             refine(refine(y, 2, desk), 1, desk)
 
 
@@ -110,6 +110,13 @@ class TestMinValidStage:
     def test_height_two_needs_stage_three(self, desk):
         y = base_slab(desk)
         assert min_valid_stage(y, desk.height(2), desk) == 3
+
+    def test_negative_time_refused(self, desk):
+        with pytest.raises(ValueError, match="negative times"):
+            min_valid_stage(base_slab(desk), F(-1, 2), desk)
+
+    def test_empty_slab_stays_at_its_stage(self, desk):
+        assert min_valid_stage(make_slab(desk, 3, []), desk.height(7), desk) == 3
 
     def test_beyond_horizon(self, desk):
         y = base_slab(desk)

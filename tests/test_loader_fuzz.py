@@ -142,9 +142,13 @@ def test_unmutated_inputs_pass(work):
         ["density", "--s-max", "nan"],
         ["density", "--s-max", "inf"],
         ["density", "--mass-s", "4000"],
+        ["density", "--samples", "4"],
+        ["density", "--samples", "1"],
+        ["oracle", "--samples", "0"],
     ],
     ids=["samples-0", "samples-neg", "jobs-0", "jobs-neg", "spot-checks-neg",
-         "triples-0", "triples-neg", "t-max-stage-0", "t-max-stage-neg", "s-max-nan", "s-max-inf", "mass-s-removed"],
+         "triples-0", "triples-neg", "t-max-stage-0", "t-max-stage-neg", "s-max-nan", "s-max-inf", "mass-s-removed",
+         "density-samples-even", "density-samples-1", "oracle-samples-0"],
 )
 def test_out_of_range_options_exit_2(work, args):
     result = _invoke(

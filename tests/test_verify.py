@@ -9,10 +9,11 @@ from fractions import Fraction as F
 import pytest
 
 from rankone import (
-    NoMatchingStages,
     NotDissipative,
     RankOneError,
+    TargetSets,
     base_slab,
+    build_schedule,
     check_dissipativity,
     check_perturbed_limit,
     check_weak_limits,
@@ -79,11 +80,24 @@ class TestWeakLimits:
         y = base_slab(desk)
         with pytest.raises(ValueError):
             check_weak_limits(y, y, F(7, 2), desk)
+        with pytest.raises(ValueError, match="^7/1 is not a singular target of this schedule$"):
+            check_weak_limits(y, y, 7, desk)
 
     def test_needs_two_stages_above(self, tiny):
         y = base_slab(tiny)
-        with pytest.raises(NoMatchingStages):
+        with pytest.raises(RankOneError, match="need at least two certified stages above 1 carrying c=3/2"):
             check_weak_limits(y, y, F(3, 2), tiny)
+
+
+class TestDefaultPairFamily:
+    def test_one_stage_schedule_holds_stage_one_slabs(self):
+        targets = TargetSets(singular=(F(3, 2), F(5, 2)), dissipative=(F(2), F(3)))
+        sched = build_schedule(1, 1, targets, 1)
+        assert [name for name, _ in default_pair_family(sched)] == [
+            "stage1_full", "stage1_half0", "stage1_half1",
+            "stage1_quarter0", "stage1_quarter1", "stage1_quarter2", "stage1_quarter3",
+        ]
+        assert {slab.stage for _, slab in default_pair_family(sched)} == {1}
 
 
 class TestSingularityEvidence:
@@ -163,12 +177,10 @@ class TestDissipativity:
             call(desk, F(7, 2))
 
     def test_uncertified_window(self):
-        from rankone import TargetSets, build_schedule
-
         targets = TargetSets(singular=(F(3, 2),), dissipative=(F(2),))
         sched = build_schedule(1, 1, targets, 3)
         # entry stage 2 but only window 1 is certified
-        with pytest.raises(NoMatchingStages):
+        with pytest.raises(RankOneError, match="schedule too short: no window for d=2 "):
             check_dissipativity(F(2), sched)
 
     def test_broken_schedule_fails_with_witness(self, broken):
@@ -247,14 +259,17 @@ class TestPerturbedLimits:
 
     def test_unrealized_point_raises(self, desk_perturbed):
         y = base_slab(desk_perturbed)
-        with pytest.raises(NoMatchingStages):
+        with pytest.raises(RankOneError, match="no certified stage carries c=3/2 with net point"):
             check_perturbed_limit(F(3, 2), F(1), F(1), y, y, desk_perturbed)
 
-    def test_requires_perturbed_schedule(self, desk):
-        from rankone import ConfigError
+    def test_point_off_the_net_raises(self, desk_perturbed):
+        y = base_slab(desk_perturbed)
+        with pytest.raises(ValueError, match="^\\(1/3, 0\\) is not a point of the dyadic net$"):
+            check_perturbed_limit(F(3, 2), F(1, 3), 0, y, y, desk_perturbed)
 
+    def test_requires_perturbed_schedule(self, desk):
         y = base_slab(desk)
-        with pytest.raises(ConfigError):
+        with pytest.raises(RankOneError, match="schedule was built without perturbations"):
             check_perturbed_limit(F(3, 2), 0, 0, y, y, desk)
 
     def test_tolerance_decreases_geometrically(self, desk_perturbed):
