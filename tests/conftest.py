@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from rankone import (
+from rankone.construction import (
+    GaugeSpec,
     PerturbationSpec,
     StagePolicy,
     TargetSets,
@@ -39,8 +40,6 @@ def broken():
 @pytest.fixture(scope="session")
 def tiny():
     """The two-stage example schedule with a constant gauge of 10."""
-    from rankone import GaugeSpec
-
     return build_schedule(
         1,
         1,

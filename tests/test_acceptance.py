@@ -12,21 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from rankone import (
-    IntervalSet,
-    RankOneError,
-    base_slab,
-    check_dissipativity,
-    check_perturbed_limit,
-    check_weak_limits,
-    correlation,
-    correlation_profile,
-    default_pair_family,
-)
 from rankone.construction import write_block
+from rankone.errors import RankOneError
+from rankone.exactnum import IntervalSet
+from rankone.levelset import base_slab, correlation, correlation_profile
 from rankone.oracle import oracle_correlation
 from rankone.verify import (
     DensityGrid,
+    check_dissipativity,
+    check_perturbed_limit,
+    check_weak_limits,
+    default_pair_family,
     dissipativity_spot_check,
     perturbation_tolerance,
     spectral_density,

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from rankone import errors
 from rankone.cli import _EXIT_CODES, main
+from rankone.construction import Schedule
 
 BASE_CONFIG = {
     "targets": {"singular": ["3/2", "5/2"], "dissipative": ["2/1", "3/1"]},
@@ -73,8 +74,6 @@ class TestBuild:
         assert sorted(p.name for p in out.iterdir()) == ["schedule.json"]
 
     def test_round_trip_bit_exact(self, built):
-        from rankone import Schedule
-
         text = (built / "schedule.json").read_text()
         sched = Schedule.from_json(text)
         assert sched.to_json() + "\n" == text
@@ -565,6 +564,35 @@ class TestVerify:
         assert "usage error: this schedule has no dissipative targets" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, written",
+        [({"stages": 8}, ["evidence_3_2.json", "evidence_5_2.json", "verify_summary.txt",
+                          "weak_limits.json"]),
+         ({"stages": 6, "perturbation": {"net_depth": 1}},
+          ["perturbed_limits.json", "verify_summary.txt"])],
+        ids=["singular", "perturbed"],
+    )
+    def test_all_skips_kinds_without_targets(self, tmp_path, extra, written):
+        """``--which all`` plans no dissipative check on a schedule with no
+        dissipative targets: it writes no dissipativity.json."""
+        cfg = write_config(tmp_path, {**extra, "targets": {"dissipative": []}})
+        built = tmp_path / "built"
+        result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(built)])
+        assert result.exit_code == 0, result.output
+        schedule = str(built / "schedule.json")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["verify", "-s", schedule, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "dissipative" not in result.output
+        assert sorted(p.name for p in out.iterdir()) == written
+        result = CliRunner().invoke(
+            main, ["verify", "-s", schedule, "-o", str(tmp_path / "spot"), "--spot-checks", "5"]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "usage error: --spot-checks would be ignored: this run checks no dissipative ratio\n"
+        )
+
     def test_perturbed_on_base_schedule_exit_2(self, built):
         result = CliRunner().invoke(
             main,
@@ -667,6 +695,22 @@ class TestRationalOptions:
         assert result.output == f"usage error: 7/1 is not a {named} target of this schedule\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, read", [("3", "3/1"), ("6/4", "3/2")])
+    def test_density_prints_the_ratio_it_read(self, tmp_path, text, read):
+        cfg = write_config(tmp_path, {"targets": {"singular": ["5/2"],
+                                                  "dissipative": ["3/2", "3/1"]}})
+        built = tmp_path / "built"
+        result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(built)])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["density", "-s", str(built / "schedule.json"), "-o", str(out),
+                   "--ratio", text, "--s-max", "60", "--samples", "101"],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(f"density d={read}: ")
+        assert json.loads((out / "density.json").read_text())["ratio"] == read
+
 
 class TestRatioSelection:
     """``--ratio`` keeps the selected kinds whose targets hold the ratio."""
@@ -742,8 +786,6 @@ class TestLargeRatio:
 
     @pytest.mark.parametrize("certify", [True, False], ids=["certify", "no-certify"])
     def test_build_verify_density_exit_0(self, tmp_path, certify):
-        from rankone import Schedule
-
         cfg = write_config(tmp_path, {"targets": {"dissipative": ["2/1", "100000/1"]},
                                       "stages": 8, "certify": certify})
         out = tmp_path / "out"

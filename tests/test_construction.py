@@ -10,10 +10,9 @@ from typing import get_args, get_type_hints
 import pytest
 
 import rankone
-from rankone import (
-    EscalationExhausted,
+from rankone.construction import (
+    EscalationEvent,
     GaugeSpec,
-    IntervalSet,
     PerturbationSpec,
     Schedule,
     StageParams,
@@ -22,14 +21,12 @@ from rankone import (
     TopSpacerRule,
     build_schedule,
     enumerate_ratios,
-)
-from rankone.construction import (
-    EscalationEvent,
     field_reader,
     read_json,
     write_block,
 )
-from rankone.exactnum import rat_str
+from rankone.errors import EscalationExhausted, RankOneError
+from rankone.exactnum import IntervalSet, rat_str
 from rankone.levelset import base_slab, correlation
 
 
@@ -120,9 +117,9 @@ class TestScheduleInvariants:
 
     def test_unbuilt_stage_refused(self, desk):
         assert desk.width(desk.num_stages + 1) == F(4) ** -desk.num_stages
-        with pytest.raises(rankone.RankOneError, match="^stage 0 not built \\(have 1..8\\)$"):
+        with pytest.raises(RankOneError, match="^stage 0 not built \\(have 1..8\\)$"):
             desk.stage(0)
-        with pytest.raises(rankone.RankOneError, match="^stage 10 not built$"):
+        with pytest.raises(RankOneError, match="^stage 10 not built$"):
             desk.width(desk.num_stages + 2)
 
     def test_spacer_formulas(self, desk):

@@ -8,9 +8,14 @@ per query and never kept, so no 4^j refinement can pile up there.
 
 from pathlib import Path
 
-from rankone import check_dissipativity, check_weak_limits, default_pair_family
 from rankone.cli import load_config, schedule_from_config
-from rankone.verify import singularity_evidence, spectral_density
+from rankone.verify import (
+    check_dissipativity,
+    check_weak_limits,
+    default_pair_family,
+    singularity_evidence,
+    spectral_density,
+)
 
 DEEP16 = Path(__file__).parent.parent / "configs" / "deep16.json"
 

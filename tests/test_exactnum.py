@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone import IntervalSet, rat, rat_str
 from rankone.construction import read_list, read_rat
+from rankone.exactnum import IntervalSet, rat, rat_str
 
 from reference import (
     NonPositiveScale,

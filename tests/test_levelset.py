@@ -10,27 +10,27 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rankone import (
-    HorizonExceeded,
-    IntervalSet,
-    RankOneError,
+from rankone import levelset
+from rankone.cli import load_config, schedule_from_config
+from rankone.construction import (
+    Schedule,
     StagePolicy,
     TargetSets,
     TopSpacerRule,
-    base_slab,
     build_schedule,
+)
+from rankone.errors import HorizonExceeded, RankOneError
+from rankone.exactnum import IntervalSet, merge_sorted, rat_str
+from rankone.levelset import (
+    PiecewiseLinear,
+    base_slab,
     correlation,
     correlation_profile,
+    find_dissipativity_witness,
     hitting_set,
     make_slab,
     min_valid_stage,
-    rat_str,
 )
-from rankone import levelset
-from rankone.cli import load_config, schedule_from_config
-from rankone.construction import Schedule
-from rankone.exactnum import merge_sorted
-from rankone.levelset import PiecewiseLinear, find_dissipativity_witness
 from rankone.verify import (
     _block_labels,
     annotate_landmark,
@@ -821,8 +821,6 @@ class TestWitnessSearch:
                     assert paired == self.composed_witness(sched, d, j)
 
     def test_collision_when_entry_forced_to_one(self):
-        from rankone import TargetSets, build_schedule
-
         targets = TargetSets(
             singular=(F(3, 2), F(5, 2)),
             dissipative=(F(2),),

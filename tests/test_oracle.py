@@ -1,10 +1,15 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from rankone import HorizonExceeded, base_slab, correlation, make_slab
+from rankone.errors import HorizonExceeded
+from rankone.levelset import base_slab, correlation, make_slab
 from rankone.oracle import OracleEstimate, oracle_correlation
 from rankone.verify import default_pair_family
 
@@ -97,8 +102,6 @@ class TestOracleCorrelation:
         assert est.value == measure(y, desk) == 1
 
     def test_disjoint_zero(self, desk):
-        from rankone import make_slab
-
         a = make_slab(desk, 1, [(0, F(1, 2))])
         b = make_slab(desk, 1, [(F(1, 2), 1)])
         est = oracle_correlation(a, b, 0, 50, desk)
@@ -210,3 +213,25 @@ class TestIndependence:
         import rankone.oracle as mod
 
         assert "float(" not in inspect.getsource(mod)
+
+    @pytest.mark.parametrize(
+        "module, loaded",
+        [("rankone.oracle", ["rankone", "rankone.errors", "rankone.exactnum", "rankone.oracle"]),
+         ("rankone.exactnum", ["rankone", "rankone.exactnum"])],
+        ids=["oracle", "exactnum"],
+    )
+    def test_import_loads_only_what_the_module_uses(self, module, loaded):
+        """The package root re-exports nothing, so importing the oracle in a
+        fresh interpreter runs none of the engine it checks."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        code = (
+            f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'rankone'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == str(loaded)

@@ -7,19 +7,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from rankone import (
+from rankone.construction import (
     GaugeSpec,
     PerturbationSpec,
     StagePolicy,
     TargetSets,
-    base_slab,
     build_schedule,
+    write_block,
+)
+from rankone.levelset import base_slab
+from rankone.verify import (
     check_dissipativity,
     check_perturbed_limit,
     check_weak_limits,
+    dissipativity_spot_check,
 )
-from rankone.construction import write_block
-from rankone.verify import dissipativity_spot_check
 
 CONFIGS = [
     # ratio c close to 1: early-stage interference, engine threshold absorbs it

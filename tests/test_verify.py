@@ -8,31 +8,28 @@ from fractions import Fraction as F
 
 import pytest
 
-from rankone import (
-    NotDissipative,
-    RankOneError,
-    TargetSets,
-    base_slab,
-    build_schedule,
-    check_dissipativity,
-    check_perturbed_limit,
-    check_weak_limits,
-    correlation,
-    default_pair_family,
-    make_slab,
-    singularity_evidence,
-    spectral_density,
-)
 from rankone.cli import load_config, schedule_from_config
-from rankone.construction import write_block
-from rankone.levelset import find_dissipativity_witness
+from rankone.construction import TargetSets, build_schedule, write_block
+from rankone.errors import NotDissipative, RankOneError
+from rankone.levelset import (
+    base_slab,
+    correlation,
+    find_dissipativity_witness,
+    make_slab,
+)
 from rankone.verify import (
     EVIDENCE_NOTE,
     DensityGrid,
     _si,
+    check_dissipativity,
+    check_perturbed_limit,
+    check_weak_limits,
+    default_pair_family,
     dissipativity_spot_check,
     hitting_report,
     perturbation_tolerance,
+    singularity_evidence,
+    spectral_density,
 )
 
 
