@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate
+from itertools import accumulate, count
 from types import NoneType, UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
 
@@ -368,10 +368,15 @@ class PerturbationSpec:
         if self.net_depth < 1:
             raise ValueError("net depth must be >= 1")
 
+    def point(self, i: int) -> tuple[Rat, Rat]:
+        """The i-th net point in row-major order, i taken modulo the net's size."""
+        n = 2**self.net_depth
+        a, b = divmod(i % (n + 1) ** 2, n + 1)
+        return Fraction(a, n), Fraction(b, n)
+
     def points(self) -> tuple[tuple[Rat, Rat], ...]:
-        step = Fraction(1, 2**self.net_depth)
-        levels = [i * step for i in range(2**self.net_depth + 1)]
-        return tuple((a, b) for a in levels for b in levels)
+        """The whole net, (2^depth + 1)^2 points, in row-major order."""
+        return tuple(map(self.point, range((2**self.net_depth + 1) ** 2)))
 
 
 # --------------------------------------------------------------------------
@@ -654,19 +659,19 @@ def build_schedule(
     first failing window (in window order, then family order) are
     escalated, and every stage is reassembled and every window
     re-certified, up to the policy's retry budget.  The i-th stage
-    carrying a ratio takes the net point net[i % len(net)], so the stages
-    of each ratio walk the net in row-major order.  A stage with a number
-    past the interpreter's digit limit is a ValueError, raised as the
-    stages are assembled.
+    carrying a ratio takes the net point ``perturbation.point(i)``, so the
+    stages of each ratio walk the net in row-major order.  A stage with a
+    number past the interpreter's digit limit is a ValueError, raised as
+    the stages are assembled.
     """
     base_width = rat(base_width)
     base_height = rat(base_height)
     if j_max < 1:
         raise ValueError("need at least one stage")
     policy = policy or StagePolicy()
-    ratios = enumerate_ratios(targets.singular, j_max)
-    net = perturbation.points() if perturbation is not None else ((ZERO, ZERO),)
-    free = [(c, *net[ratios[:i].count(c) % len(net)]) for i, c in enumerate(ratios)]
+    net = perturbation.point if perturbation is not None else lambda i: (ZERO, ZERO)
+    visits = {c: count() for c in targets.singular}
+    free = [(c, *net(next(visits[c]))) for c in enumerate_ratios(targets.singular, j_max)]
 
     multipliers = {j: policy.start_multiplier(j) for j in range(1, j_max + 1)}
     escalations: list[EscalationEvent] = []

@@ -33,7 +33,6 @@ from .levelset import (
     SlabSet,
     _hitting_runs,
     _lattice_profile,
-    _lattice_window,
     base_slab,
     correlation,
     find_dissipativity_witness,
@@ -104,13 +103,9 @@ class WeakLimitReport:
     product_limit_constant: Rat = field(default=Fraction(1, 16), init=False)
 
 
-def carrying_stages(sched, c: Rat, point: tuple[Rat, Rat] | None = None) -> list[int]:
-    """The certified stages carrying ratio c and, if given, net point ``point``."""
-    return [
-        j
-        for j in sched.certified_windows()
-        if sched.stage(j).ratio == c and (point is None or sched.delta_pair(j) == point)
-    ]
+def carrying_stages(sched, c: Rat) -> list[int]:
+    """The certified stages carrying ratio c."""
+    return [j for j in sched.certified_windows() if sched.stage(j).ratio == c]
 
 
 def _limit_walk(a: SlabSet, b: SlabSet, c: Rat, stages, sched) -> Iterator[tuple[int, Rat, Rat]]:
@@ -320,51 +315,47 @@ class PerturbedLimitReport:
     passed: bool
 
 
-def perturbation_tolerance(a: SlabSet, b: SlabSet, sched, j: int) -> Rat:
-    """Boundary-sliver budget at stage j: slab edges x max shift x width.
+def perturbation_tolerance(sched, j: int) -> Rat:
+    """Boundary-sliver budget at stage j: 4 w_j.
 
     The exact cross-column cancellation leaves at most one column's worth
     of edge slivers, each of height <= 1 (the net is inside [0,1]) and of
-    width w_j; the count is bounded by the slabs' runs at the pair's own
-    stage, lifted by the zero window [0, 0], which searches no stage.
+    width w_j, two per side of each of the pair's runs; the base slab Y is
+    one run, so each side gives two.
     """
-    las, lbs = _lattice_window(a, b, 0, 0, sched)[5:7]
-    return Fraction(2 * len(las) + 2 * len(lbs)) * sched.width(j)
+    return 4 * sched.width(j)
 
 
-def check_perturbed_limit(
-    c, a_shift, b_shift, a: SlabSet, b: SlabSet, sched
-) -> PerturbedLimitReport:
-    c, a_shift, b_shift = rat(c), rat(a_shift), rat(b_shift)
+def check_perturbed_limit(c, sched) -> list[PerturbedLimitReport]:
+    """One report for Y = ``base_slab(sched)`` against itself per net point
+    that the certified stages carrying c visit, in first-visit order."""
+    c = rat(c)
     if sched.perturbation is None:
         raise RankOneError("schedule was built without perturbations")
-    if (a_shift, b_shift) not in sched.perturbation.points():
-        raise ValueError(f"({a_shift}, {b_shift}) is not a point of the dyadic net")
-    matching = carrying_stages(sched, c, (a_shift, b_shift))
-    if not matching:
-        raise RankOneError(
-            f"no certified stage carries c={c} with net point "
-            f"({a_shift}, {b_shift})"
-        )
-    limit_h = correlation(a, b, -a_shift, sched) / 4
-    limit_c = correlation(a, b, -b_shift, sched) / 4
-    checks = [
-        PerturbedStageCheck(
-            stage=j,
-            error_at_height=abs(v1 - limit_h),
-            error_at_stretched_height=abs(v2 - limit_c),
-            tolerance=perturbation_tolerance(a, b, sched, j),
-        )
-        for j, v1, v2 in _limit_walk(a, b, c, matching, sched)
-    ]
-    return PerturbedLimitReport(
-        ratio=c,
-        point=(a_shift, b_shift),
-        limit_at_height=limit_h,
-        limit_at_stretched_height=limit_c,
-        stages=tuple(checks),
-        passed=all(ch.within for ch in checks[-2:]),
-    )
+    visits: dict[tuple[Rat, Rat], list[int]] = {}
+    for j in carrying_stages(sched, c):
+        visits.setdefault(sched.delta_pair(j), []).append(j)
+    if not visits:
+        raise RankOneError(f"no certified stage carries c={c}")
+    y = base_slab(sched)
+    reports = []
+    for (a_shift, b_shift), stages in visits.items():
+        limit_h = correlation(y, y, -a_shift, sched) / 4
+        limit_c = correlation(y, y, -b_shift, sched) / 4
+        checks = [
+            PerturbedStageCheck(j, abs(v1 - limit_h), abs(v2 - limit_c),
+                                perturbation_tolerance(sched, j))
+            for j, v1, v2 in _limit_walk(y, y, c, stages, sched)
+        ]
+        reports.append(PerturbedLimitReport(
+            ratio=c,
+            point=(a_shift, b_shift),
+            limit_at_height=limit_h,
+            limit_at_stretched_height=limit_c,
+            stages=tuple(checks),
+            passed=all(ch.within for ch in checks[-2:]),
+        ))
+    return reports
 
 
 # --------------------------------------------------------------------------

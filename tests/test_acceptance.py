@@ -13,9 +13,8 @@ from pathlib import Path
 import pytest
 
 from rankone.construction import write_block
-from rankone.errors import RankOneError
 from rankone.exactnum import IntervalSet
-from rankone.levelset import base_slab, correlation, correlation_profile
+from rankone.levelset import correlation, correlation_profile
 from rankone.oracle import oracle_correlation
 from rankone.verify import (
     DensityGrid,
@@ -147,34 +146,27 @@ def test_criterion_4_negative_control(broken):
 
 def test_criterion_5_perturbed_weak_limits(desk_perturbed):
     sched = desk_perturbed
-    y = base_slab(sched)
     c = F(3, 2)
     matching = [j for j in sched.certified_windows() if sched.stage(j).ratio == c]
-    realized = {sched.delta_pair(j): j for j in matching}
-    net = sched.perturbation.points()
+    realized = dict.fromkeys(map(sched.delta_pair, matching))
     final_two = matching[-2:]
 
-    checked_points = 0
-    for a_shift, b_shift in net:
-        if (a_shift, b_shift) not in realized:
-            with pytest.raises(RankOneError, match="no certified stage carries c=3/2"):
-                check_perturbed_limit(c, a_shift, b_shift, y, y, sched)
-            continue
-        rep = check_perturbed_limit(c, a_shift, b_shift, y, y, sched)
+    reports = check_perturbed_limit(c, sched)
+    assert [rep.point for rep in reports] == list(realized)
+    for rep in reports:
         assert rep.passed
-        checked_points += 1
         for ch in rep.stages:
             if ch.stage in final_two:
                 assert ch.error_at_height <= ch.tolerance
                 assert ch.error_at_stretched_height <= ch.tolerance
 
-    taus = [perturbation_tolerance(y, y, sched, j) for j in matching]
+    taus = [perturbation_tolerance(sched, j) for j in matching]
     assert taus[0] >= 2 * taus[-1]
     report(
         5,
         True,
         f"errors below the boundary-sliver tolerance at the final two "
-        f"matching stages {final_two} for {checked_points} realized net "
+        f"matching stages {final_two} for {len(reports)} realized net "
         f"points of c=3/2; tolerance decays {float(taus[0] / taus[-1]):.0f}x "
         f"from stage {matching[0]} to {matching[-1]}",
     )

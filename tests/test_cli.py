@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from rankone import errors
 from rankone.cli import _EXIT_CODES, main
-from rankone.construction import Schedule
+from rankone.construction import PerturbationSpec, Schedule, write_block
 
 BASE_CONFIG = {
     "targets": {"singular": ["3/2", "5/2"], "dissipative": ["2/1", "3/1"]},
@@ -857,6 +857,32 @@ class TestPerturbedVerify:
         assert (tmp_path / "dissipativity.json").exists()
         assert (tmp_path / "perturbed_limits.json").exists()
 
+    def test_deep_net_verifies_without_the_whole_net(self, tmp_path, monkeypatch):
+        """A depth-9 net has 513^2 points; the certificate reads only the
+        points that the carrying stages visit."""
+        cfg = write_config(tmp_path, {"perturbation": {"net_depth": 9}, "stages": 8})
+        out = tmp_path / "out"
+        assert CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)]).exit_code == 0
+
+        def whole_net(spec):
+            raise AssertionError("verify built the whole net")
+
+        monkeypatch.setattr(PerturbationSpec, "points", whole_net)
+        result = CliRunner().invoke(
+            main, ["verify", "-s", str(out / "schedule.json"), "-o", str(out),
+                   "--which", "perturbed"],
+        )
+        assert result.exit_code == 0, result.output
+        sched = Schedule.from_json((out / "schedule.json").read_text())
+        # so large a net gives every visit a new point
+        visited = [
+            write_block(sched.delta_pair(j))
+            for c in sched.targets.singular
+            for j in sched.certified_windows() if sched.stage(j).ratio == c
+        ]
+        report = json.loads((out / "perturbed_limits.json").read_text())
+        assert [r["point"] for r in report] == visited
+
     def test_foreign_ratio_exit_2_before_reports(self, built_perturbed, tmp_path):
         result = CliRunner().invoke(
             main,
@@ -1026,6 +1052,11 @@ class TestArtifacts:
         assert len(rows) == 7
         assert all(row.endswith("True") for row in rows[1:])
 
+    def test_oracle_help_states_the_cap(self):
+        result = CliRunner().invoke(main, ["oracle", "--help"])
+        assert result.exit_code == 0, result.output
+        assert "k = 1 + i mod this, capped at the built stages" in " ".join(result.output.split())
+
     def test_oracle_row_outside_bound_exit_3(self, built, tmp_path, monkeypatch):
         """An estimate off by more than its bound fails its row and exits 3."""
         from rankone import cli
@@ -1125,13 +1156,30 @@ def test_committed_out_matches_a_fresh_run(tmp_path):
         assert (tmp_path / name).read_bytes() == (repo / "out" / name).read_bytes(), name
 
 
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
+def test_long_build_refused_quickly(tmp_path):
+    """Net points go to stages by a running count per ratio, so a 20,000-stage
+    config reaches the digit-limit refusal at stage 119 without a quadratic walk."""
+    cfg = write_config(tmp_path, {"stages": 20000})
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankone.cli", "build", "-c", str(cfg), "-o", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env(), timeout=10,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "stage 119 has a number of more than 4300 digits" in proc.stderr
+
+
 def test_cli_import_skips_heavy_modules(desk, tmp_path):
     """The process pool loads only where it is used; numpy and scipy load
     nowhere, not even in ``density``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
+    env = _src_env()
     schedule = tmp_path / "schedule.json"
     schedule.write_text(desk.to_json() + "\n")
     code = (

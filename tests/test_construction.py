@@ -258,6 +258,24 @@ class TestPerturbationSchedule:
         assert len(pts) == 9
         assert pts[:4] == ((F(0), F(0)), (F(0), F(1, 2)), (F(0), F(1)), (F(1, 2), F(0)))
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_point_rule_walks_the_net_row_major(self, depth):
+        spec = PerturbationSpec(net_depth=depth)
+        n = 2**depth
+        net = [(F(a, n), F(b, n)) for a in range(n + 1) for b in range(n + 1)]
+        assert [spec.point(i) for i in range(2 * len(net))] == net + net
+        assert list(spec.points()) == net
+
+    def test_build_never_builds_the_whole_net(self, desk_perturbed, monkeypatch):
+        def whole_net(spec):
+            raise AssertionError("the builder built the whole net")
+
+        monkeypatch.setattr(PerturbationSpec, "points", whole_net)
+        again = build_schedule(
+            1, 1, desk_perturbed.targets, 8, perturbation=PerturbationSpec(net_depth=1)
+        )
+        assert again.to_json() == desk_perturbed.to_json()
+
     def test_base_mode_all_zero(self, desk):
         for j in range(1, desk.num_stages + 1):
             assert desk.delta_pair(j) == (0, 0)

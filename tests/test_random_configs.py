@@ -90,8 +90,7 @@ def test_perturbation_preserves_dissipativity():
     )
     for d in targets.dissipative:
         assert check_dissipativity(d, sched).passed
-    y = base_slab(sched)
-    rep = check_perturbed_limit(F(3, 2), F(0), F(1, 4), y, y, sched)
+    rep = next(r for r in check_perturbed_limit(F(3, 2), sched) if r.point == (0, F(1, 4)))
     assert rep.passed
     # rho(1/4) at stage 2: merged piece [0,2) overlaps 7/4, the two unit
     # copies 3/4 each, times width 1/4

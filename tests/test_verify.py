@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from rankone.cli import load_config, schedule_from_config
-from rankone.construction import TargetSets, build_schedule, write_block
+from rankone.construction import PerturbationSpec, TargetSets, build_schedule, write_block
 from rankone.errors import NotDissipative, RankOneError
 from rankone.levelset import (
     base_slab,
@@ -223,8 +223,8 @@ class TestDissipativity:
 
 class TestPerturbedLimits:
     def test_zero_point_reduces_to_weak_limit(self, desk_perturbed):
-        y = base_slab(desk_perturbed)
-        rep = check_perturbed_limit(F(3, 2), 0, 0, y, y, desk_perturbed)
+        rep = check_perturbed_limit(F(3, 2), desk_perturbed)[0]
+        assert rep.point == (0, 0)
         assert rep.passed
         assert rep.limit_at_height == rep.limit_at_stretched_height == F(1, 4)
         assert all(
@@ -234,46 +234,44 @@ class TestPerturbedLimits:
         )
 
     def test_realized_points_pass_exactly(self, desk_perturbed):
-        y = base_slab(desk_perturbed)
         realized = {}
         for j in desk_perturbed.certified_windows():
             if desk_perturbed.stage(j).ratio == F(3, 2):
                 realized.setdefault(desk_perturbed.delta_pair(j), []).append(j)
         assert (F(0), F(1)) in realized and (F(1, 2), F(0)) in realized
-        for (a, b), stages in realized.items():
-            rep = check_perturbed_limit(F(3, 2), a, b, y, y, desk_perturbed)
+        reports = check_perturbed_limit(F(3, 2), desk_perturbed)
+        assert [rep.point for rep in reports] == list(realized)
+        for rep in reports:
             assert rep.passed
-            assert [c.stage for c in rep.stages] == stages
+            assert [c.stage for c in rep.stages] == realized[rep.point]
             for ch in rep.stages:
                 if ch.stage > 1:
                     assert ch.error_at_height == 0 and ch.error_at_stretched_height == 0
 
     def test_limit_values_are_translated_correlations(self, desk_perturbed):
         y = base_slab(desk_perturbed)
-        rep = check_perturbed_limit(F(3, 2), F(0), F(1), y, y, desk_perturbed)
+        reports = check_perturbed_limit(F(3, 2), desk_perturbed)
+        rep = next(rep for rep in reports if rep.point == (0, 1))
         assert rep.limit_at_height == correlation(y, y, 0, desk_perturbed) / 4
         assert rep.limit_at_stretched_height == correlation(y, y, -1, desk_perturbed) / 4
 
-    def test_unrealized_point_raises(self, desk_perturbed):
-        y = base_slab(desk_perturbed)
-        with pytest.raises(RankOneError, match="no certified stage carries c=3/2 with net point"):
-            check_perturbed_limit(F(3, 2), F(1), F(1), y, y, desk_perturbed)
-
-    def test_point_off_the_net_raises(self, desk_perturbed):
-        y = base_slab(desk_perturbed)
-        with pytest.raises(ValueError, match="^\\(1/3, 0\\) is not a point of the dyadic net$"):
-            check_perturbed_limit(F(3, 2), F(1, 3), 0, y, y, desk_perturbed)
+    def test_uncarried_ratio_raises(self):
+        # four stages carry 3/2, 3/2, 5/2, 3/2; only stages 1 and 2 are certified
+        sched = build_schedule(
+            1, 1, TargetSets(singular=(F(3, 2), F(5, 2))), 4,
+            perturbation=PerturbationSpec(net_depth=1),
+        )
+        with pytest.raises(RankOneError, match="^no certified stage carries c=5/2$"):
+            check_perturbed_limit(F(5, 2), sched)
 
     def test_requires_perturbed_schedule(self, desk):
-        y = base_slab(desk)
         with pytest.raises(RankOneError, match="schedule was built without perturbations"):
-            check_perturbed_limit(F(3, 2), 0, 0, y, y, desk)
+            check_perturbed_limit(F(3, 2), desk)
 
     def test_tolerance_decreases_geometrically(self, desk_perturbed):
-        y = base_slab(desk_perturbed)
-        taus = [
-            perturbation_tolerance(y, y, desk_perturbed, j) for j in (1, 2, 4, 6)
-        ]
+        taus = [perturbation_tolerance(desk_perturbed, j) for j in (1, 2, 4, 6)]
+        # Y is one run: two edge slivers of width w_j per side
+        assert taus == [4 * desk_perturbed.width(j) for j in (1, 2, 4, 6)]
         for a, b in zip(taus, taus[1:]):
             assert b < a
         assert taus[0] / taus[-1] >= 2
