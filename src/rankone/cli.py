@@ -405,10 +405,9 @@ def density(schedule, out, ratio, s_max, samples):
     grid = DensityGrid(s_max=s_max, samples=samples)
     dens = spectral_density(read_rat(ratio), sched, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = ["s,density"]
-    for s, v in zip(dens.frequencies, dens.density):
-        rows.append(f"{s:.12e},{v:.12e}")
-    (out_dir / "density.csv").write_text("\n".join(rows) + "\n")
+    with (out_dir / "density.csv").open("w") as csv:
+        csv.write("s,density\n")
+        csv.writelines(f"{s:.12e},{v:.12e}\n" for s, v in zip(dens.frequencies, dens.density))
     _write_json(out_dir / "density.json", write_block(dens))
     click.echo(
         f"density d={rat_str(dens.ratio)}: mass over [-{dens.mass_range_s}, {dens.mass_range_s}] "

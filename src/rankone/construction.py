@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, count
 from types import NoneType, UnionType
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from . import levelset
 from .errors import EscalationExhausted, RankOneError
@@ -449,22 +449,15 @@ class Schedule:
     runtime_cache: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "choices", tuple(map(tuple, self.choices)))
         if self.base_width <= 0 or self.base_height <= 0:
             raise ValueError("base width and height must be positive")
-        if not self.choices:
-            raise ValueError("a schedule needs at least one stage")
-        allowed = set(self.targets.singular)
-        for j, (c, d1, d3, m) in enumerate(self.choices, start=1):
-            if c not in allowed:
-                raise ValueError(f"stage {j} ratio {c} not in the singular family")
-            if m < self.policy.start_multiplier(j):
-                raise ValueError(f"stage {j} multiplier is below the policy's start")
-            if not (ZERO <= d1 <= ONE and ZERO <= d3 <= ONE):
-                raise ValueError(f"stage {j} perturbations must lie in [0, 1]")
         stages = _assemble_stages(self.base_width, self.base_height, self.choices,
-                                  self.policy.top_spacer)
+                                  self.policy, self.targets.singular)
+        if not stages:
+            raise ValueError("a schedule needs at least one stage")
         object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "choices",
+                           tuple((s.ratio, s.delta1, s.delta3, s.multiplier) for s in stages))
         if len(self.escalations) > self.policy.max_retries:
             raise ValueError(
                 f"escalations: {len(self.escalations)} events, more than the "
@@ -603,21 +596,31 @@ def enumerate_ratios(values: Sequence[Rat], j_max: int) -> tuple[Rat, ...]:
 def _assemble_stages(
     base_width: Rat,
     base_height: Rat,
-    choices: Sequence[tuple[Rat, Rat, Rat, Rat]],
-    top_rule: TopSpacerRule,
+    choices: Iterable[tuple[Rat, Rat, Rat, Rat]],
+    policy: StagePolicy,
+    family: Sequence[Rat],
 ) -> tuple[StageParams, ...]:
     """The stages whose free choices are ``choices``, one (ratio, delta1,
     delta3, multiplier) per stage, by the stacking recurrence: the one
     place (``Schedule``'s construction) that derives a stage's spacers,
-    offsets, height and width.  A stage with a negative spacer, or with a
-    number past the interpreter's digit limit, is refused."""
+    offsets, height and width.  Each choice is checked as its stage is
+    made (ratio in the singular ``family``, multiplier at least the
+    policy's start, perturbations in [0, 1]), and a stage with a negative
+    spacer, or with a number past the interpreter's digit limit, is
+    refused: a refusal costs the stages up to it, however many follow."""
     bound = 10**limit if (limit := int_digit_limit()) else 0
     stages: list[StageParams] = []
     h = base_height
     w = base_width
     for j, (c, d1, d3, m) in enumerate(choices, start=1):
+        if c not in family:
+            raise ValueError(f"stage {j} ratio {c} not in the singular family")
+        if m < policy.start_multiplier(j):
+            raise ValueError(f"stage {j} multiplier is below the policy's start")
+        if not (ZERO <= d1 <= ONE and ZERO <= d3 <= ONE):
+            raise ValueError(f"stage {j} perturbations must lie in [0, 1]")
         s2 = m * h
-        s = (d1, s2, (c - 1) * h + d3, top_rule.top(m, s2))
+        s = (d1, s2, (c - 1) * h + d3, policy.top_spacer.top(m, s2))
         if any(x < 0 for x in s):
             raise ValueError(f"stage {j} spacer heights must be non-negative")
         offsets = _stacking_offsets(h, s)
@@ -671,9 +674,10 @@ def build_schedule(
     policy = policy or StagePolicy()
     net = perturbation.point if perturbation is not None else lambda i: (ZERO, ZERO)
     visits = {c: count() for c in targets.singular}
-    free = [(c, *net(next(visits[c]))) for c in enumerate_ratios(targets.singular, j_max)]
-
-    multipliers = {j: policy.start_multiplier(j) for j in range(1, j_max + 1)}
+    free = ((c, *net(next(visits[c]))) for c in enumerate_ratios(targets.singular, j_max))
+    # made as the first attempt assembles its stages, so a stage past the
+    # digit limit is refused before any later stage's multiplier is computed
+    choices = ((*f, policy.start_multiplier(j)) for j, f in enumerate(free, start=1))
     escalations: list[EscalationEvent] = []
 
     while True:
@@ -682,7 +686,7 @@ def build_schedule(
             base_height=base_height,
             targets=targets,
             policy=policy,
-            choices=[(*f, multipliers[j]) for j, f in enumerate(free, start=1)],
+            choices=choices,
             perturbation=perturbation,
             escalations=tuple(escalations),
         )
@@ -705,16 +709,15 @@ def build_schedule(
         # of those are escalated together.
         y = levelset.base_slab(sched)
         top = levelset.min_valid_stage(y, d_fail * sched.height(j_fail + 1), sched)
-        old = multipliers[j_fail]
         bumped = tuple(range(1, min(top, j_max + 1)))
-        for s in bumped:
-            multipliers[s] = multipliers[s] * policy.escalation_factor
+        choices = [(c, d1, d3, m * policy.escalation_factor if s in bumped else m)
+                   for s, (c, d1, d3, m) in enumerate(sched.choices, start=1)]
         escalations.append(
             EscalationEvent(
                 window=j_fail,
                 ratio=d_fail,
-                old_multiplier=old,
-                new_multiplier=multipliers[j_fail],
+                old_multiplier=sched.choices[j_fail - 1][3],
+                new_multiplier=choices[j_fail - 1][3],
                 witness=witness,
                 escalated_stages=bumped,
             )

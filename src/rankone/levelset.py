@@ -163,13 +163,14 @@ def _lattice(sched) -> tuple[int, list, list[int], list[int], list[list[int]]]:
     """The schedule's integer geometry, derived once per schedule.
 
     Returns the lcm D of the denominators of every tower height and column
-    offset; per stage s, the sorted (value, multiplicity) of its offset
-    differences in units of 1/D; the prefix reach, where reach[s] is the
-    largest |pattern sum| that stages 1..s can contribute (the rise of a
-    top edge from tower 1 to tower s+1); and room[s] = h_s*D - reach[s-1],
-    which never decreases: consecutive entries differ by the top spacer
-    times D; and per stage s, its column offsets in units of 1/D.  Lists
-    are indexed by stage, entry 0 standing for "no stage".
+    offset; per stage s, its distinct offset differences in units of 1/D,
+    sorted, and their multiplicities, as two tuples; the prefix reach,
+    where reach[s] is the largest |pattern sum| that stages 1..s can
+    contribute (the rise of a top edge from tower 1 to tower s+1); and
+    room[s] = h_s*D - reach[s-1], which never decreases: consecutive
+    entries differ by the top spacer times D; and per stage s, its column
+    offsets in units of 1/D.  Lists are indexed by stage, entry 0 standing
+    for "no stage".
     """
     cached = sched.runtime_cache.get("lattice")
     if cached is not None:
@@ -183,7 +184,7 @@ def _lattice(sched) -> tuple[int, list, list[int], list[int], list[list[int]]]:
     reach = [0]
     room = [0]
     for h, scaled in zip(heights, scaled_offsets[1:]):
-        diffs.append(sorted(Counter(b - a for a in scaled for b in scaled).items()))
+        diffs.append(tuple(zip(*sorted(Counter(b - a for a in scaled for b in scaled).items()))))
         room.append(int(h * unit) - reach[-1])
         reach.append(reach[-1] + scaled[3] - scaled[0])
     cached = sched.runtime_cache["lattice"] = (unit, diffs, reach, room, scaled_offsets)
@@ -209,12 +210,13 @@ def _pattern_sums(
     for s in range(j - 1, k - 1, -1):
         rb = reach[s - 1] - reach[k - 1]
         lo_keep, hi_keep = lo - rb, hi + rb
+        vs, ms = diffs[s]
         nxt: dict[int, int] = {}
         for partial, c in level.items():
-            for v, mv in diffs[s]:
-                p2 = partial + v
-                if lo_keep <= p2 <= hi_keep:
-                    nxt[p2] = nxt.get(p2, 0) + c * mv
+            # the slice of the sorted differences that keeps the sum in band
+            i, i2 = bisect_left(vs, lo_keep - partial), bisect_right(vs, hi_keep - partial)
+            for v, mv in zip(vs[i:i2], ms[i:i2]):
+                nxt[partial + v] = nxt.get(partial + v, 0) + c * mv
         level = nxt
         if not level:
             break
@@ -338,7 +340,7 @@ def _hitting_runs(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
     built.  The window's stage check and the DFS run before this returns."""
     j, k, scale, lo, hi, las, lbs, partials = _lattice_window(a, b, w_lo, w_hi, sched, 1)
     unit, diffs, _, _, _ = _lattice(sched)
-    vs = [scale // unit * v for v, _ in diffs[k]] if k < j else [0]
+    vs = [scale // unit * v for v in diffs[k][0]] if k < j else [0]
     template = list(merge_sorted(sorted(
         (v + qlo - phi, v + qhi - plo) for v in vs for plo, phi in las for qlo, qhi in lbs
     )))
@@ -369,9 +371,9 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
     rho is the self-correlation of the base slab Y.  The window is
     [h_j, h_{j+1}] clipped below to the certificate threshold (strictly:
     times equal to the threshold itself are exempt).  Runs as a paired
-    DFS over the offset-difference patterns of t and of d*t, pruning on
-    the exact band |d*delta - delta'| must end up in; returns the union
-    of the overlap intervals of all surviving pattern pairs.
+    DFS whose states are the pattern sums (delta, delta2) of t and of d*t,
+    each stage's differences sliced to the band; returns the union of the
+    overlap intervals of all surviving pattern pairs.
     """
     d = rat(d)
     y = base_slab(sched)
@@ -381,46 +383,37 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
     # d is a dissipative target, so d > 1 and d*w_hi needs the deeper tower
     j1 = min_valid_stage(y, d * w_hi, sched)
     k = y.stage
-    h_base = sched.height(k)
 
     # every time here is a tower height, so the lattice unit clears it
     scale, diffs, reach, _, _ = _lattice(sched)
     w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
     thr_s = int(threshold * scale)
-    e = int(h_base * scale)  # half-width of a base-pair trapezoid support
+    e = int(sched.height(k) * scale)  # half-width of a base-pair trapezoid support
     p, q = d.numerator, d.denominator
 
-    zband = (p + q) * e  # |q*(d*t - t')| bound for overlapping supports
-
-    states: set[tuple[int, int]] = {(0, 0)}  # (delta partial, q*d*delta - q*delta')
+    states: set[tuple[int, int]] = {(0, 0)}
     for s in range(j1 - 1, k - 1, -1):
         rb = reach[s - 1] - reach[k - 1]
+        # the supports of t and d*t can still overlap while
+        # |p*delta - q*delta2| <= budget, delta within e + rb of the window
         lo_keep, hi_keep = w_lo_s - e - rb, w_hi_s + e + rb
-        zrb = (p + q) * rb
-        vals = diffs[s]
+        budget = (p + q) * (e + rb)
+        vs = diffs[s][0]
+        qvs = [q * v for v in vs]
         nxt: set[tuple[int, int]] = set()
-        for delta, z in states:
-            for v, _ in vals:
-                d2 = delta + v
-                if not lo_keep <= d2 <= hi_keep:
-                    continue
-                base = z + p * v
-                # admissible v' must keep |base - q*v' ...| within budget
-                for v2, _ in vals:
-                    z2 = base - q * v2
-                    if abs(z2) <= zband + zrb:
-                        nxt.add((d2, z2))
+        for delta, delta2 in states:
+            for v in vs[bisect_left(vs, lo_keep - delta):bisect_right(vs, hi_keep - delta)]:
+                x = p * (delta + v) - q * delta2  # q*v2 must lie within budget of x
+                for v2 in vs[bisect_left(qvs, x - budget):bisect_right(qvs, x + budget)]:
+                    nxt.add((delta + v, delta2 + v2))
         states = nxt
         if not states:
             break
 
     # on the lattice of 1/(p*scale) every bound is an integer: a surviving
-    # pair overlaps for p*t within p*e of p*delta (the t side) and within
-    # q*e of p*delta - z = q*delta2 (the d*t side, pattern sum delta2)
+    # pair overlaps for p*t within p*e of p*delta and within q*e of q*delta2
     pe, qe = p * e, q * e
-    pieces = []
-    for delta, z in states:
-        c1, c2 = p * delta, p * delta - z
-        pieces.append((max(c1 - pe, c2 - qe), min(c1 + pe, c2 + qe)))
-    runs = _merge_runs(sorted(pieces), p * max(w_lo_s, thr_s), p * w_hi_s)
+    pieces = sorted((max(p * delta - pe, q * delta2 - qe), min(p * delta + pe, q * delta2 + qe))
+                    for delta, delta2 in states)
+    runs = _merge_runs(pieces, p * max(w_lo_s, thr_s), p * w_hi_s)
     return _lattice_set(p * scale, runs)

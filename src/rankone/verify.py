@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -394,8 +395,8 @@ class SpectralDensitySamples:
     ratio: Rat
     support_bound: Rat
     certified_zero_through: Rat
-    frequencies: tuple[float, ...] = field(compare=False)
-    density: tuple[float, ...] = field(compare=False)
+    frequencies: array = field(compare=False)
+    density: array = field(compare=False)
     piece_count: int
     phi_at_zero: Rat
     phi_integral: Rat
@@ -517,11 +518,13 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensi
     )
     local = [tuple(map(float, piece)) for piece in pieces]
 
+    # the samples as C doubles, eight bytes each: 0 <= s <= s_max, mirrored
     half = (grid.samples - 1) // 2
     step = grid.s_max / half
-    s_half = tuple(i * step for i in range(half)) + (float(grid.s_max),)
-    dens_half = tuple(sum(_piece_cosine(*pc, s) for pc in local) / math.pi for s in s_half)
-    freqs = tuple(-s for s in s_half[:0:-1]) + s_half
+    s_half = array("d", (i * step for i in range(half)))
+    s_half.append(grid.s_max)
+    dens_half = array("d", (sum(_piece_cosine(*pc, s) for pc in local) / math.pi for s in s_half))
+    freqs = array("d", (-s for s in s_half[:0:-1])) + s_half
     dens = dens_half[:0:-1] + dens_half
     mass_trapz = sum(
         (s1 - s0) * (v1 + v0) / 2 for s0, s1, v0, v1 in zip(freqs, freqs[1:], dens, dens[1:])

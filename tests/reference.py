@@ -12,6 +12,8 @@ types, and no ``rankone.levelset`` function is imported.
 * slab refinement, stage by stage through the four column offsets, and
   exact translation at the first stage whose refined envelope absorbs it;
 * piecewise-linear helpers: pieces, support and exact integral;
+* the two pattern searches in their scan-and-test form: every offset
+  difference of a stage is tried and kept if it stays within the band;
 * the orbit point model: points with column ancestry, forward advance and
   slab membership.  It uses nothing of ``levelset``, not even its types.
 """
@@ -22,6 +24,7 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from rankone.errors import HorizonExceeded, RankOneError
@@ -171,6 +174,107 @@ def integral(f, lo=None, hi=None) -> Rat:
         w1 = v0 + (v1 - v0) * (s1 - t0) / (t1 - t0)
         total += (w0 + w1) * (s1 - s0) / 2
     return total
+
+
+# --------------------------------------------------------------------------
+# pattern searches, scanned and tested
+
+
+def stage_differences(sched, s: int, scale: int) -> list[tuple[int, int]]:
+    """Stage s's column-offset differences b - a on the lattice of 1/scale,
+    as sorted (value, multiplicity) pairs."""
+    counts: dict[int, int] = {}
+    offs = [x * scale for x in sched.offsets(s)]
+    for a in offs:
+        for b in offs:
+            if (b - a).denominator != 1:
+                raise ValueError(f"offsets of stage {s} are not on the lattice 1/{scale}")
+            counts[int(b - a)] = counts.get(int(b - a), 0) + 1
+    return sorted(counts.items())
+
+
+def _reach(diffs: dict[int, list[tuple[int, int]]], k: int, j: int) -> dict[int, int]:
+    """reach[s]: the largest |sum| stages k..s can add, reach[k-1] = 0."""
+    reach = {k - 1: 0}
+    for s in range(k, j):
+        reach[s] = reach[s - 1] + diffs[s][-1][0]
+    return reach
+
+
+def pattern_sums(sched, k: int, j: int, scale: int, lo: int, hi: int) -> dict[int, int]:
+    """{sum: multiplicity} of the offset-difference pattern sums over stages
+    k..j-1 that lie in [lo, hi], on the lattice of 1/scale: stage by stage
+    from the top, every difference is tried and kept if the partial sum
+    stays within the band widened by what the stages below can add."""
+    diffs = {s: stage_differences(sched, s, scale) for s in range(k, j)}
+    reach = _reach(diffs, k, j)
+    level = {0: 1}
+    for s in range(j - 1, k - 1, -1):
+        lo_keep, hi_keep = lo - reach[s - 1], hi + reach[s - 1]
+        nxt: dict[int, int] = {}
+        for partial, m in level.items():
+            for v, mv in diffs[s]:
+                if lo_keep <= partial + v <= hi_keep:
+                    nxt[partial + v] = nxt.get(partial + v, 0) + m * mv
+        level = nxt
+    return level
+
+
+def witness_states(sched, d: Rat, j: int) -> tuple[int, int, set[tuple[int, int]]]:
+    """The paired pattern search of the dissipativity witness on window
+    [h_j, h_{j+1}], as scan and test: the lattice unit D (every tower
+    height and offset is a multiple of 1/D), the base half-width e = h_1*D
+    and the surviving states (delta, z).  delta is the pattern sum of t and
+    z = p*delta - q*delta2, with delta2 the pattern sum of d*t = (p/q)*t;
+    a state is kept while delta stays within e plus the reach below of the
+    window and |z| within (p + q) times that slack."""
+    n = sched.num_stages
+    heights = [sched.height(s) for s in range(1, n + 2)]
+    unit = 1
+    for x in heights + [o for s in range(1, n + 1) for o in sched.offsets(s)]:
+        unit = lcm(unit, x.denominator)
+    w_lo, w_hi = int(sched.height(j) * unit), int(sched.height(j + 1) * unit)
+    e = int(heights[0] * unit)
+    p, q = d.numerator, d.denominator
+    # the first tower that holds the base slab's top edge moved by d*h_{j+1}
+    top, j1 = heights[0], 1
+    while top + d * sched.height(j + 1) > sched.height(j1):
+        if j1 == n:
+            raise HorizonExceeded(f"d*h_{j + 1} exceeds the {n}-stage schedule")
+        top += max(sched.offsets(j1))
+        j1 += 1
+    diffs = {s: stage_differences(sched, s, unit) for s in range(1, j1)}
+    reach = _reach(diffs, 1, j1)
+    states = {(0, 0)}
+    for s in range(j1 - 1, 0, -1):
+        rb = reach[s - 1]
+        nxt = set()
+        for delta, z in states:
+            for v, _ in diffs[s]:
+                if not w_lo - e - rb <= delta + v <= w_hi + e + rb:
+                    continue
+                for v2, _ in diffs[s]:
+                    z2 = z + p * v - q * v2
+                    if abs(z2) <= (p + q) * (e + rb):
+                        nxt.add((delta + v, z2))
+        states = nxt
+    return unit, e, states
+
+
+def dissipativity_witness(sched, d, j: int) -> IntervalSet:
+    """{t in [h_j, h_{j+1}) above the threshold : rho(t) > 0 and rho(d t) > 0}
+    from the surviving states: t within h_1 of delta/D and d*t within h_1
+    of delta2/D."""
+    d = rat(d)
+    unit, e, states = witness_states(sched, d, j)
+    h1 = Fraction(e, unit)
+    lo = max(sched.height(j), sched.dissipativity_threshold(d))
+    hi = sched.height(j + 1)
+    pieces = []
+    for delta, z in states:
+        t, t2 = Fraction(delta, unit), Fraction(d.numerator * delta - z, d.denominator * unit)
+        pieces.append((max(t - h1, (t2 - h1) / d, lo), min(t + h1, (t2 + h1) / d, hi)))
+    return IntervalSet(pieces)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -1174,6 +1175,22 @@ def test_long_build_refused_quickly(tmp_path):
     )
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "stage 119 has a number of more than 4300 digits" in proc.stderr
+
+
+def test_long_build_refusal_cost_is_independent_of_stages(tmp_path):
+    """Each stage's choice is made and checked as the stage is assembled, so
+    a 200,000-stage config is refused at stage 119 without the start
+    multiplier (2**j under the default gauge) of any stage above it."""
+    cfg = write_config(tmp_path, {"stages": 200000})
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankone.cli", "build", "-c", str(cfg), "-o", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "stage 119 has a number of more than 4300 digits" in proc.stderr
+    assert elapsed < 2, elapsed
 
 
 def test_cli_import_skips_heavy_modules(desk, tmp_path):

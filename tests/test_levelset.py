@@ -43,15 +43,20 @@ from rankone.verify import (
 )
 
 from reference import (
+    dissipativity_witness,
     integral,
     intersect,
     measure,
+    pattern_sums,
     pieces,
     refine,
     scale,
+    stage_differences,
     support,
     translate_exact,
+    witness_states,
 )
+from test_random_configs import CONFIGS
 
 
 class TestSlabs:
@@ -846,33 +851,6 @@ def deep16():
 class TestLattice:
     """The integer geometry that every pattern search shares."""
 
-    @staticmethod
-    def reference(sched, k, j, scale, lo, hi):
-        """The pruned pattern DFS run directly on the lattice of 1/scale,
-        its offset differences derived at that scale."""
-        diffs = {}
-        for s in range(k, j):
-            offs = [x * scale for x in sched.offsets(s)]
-            counts = {}
-            for a in offs:
-                for b in offs:
-                    assert (b - a).denominator == 1
-                    counts[int(b - a)] = counts.get(int(b - a), 0) + 1
-            diffs[s] = sorted(counts.items())
-        reach = {k - 1: 0}
-        for s in range(k, j):
-            reach[s] = reach[s - 1] + max(abs(v) for v, _ in diffs[s])
-        level = {0: 1}
-        for s in range(j - 1, k - 1, -1):
-            lo_keep, hi_keep = lo - reach[s - 1], hi + reach[s - 1]
-            nxt = {}
-            for partial, m in level.items():
-                for v, mv in diffs[s]:
-                    if lo_keep <= partial + v <= hi_keep:
-                        nxt[partial + v] = nxt.get(partial + v, 0) + m * mv
-            level = nxt
-        return level
-
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_finer_scales_equal_direct_enumeration(self, desk, broken, deep16, data):
@@ -894,7 +872,8 @@ class TestLattice:
         lo = m * s1 + data.draw(off, label="low offset")
         hi = m * s2 + data.draw(off, label="high offset")
         got = levelset._pattern_sums(sched, k, j, m * unit, lo, hi)
-        assert got == self.reference(sched, k, j, m * unit, lo, hi)
+        # the scan-and-test search run directly on the lattice of 1/(m*D)
+        assert got == pattern_sums(sched, k, j, m * unit, lo, hi)
 
     def test_one_cache_entry_per_schedule(self, desk):
         sched = Schedule.from_json(desk.to_json())
@@ -906,3 +885,72 @@ class TestLattice:
         for d in sched.targets.dissipative:
             dissipativity_spot_check(d, sched, 100, random.Random(0))
         assert list(sched.runtime_cache) == ["lattice"]
+
+
+class TestBandSlices:
+    """Both pattern searches slice each stage's sorted differences to their
+    band; ``tests/reference.py`` scans every difference and tests it.  The
+    cases include band ends that are reachable sums and budgets met with
+    equality, where a slice one element short or long would differ."""
+
+    @pytest.fixture(scope="class")
+    def schedules(self, desk, broken, desk_perturbed):
+        drawn = [build_schedule(1, 1, TargetSets(**spec), 6) for spec in CONFIGS]
+        return [desk, broken, desk_perturbed, *drawn]
+
+    def test_pattern_sums_match_the_scan(self, schedules):
+        for sched in schedules:
+            unit = levelset._lattice(sched)[0]
+            n = sched.num_stages
+            for k, j in itertools.combinations(range(1, n + 1), 2):
+                # a band of one base height around each tower height, as
+                # correlation asks
+                h = int(sched.height(k) * unit)
+                towers = [int(sched.height(t) * unit) for t in range(k, j + 1)]
+                bands = [(t - h, t + h) for t in towers]
+                # one-point bands at the sums that take the smallest difference
+                # at stages s..j-1 and the largest below, and their negatives:
+                # the partial sum meets the widened band's end exactly at stage s
+                largest = [stage_differences(sched, s, unit)[-1][0] for s in range(k, j)]
+                ends = [sum(largest[:i]) - sum(largest[i:]) for i in range(j - k + 1)]
+                points = [(x, x) for end in ends for x in (end, -end)]
+                for lo, hi in bands + points:
+                    got = levelset._pattern_sums(sched, k, j, unit, lo, hi)
+                    assert got == pattern_sums(sched, k, j, unit, lo, hi), (k, j, lo, hi)
+                for x, _ in points:
+                    assert x in levelset._pattern_sums(sched, k, j, unit, x, x)
+
+    def test_witness_matches_the_scan(self, schedules, monkeypatch):
+        # the engine's overlap pieces, one per surviving state, before the
+        # empty ones drop: a state kept or lost at a band end shows here
+        seen = []
+        merge = levelset._merge_runs
+
+        def recorded(pieces, lo, hi):
+            seen.append(list(pieces))
+            return merge(seen[-1], lo, hi)
+
+        monkeypatch.setattr(levelset, "_merge_runs", recorded)
+        budget_met = band_end_met = 0
+        for sched in schedules:
+            for d in sched.targets.dissipative:
+                p, q = d.numerator, d.denominator
+                for j in range(1, sched.num_stages):
+                    try:
+                        unit, e, states = witness_states(sched, d, j)
+                    except HorizonExceeded:
+                        with pytest.raises(HorizonExceeded):
+                            find_dissipativity_witness(sched, d, j)
+                        continue
+                    got = find_dissipativity_witness(sched, d, j)
+                    assert got == dissipativity_witness(sched, d, j), (d, j)
+                    # t within e of x, d*t within e of x2 = (p*x - z)/q, on 1/(p*D)
+                    assert seen.pop() == sorted(
+                        (max(p * (x - e), p * x - z - q * e), min(p * (x + e), p * x - z + q * e))
+                        for x, z in states
+                    ), (d, j)
+                    w_lo, w_hi = int(sched.height(j) * unit), int(sched.height(j + 1) * unit)
+                    budget_met += sum(abs(z) == (p + q) * e for _, z in states)
+                    band_end_met += sum(x in (w_lo - e, w_hi + e) for x, _ in states)
+        assert budget_met and band_end_met
+
