@@ -3,22 +3,23 @@
 ``oracle_correlation`` estimates mu(T_t A /\\ B) from a deterministic
 stratified grid of heights in A, each advanced by t through the tower
 gluing rules: where the advance would leave a tower, the height moves
-one stage up into one of the four column copies, and a landing height
-is tested against B by walking back down through the embedded copies.
-One walk over A's level intervals, on an integer lattice, splits them
-where the advance leaves a tower; each terminal region adds its samples'
-B-hits over every 4-way lift branch, a branch ending at stage s weighted
-by 4^(top - s), and one division at the end gives the estimate.  The
-column ancestry is thus integrated out exactly and the only
-discretization is the height grid; the integrand is piecewise constant
-in the height, which yields the hard deterministic error bound
-mu(A) * edge_count / n.  Nothing here refines level sets or enumerates
-offset patterns, so agreement with the exact engine is evidence for both.
+one stage up into one of the four column copies.  One walk over A's
+level intervals, on an integer lattice, splits them where the advance
+leaves a tower.  Each terminal region's interval is lifted into the
+column copies up to B's stage, or descended once through the embedded
+copies, split at each copy's window; the stratum midpoints in each piece
+that meets B are counted in closed form.  These hits, over every 4-way
+lift branch, a branch ending at stage s weighted by 4^(top - s), are
+summed, and one division at the end gives the estimate.  The column
+ancestry is thus integrated out exactly and the only discretization is
+the height grid; the integrand is piecewise constant in the height,
+which yields the hard deterministic error bound mu(A) * edge_count / n.
+Nothing here refines level sets or enumerates offset patterns, so
+agreement with the exact engine is evidence for both.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,24 +34,6 @@ class OracleEstimate:
     samples: int
     regions: int
     edge_cap: int
-
-
-def _strata_midpoints(intervals: list[tuple[int, int]], n: int) -> list[int]:
-    """Midpoints of n equal-measure strata across sorted integer intervals.
-
-    The total length must be a multiple of 2n, so the midpoints are integers.
-    """
-    total = sum(hi - lo for lo, hi in intervals)
-    out: list[int] = []
-    idx = 0
-    consumed = 0  # length of fully consumed intervals
-    for i in range(n):
-        u = total * (2 * i + 1) // (2 * n)
-        while u >= consumed + (intervals[idx][1] - intervals[idx][0]):
-            consumed += intervals[idx][1] - intervals[idx][0]
-            idx += 1
-        out.append(intervals[idx][0] + (u - consumed))
-    return out
 
 
 def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
@@ -69,7 +52,7 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
     top = sched.num_stages
 
     # one integer scale for every height handled below: the lcm of the
-    # geometry's denominators, times 2n to put the stratum midpoints on it
+    # geometry's denominators (the stratum midpoints need not lie on it)
     vals = [t]
     for j in range(1, top + 1):
         vals.append(sched.height(j))
@@ -77,7 +60,7 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
     for slab in (a, b):
         for iv in slab.levels.intervals:
             vals.extend(iv)
-    scale = denominator_lcm(vals) * 2 * n
+    scale = denominator_lcm(vals)
 
     heights = {j: int(sched.height(j) * scale) for j in range(1, top + 1)}
     offsets = {
@@ -86,34 +69,31 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
     t_s = int(t * scale)
     la_s = [(int(lo * scale), int(hi * scale)) for lo, hi in a.levels.intervals]
     lb_s = [(int(lo * scale), int(hi * scale)) for lo, hi in b.levels.intervals]
-    lb_lo = [iv[0] for iv in lb_s]
-    mids = _strata_midpoints(la_s, n)
+    total = sum(hi - lo for lo, hi in la_s)
 
-    def in_b(z: int) -> int:
-        i = bisect_right(lb_lo, z) - 1
-        if i >= 0 and lb_s[i][0] <= z < lb_s[i][1]:
-            return 1
-        return 0
+    def below(x: int) -> int:
+        """Stratum midpoints below height x.  Midpoint i lies at length
+        total*(2i+1)/(2n) along A's intervals, so it is below x iff that
+        length is under u, the length of A below x."""
+        u = sum(min(max(x - lo, 0), hi - lo) for lo, hi in la_s)
+        return min(max(-((total - 2 * n * u) // (2 * total)), 0), n)
 
-    def descend_test(stage: int, z: int) -> int:
-        while stage > k_b:
+    def hits_in(stage: int, lo: int, hi: int, shift: int) -> int:
+        """B-hits of the midpoints y in [lo, hi), at height y + shift on
+        this stage, over their 4^(k_b - stage) lifts to B's stage."""
+        if lo >= hi:
+            return 0
+        if stage < k_b:
+            return sum(hits_in(stage + 1, lo, hi, shift + off) for off in offsets[stage])
+        if stage > k_b:  # descend: split at each column copy's window
             prev_h = heights[stage - 1]
-            found = None
-            for off in offsets[stage - 1]:
-                if off <= z < off + prev_h:
-                    found = z - off
-                    break
-            if found is None:
-                return 0
-            z = found
-            stage -= 1
-        return in_b(z)
-
-    def lifted_hits(stage: int, z: int) -> int:
-        """B-hits of (stage, z) over its 4^(k_b - stage) lifts to B's stage."""
-        if stage >= k_b:
-            return descend_test(stage, z)
-        return sum(lifted_hits(stage + 1, z + off) for off in offsets[stage])
+            return sum(
+                hits_in(stage - 1, max(lo, off - shift), min(hi, off + prev_h - shift), shift - off)
+                for off in offsets[stage - 1]
+            )
+        return sum(
+            max(below(min(hi, e - shift)) - below(max(lo, s - shift)), 0) for s, e in lb_s
+        )
 
     # each terminal region of the advance adds its samples' weighted B-hits,
     # its branch count, and a cap on boundary crossings during descent:
@@ -143,8 +123,7 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
             regions += branches
             edge_cap += branches * region_cap(stage_r, end - lo)
             weight = 4 ** (top - stage_r)
-            for y in mids[bisect_left(mids, lo) : bisect_left(mids, end)]:
-                hits += weight * lifted_hits(stage, y + shift + t_s)
+            hits += weight * hits_in(stage, lo, end, shift + t_s)
         if hi > thr:
             if stage >= top:
                 raise HorizonExceeded(f"advance by {t} leaves the built towers")

@@ -15,13 +15,16 @@ types, and no ``rankone.levelset`` function is imported.
 * the two pattern searches in their scan-and-test form: every offset
   difference of a stage is tried and kept if it stays within the band;
 * the orbit point model: points with column ancestry, forward advance and
-  slab membership.  It uses nothing of ``levelset``, not even its types.
+  slab membership.  It uses nothing of ``levelset``, not even its types;
+* the orbit oracle in its per-sample form: every stratum midpoint is
+  listed, lifted through the column copies and tested against B by
+  walking back down, one at a time.
 """
 
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -30,6 +33,7 @@ from typing import Iterable
 from rankone.errors import HorizonExceeded, RankOneError
 from rankone.exactnum import IntervalSet, Rat, rat
 from rankone.levelset import SlabSet
+from rankone.oracle import OracleEstimate
 
 ZERO = Fraction(0)
 
@@ -376,3 +380,125 @@ def same_point(p1: PointState, p2: PointState, sched) -> bool:
         return False
     n = min(len(path1), len(path2))
     return path1[:n] == path2[:n]
+
+
+# --------------------------------------------------------------------------
+# orbit oracle, one sample at a time: the same region walk, branch weights
+# and edge caps as ``rankone.oracle``, with each stratum midpoint of a
+# terminal region lifted and descended on its own
+
+
+def strata_midpoints(intervals: list[tuple[int, int]], n: int) -> list[int]:
+    """Midpoints of n equal-measure strata across sorted integer intervals.
+
+    The total length must be a multiple of 2n, so the midpoints are integers.
+    """
+    total = sum(hi - lo for lo, hi in intervals)
+    out: list[int] = []
+    idx = 0
+    consumed = 0  # length of fully consumed intervals
+    for i in range(n):
+        u = total * (2 * i + 1) // (2 * n)
+        while u >= consumed + (intervals[idx][1] - intervals[idx][0]):
+            consumed += intervals[idx][1] - intervals[idx][0]
+            idx += 1
+        out.append(intervals[idx][0] + (u - consumed))
+    return out
+
+
+def oracle_per_sample(a, b, t, n: int, sched) -> OracleEstimate:
+    """``rankone.oracle.oracle_correlation`` with a per-sample B test."""
+    t = rat(t)
+    if n < 1:
+        raise ValueError("need at least one sample")
+    if t < 0:
+        return oracle_per_sample(b, a, -t, n, sched)
+
+    k_a, k_b = a.stage, b.stage
+    top = sched.num_stages
+
+    vals = [t]
+    for j in range(1, top + 1):
+        vals.append(sched.height(j))
+        vals.extend(sched.offsets(j))
+    for slab in (a, b):
+        for iv in slab.levels.intervals:
+            vals.extend(iv)
+    scale = lcm(*(rat(v).denominator for v in vals)) * 2 * n
+
+    heights = {j: int(sched.height(j) * scale) for j in range(1, top + 1)}
+    offsets = {j: [int(o * scale) for o in sched.offsets(j)] for j in range(1, top)}
+    t_s = int(t * scale)
+    la_s = [(int(lo * scale), int(hi * scale)) for lo, hi in a.levels.intervals]
+    lb_s = [(int(lo * scale), int(hi * scale)) for lo, hi in b.levels.intervals]
+    lb_lo = [iv[0] for iv in lb_s]
+    mids = strata_midpoints(la_s, n)
+
+    def in_b(z: int) -> int:
+        i = bisect_right(lb_lo, z) - 1
+        if i >= 0 and lb_s[i][0] <= z < lb_s[i][1]:
+            return 1
+        return 0
+
+    def descend_test(stage: int, z: int) -> int:
+        while stage > k_b:
+            prev_h = heights[stage - 1]
+            found = None
+            for off in offsets[stage - 1]:
+                if off <= z < off + prev_h:
+                    found = z - off
+                    break
+            if found is None:
+                return 0
+            z = found
+            stage -= 1
+        return in_b(z)
+
+    def lifted_hits(stage: int, z: int) -> int:
+        """B-hits of (stage, z) over its 4^(k_b - stage) lifts to B's stage."""
+        if stage >= k_b:
+            return descend_test(stage, z)
+        return sum(lifted_hits(stage + 1, z + off) for off in offsets[stage])
+
+    n_b = len(lb_s)
+    hits = 0
+    regions = 0
+    edge_cap = 2 * len(la_s)
+
+    def region_cap(stage_r: int, length: int) -> int:
+        cap = 1 + 2 * n_b * (length // heights[k_b] + 1)
+        for s in range(k_b + 1, stage_r + 1):
+            cap += 2 * (length // heights[s - 1] + 1)
+        return cap
+
+    def walk(stage: int, shift: int, lo: int, hi: int) -> None:
+        nonlocal hits, regions, edge_cap
+        if lo >= hi:
+            return
+        thr = heights[stage] - t_s - shift
+        if lo < thr:
+            end = min(hi, thr)
+            stage_r = max(stage, k_b)
+            branches = 4 ** (stage_r - stage)
+            regions += branches
+            edge_cap += branches * region_cap(stage_r, end - lo)
+            weight = 4 ** (top - stage_r)
+            for y in mids[bisect_left(mids, lo) : bisect_left(mids, end)]:
+                hits += weight * lifted_hits(stage, y + shift + t_s)
+        if hi > thr:
+            if stage >= top:
+                raise HorizonExceeded(f"advance by {t} leaves the built towers")
+            for off in offsets[stage]:
+                walk(stage + 1, shift + off, max(lo, thr), hi)
+
+    for lo, hi in la_s:
+        walk(k_a, 0, lo, hi)
+
+    mu_a = sched.width(k_a) * a.levels.total_length
+    return OracleEstimate(
+        value=mu_a * Fraction(hits, n * 4 ** (top - k_a)),
+        bound=mu_a * Fraction(edge_cap, n),
+        samples=n,
+        regions=regions,
+        edge_cap=edge_cap,
+    )

@@ -6,9 +6,13 @@ in the schedule's cache but its integer lattice: slab levels are lifted
 per query and never kept, so no 4^j refinement can pile up there.
 """
 
+import random
+from fractions import Fraction as F
 from pathlib import Path
 
 from rankone.cli import load_config, schedule_from_config
+from rankone.levelset import correlation
+from rankone.oracle import oracle_correlation
 from rankone.verify import (
     check_dissipativity,
     check_weak_limits,
@@ -48,3 +52,25 @@ def test_deep16_full_verify_and_density():
     assert abs(dens.mass_range_value - 1) < 0.01
 
     assert list(sched.runtime_cache) == ["lattice"]
+
+
+def test_deep16_oracle_past_h3():
+    """The orbit oracle against the exact correlation at times up to h_6:
+    half the times near +-h_k, where the family's correlations are mostly
+    nonzero, half drawn from [0, h_k]."""
+    sched = schedule_from_config(load_config(DEEP16))
+    family = [slab for _, slab in default_pair_family(sched)]
+    rng = random.Random(16)
+    nonzero = 0
+    for i in range(16):
+        a, b = rng.choice(family), rng.choice(family)
+        h = sched.height(4 + i % 3)
+        if i % 2:
+            t = rng.choice([1, -1]) * (h + sched.height(1) * F(rng.randrange(-2**10, 2**10), 2**10))
+        else:
+            t = h * F(rng.randrange(2**16), 2**16)
+        exact = correlation(a, b, t, sched)
+        est = oracle_correlation(a, b, t, 2000, sched)
+        assert abs(est.value - exact) <= est.bound
+        nonzero += exact != 0
+    assert nonzero >= 4

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from reference import (
     intersect,
     locate_height,
     measure,
+    oracle_per_sample,
     orbit_advance,
     point_in_slab,
     refine,
@@ -131,6 +133,93 @@ class TestOracleCorrelation:
         assert est.samples == 100
         assert est.regions >= 1
         assert est.bound == measure(y, desk) * F(est.edge_cap, 100)
+
+    @pytest.mark.parametrize(
+        "empty_first, sign", [(True, 1), (False, 1), (True, -1), (False, -1)],
+        ids=["empty-a", "empty-b", "empty-a-negative-t", "empty-b-negative-t"],
+    )
+    def test_empty_slab_is_zero(self, desk, empty_first, sign):
+        empty, y = make_slab(desk, 1, []), base_slab(desk)
+        a, b = (empty, y) if empty_first else (y, empty)
+        t = sign * F(1, 3)
+        est = oracle_correlation(a, b, t, 10, desk)
+        assert est.value == 0 == correlation(a, b, t, desk)
+        if (sign > 0) == empty_first:  # the advanced set, after folding, is empty
+            assert est.bound == est.edge_cap == est.regions == 0
+
+    def test_sample_count_only_scales_the_grid(self, desk):
+        fam = dict(default_pair_family(desk))
+        a, b = fam["stage1_full"], fam["stage2_half0"]
+        t = desk.height(2) * F(3, 7)
+        est = oracle_correlation(a, b, t, 10**18, desk)
+        assert est.samples == 10**18
+        assert abs(est.value - correlation(a, b, t, desk)) <= est.bound
+        assert est.bound < F(1, 10**15)
+
+
+def random_sub_slab(sched, rng, k=None):
+    """A slab of stage k (default: 1-3 at random) whose levels are 1 to 4
+    intervals on a grid."""
+    k = k or rng.randint(1, 3)
+    d = rng.choice([7, 12, 64])
+    cuts = sorted(rng.sample(range(d + 1), 2 * rng.randint(1, 4)))
+    h = sched.height(k)
+    return make_slab(sched, k, [(h * F(lo, d), h * F(hi, d)) for lo, hi in zip(cuts[::2], cuts[1::2])])
+
+
+class TestPerSampleReference:
+    """The region counter against the per-sample walk of ``reference.py``:
+    every stratum midpoint listed, lifted and tested on its own."""
+
+    @pytest.mark.parametrize("name", ["desk", "broken", "desk_perturbed"])
+    def test_whole_estimate_matches(self, request, name):
+        sched = request.getfixturevalue(name)
+        fam = [slab for _, slab in default_pair_family(sched)]
+        rng = random.Random(35)
+        multi = 0
+        for _ in range(8):
+            a, b = (
+                rng.choice(fam) if rng.random() < 0.5 else random_sub_slab(sched, rng)
+                for _ in range(2)
+            )
+            multi += len(a.levels.intervals) > 1 or len(b.levels.intervals) > 1
+            t = rng.choice([1, -1]) * sched.height(rng.randint(1, 5)) * F(rng.randrange(2**16), 2**16)
+            for n in (1, 2, 7, 97, 2000):
+                assert oracle_correlation(a, b, t, n, sched) == oracle_per_sample(a, b, t, n, sched)
+        assert multi > 0
+
+    @pytest.mark.parametrize("name", ["desk", "broken"])
+    def test_midpoints_on_run_ends(self, request, name):
+        """Times that carry a stratum midpoint of A exactly onto an end of
+        one of B's intervals, or of a column copy's window one stage up:
+        the closed-form count must keep every run half-open."""
+        sched = request.getfixturevalue(name)
+        fam = [slab for _, slab in default_pair_family(sched)]
+        rng = random.Random(37)
+        for _ in range(6):
+            a = rng.choice(fam)
+            b = random_sub_slab(sched, rng, a.stage)
+            ((lo, hi),) = a.levels.intervals
+            h, offs = sched.height(a.stage), sched.offsets(a.stage)
+            for n in (1, 2, 7):
+                y = lo + (hi - lo) * F(2 * rng.randrange(n) + 1, 2 * n)
+                times = [e - y for iv in b.levels.intervals for e in iv if e > y]
+                times += [o2 + w - o1 - y for o1, o2 in combinations(offs, 2) for w in (0, h)]
+                for t in times:
+                    assert oracle_correlation(a, b, t, n, sched) == oracle_per_sample(a, b, t, n, sched)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_same_horizon_message(self, desk, sign):
+        rng = random.Random(36)
+        fam = [slab for _, slab in default_pair_family(desk)]
+        for _ in range(4):
+            a, b = rng.choice(fam), random_sub_slab(desk, rng)
+            t = sign * desk.height(8) * F(rng.randrange(2**8, 2**9), 2**8)
+            with pytest.raises(HorizonExceeded) as got:
+                oracle_correlation(a, b, t, 7, desk)
+            with pytest.raises(HorizonExceeded) as want:
+                oracle_per_sample(a, b, t, 7, desk)
+            assert str(got.value) == str(want.value)
 
 
 def pinned_triples(desk):
