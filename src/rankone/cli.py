@@ -376,12 +376,14 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
     hi = read_rat(t_max) if t_max is not None else sched.height(min(2, sched.num_stages))
     prof = correlation_profile(y, y, (lo, hi), sched)
     hits = hitting_report(sched, window_index) if window_index is not None else None
-    rows = ["t,value"]
-    for i in range(samples + 1):
-        t = lo + (hi - lo) * Fraction(i, samples)
-        rows.append(f"{float(t):.12e},{float(prof.value_at(t)):.12e}")
+    # every sample lies in [lo, hi] and under the largest breakpoint value,
+    # so an OverflowError is raised here, before anything is written
+    float(lo), float(hi), float(max(prof.values))
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "profile.csv").write_text("\n".join(rows) + "\n")
+    with (out_dir / "profile.csv").open("w") as csv:
+        csv.write("t,value\n")
+        ts = (lo + (hi - lo) * Fraction(i, samples) for i in range(samples + 1))
+        csv.writelines(f"{float(t):.12e},{float(prof.value_at(t)):.12e}\n" for t in ts)
     _write_json(
         out_dir / "profile.json",
         {"t_min": rat_str(lo), "t_max": rat_str(hi), **write_block(prof)},

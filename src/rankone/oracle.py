@@ -8,20 +8,29 @@ level intervals, on an integer lattice, splits them where the advance
 leaves a tower.  Each terminal region's interval is lifted into the
 column copies up to B's stage, or descended once through the embedded
 copies, split at each copy's window; the stratum midpoints in each piece
-that meets B are counted in closed form.  These hits, over every 4-way
-lift branch, a branch ending at stage s weighted by 4^(top - s), are
-summed, and one division at the end gives the estimate.  The column
-ancestry is thus integrated out exactly and the only discretization is
-the height grid; the integrand is piecewise constant in the height,
-which yields the hard deterministic error bound mu(A) * edge_count / n.
-Nothing here refines level sets or enumerates offset patterns, so
-agreement with the exact engine is evidence for both.
+that meets B are counted in closed form.  The column ancestry is thus
+integrated out exactly and the only discretization is the height grid.
+
+A walk branch ending at stage s carries 4^-(s - k_a) of each sample,
+split evenly over its lifts to B's stage.  In units of 4^-(top - k_a),
+a lift's hits weigh 4^(top - max(s, k_b)); the branch's edges, capped
+per lift, weigh 4^(top - s), as its lifts' shares sum to its own; A's
+own interval ends weigh 4^(top - k_a).  Then
+
+    value = mu(A) * hits / (n * 4^(top - k_a)),
+    bound = mu(A) * edges / (n * 4^(top - k_a)).
+
+Each lift's hit count is piecewise constant in the height, so the
+midpoint of a stratum that none of its edges meets is exact for it, and
+a stratum that one does meet is off by at most the stratum, mu(A)/n,
+times the lift's share: each counted edge costs at most one stratum of
+its branch's weight.  Nothing here refines level sets or enumerates
+offset patterns, so agreement with the exact engine is evidence for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import HorizonExceeded
 from .exactnum import Rat, denominator_lcm, rat
@@ -31,9 +40,6 @@ from .exactnum import Rat, denominator_lcm, rat
 class OracleEstimate:
     value: Rat
     bound: Rat
-    samples: int
-    regions: int
-    edge_cap: int
 
 
 def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
@@ -95,15 +101,13 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
             max(below(min(hi, e - shift)) - below(max(lo, s - shift)), 0) for s, e in lb_s
         )
 
-    # each terminal region of the advance adds its samples' weighted B-hits,
-    # its branch count, and a cap on boundary crossings during descent:
-    # within an image interval of length L, the disjoint column windows of
-    # height h contribute at most 2*(L//h + 1) endpoints per level, and
-    # the slab's own intervals at most 2*n_b per window met
+    # the edges of a terminal region, per lift to B's stage: its end; within
+    # an image interval of length L, the disjoint column windows of height h
+    # contribute at most 2*(L//h + 1) endpoints per level, and the slab's
+    # own intervals at most 2*n_b per window met
     n_b = len(lb_s)
-    hits = 0  # a branch ending at stage s weighs 4^(top - s)
-    regions = 0
-    edge_cap = 2 * len(la_s)
+    hits = 0
+    edges = 2 * len(la_s) * 4 ** (top - k_a)
 
     def region_cap(stage_r: int, length: int) -> int:
         cap = 1 + 2 * n_b * (length // heights[k_b] + 1)
@@ -112,18 +116,15 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
         return cap
 
     def walk(stage: int, shift: int, lo: int, hi: int) -> None:
-        nonlocal hits, regions, edge_cap
+        nonlocal hits, edges
         if lo >= hi:
             return
         thr = heights[stage] - t_s - shift
         if lo < thr:  # no lift: the advance terminates at this stage
             end = min(hi, thr)
             stage_r = max(stage, k_b)
-            branches = 4 ** (stage_r - stage)
-            regions += branches
-            edge_cap += branches * region_cap(stage_r, end - lo)
-            weight = 4 ** (top - stage_r)
-            hits += weight * hits_in(stage, lo, end, shift + t_s)
+            hits += 4 ** (top - stage_r) * hits_in(stage, lo, end, shift + t_s)
+            edges += 4 ** (top - stage) * region_cap(stage_r, end - lo)
         if hi > thr:
             if stage >= top:
                 raise HorizonExceeded(f"advance by {t} leaves the built towers")
@@ -133,11 +134,5 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
     for lo, hi in la_s:
         walk(k_a, 0, lo, hi)
 
-    mu_a = sched.width(k_a) * a.levels.total_length
-    return OracleEstimate(
-        value=mu_a * Fraction(hits, n * 4 ** (top - k_a)),
-        bound=mu_a * Fraction(edge_cap, n),
-        samples=n,
-        regions=regions,
-        edge_cap=edge_cap,
-    )
+    unit = sched.width(k_a) * a.levels.total_length / (n * 4 ** (top - k_a))
+    return OracleEstimate(value=unit * hits, bound=unit * edges)

@@ -1,7 +1,9 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from rankone.cli import load_config, schedule_from_config
 from rankone.construction import (
     GaugeSpec,
     PerturbationSpec,
@@ -35,6 +37,13 @@ def broken():
     """Negative control: top spacer aligned with d=2 times the middle spacer."""
     policy = StagePolicy(top_spacer=TopSpacerRule(mode="collide", collide_ratio=F(2)))
     return build_schedule(1, 1, TargetSets(**DESK_TARGETS), 8, policy=policy, certify=False)
+
+
+@pytest.fixture(scope="session")
+def deep16():
+    """The desk targets at 16 stages, from the shipped config."""
+    config = Path(__file__).parent.parent / "configs" / "deep16.json"
+    return schedule_from_config(load_config(config))
 
 
 @pytest.fixture(scope="session")

@@ -383,17 +383,20 @@ def same_point(p1: PointState, p2: PointState, sched) -> bool:
 
 
 # --------------------------------------------------------------------------
-# orbit oracle, one sample at a time: the same region walk, branch weights
-# and edge caps as ``rankone.oracle``, with each stratum midpoint of a
-# terminal region lifted and descended on its own
+# orbit oracle, one sample at a time: the same region walk, and the same
+# branch weights on hits and edge caps, as ``rankone.oracle``, with each
+# stratum midpoint of a terminal region lifted and descended on its own
 
 
 def strata_midpoints(intervals: list[tuple[int, int]], n: int) -> list[int]:
     """Midpoints of n equal-measure strata across sorted integer intervals.
 
     The total length must be a multiple of 2n, so the midpoints are integers.
+    An empty set has no strata.
     """
     total = sum(hi - lo for lo, hi in intervals)
+    if not total:
+        return []
     out: list[int] = []
     idx = 0
     consumed = 0  # length of fully consumed intervals
@@ -462,8 +465,7 @@ def oracle_per_sample(a, b, t, n: int, sched) -> OracleEstimate:
 
     n_b = len(lb_s)
     hits = 0
-    regions = 0
-    edge_cap = 2 * len(la_s)
+    edges = 2 * len(la_s) * 4 ** (top - k_a)
 
     def region_cap(stage_r: int, length: int) -> int:
         cap = 1 + 2 * n_b * (length // heights[k_b] + 1)
@@ -472,16 +474,14 @@ def oracle_per_sample(a, b, t, n: int, sched) -> OracleEstimate:
         return cap
 
     def walk(stage: int, shift: int, lo: int, hi: int) -> None:
-        nonlocal hits, regions, edge_cap
+        nonlocal hits, edges
         if lo >= hi:
             return
         thr = heights[stage] - t_s - shift
         if lo < thr:
             end = min(hi, thr)
             stage_r = max(stage, k_b)
-            branches = 4 ** (stage_r - stage)
-            regions += branches
-            edge_cap += branches * region_cap(stage_r, end - lo)
+            edges += 4 ** (top - stage) * region_cap(stage_r, end - lo)
             weight = 4 ** (top - stage_r)
             for y in mids[bisect_left(mids, lo) : bisect_left(mids, end)]:
                 hits += weight * lifted_hits(stage, y + shift + t_s)
@@ -494,11 +494,5 @@ def oracle_per_sample(a, b, t, n: int, sched) -> OracleEstimate:
     for lo, hi in la_s:
         walk(k_a, 0, lo, hi)
 
-    mu_a = sched.width(k_a) * a.levels.total_length
-    return OracleEstimate(
-        value=mu_a * Fraction(hits, n * 4 ** (top - k_a)),
-        bound=mu_a * Fraction(edge_cap, n),
-        samples=n,
-        regions=regions,
-        edge_cap=edge_cap,
-    )
+    unit = sched.width(k_a) * a.levels.total_length / (n * 4 ** (top - k_a))
+    return OracleEstimate(value=unit * hits, bound=unit * edges)

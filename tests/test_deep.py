@@ -21,6 +21,8 @@ from rankone.verify import (
     spectral_density,
 )
 
+from reference import measure
+
 DEEP16 = Path(__file__).parent.parent / "configs" / "deep16.json"
 
 
@@ -57,11 +59,14 @@ def test_deep16_full_verify_and_density():
 def test_deep16_oracle_past_h3():
     """The orbit oracle against the exact correlation at times up to h_6:
     half the times near +-h_k, where the family's correlations are mostly
-    nonzero, half drawn from [0, h_k]."""
+    nonzero, half drawn from [0, h_k].  Where A is a stage-1 slab, the
+    bound says more than the trivial mu(B) (a stage-2 A against a stage-1
+    B meets about L/h_1 real crossings, so its bound at 2000 samples
+    still exceeds mu(B))."""
     sched = schedule_from_config(load_config(DEEP16))
     family = [slab for _, slab in default_pair_family(sched)]
     rng = random.Random(16)
-    nonzero = 0
+    nonzero = stage1 = 0
     for i in range(16):
         a, b = rng.choice(family), rng.choice(family)
         h = sched.height(4 + i % 3)
@@ -72,5 +77,21 @@ def test_deep16_oracle_past_h3():
         exact = correlation(a, b, t, sched)
         est = oracle_correlation(a, b, t, 2000, sched)
         assert abs(est.value - exact) <= est.bound
+        if a.stage == 1:
+            assert est.bound < measure(b, sched)
+            stage1 += 1
         nonzero += exact != 0
     assert nonzero >= 4
+    assert stage1 == 10
+
+
+def test_deep16_oracle_bound_below_mu_b_at_h6(deep16):
+    """Each walk branch's edges weigh what its hits weigh: past h_4 a
+    stage-2 A meets about a thousand lift branches, and the bound stays below
+    the trivial mu(B) = 1 once the strata are fine enough."""
+    fam = dict(default_pair_family(deep16))
+    a, b = fam["stage2_half1"], fam["stage1_full"]
+    t = deep16.height(6) + F(1, 3)
+    est = oracle_correlation(a, b, t, 10**6, deep16)
+    assert measure(b, deep16) == 1
+    assert abs(est.value - correlation(a, b, t, deep16)) <= est.bound < 1

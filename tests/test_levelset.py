@@ -4,14 +4,12 @@ import json
 import math
 import random
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankone import levelset
-from rankone.cli import load_config, schedule_from_config
 from rankone.construction import (
     Schedule,
     StagePolicy,
@@ -839,13 +837,6 @@ class TestWitnessSearch:
         t = F(9, 8)
         assert correlation(y, y, t, sched) > 0
         assert correlation(y, y, 2 * t, sched) > 0
-
-
-@pytest.fixture(scope="module")
-def deep16():
-    return schedule_from_config(
-        load_config(Path(__file__).parent.parent / "configs" / "deep16.json")
-    )
 
 
 class TestLattice:

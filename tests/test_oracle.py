@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -130,9 +131,9 @@ class TestOracleCorrelation:
         y = base_slab(desk)
         est = oracle_correlation(y, y, F(3, 2), 100, desk)
         assert isinstance(est, OracleEstimate)
-        assert est.samples == 100
-        assert est.regions >= 1
-        assert est.bound == measure(y, desk) * F(est.edge_cap, 100)
+        assert [f.name for f in fields(est)] == ["value", "bound"]
+        assert abs(est.value - correlation(y, y, F(3, 2), desk)) <= est.bound
+        assert est.bound < measure(y, desk)
 
     @pytest.mark.parametrize(
         "empty_first, sign", [(True, 1), (False, 1), (True, -1), (False, -1)],
@@ -145,16 +146,19 @@ class TestOracleCorrelation:
         est = oracle_correlation(a, b, t, 10, desk)
         assert est.value == 0 == correlation(a, b, t, desk)
         if (sign > 0) == empty_first:  # the advanced set, after folding, is empty
-            assert est.bound == est.edge_cap == est.regions == 0
+            assert est.bound == 0
+        else:  # each region's end still counts as an edge
+            assert est.bound > 0
 
     def test_sample_count_only_scales_the_grid(self, desk):
         fam = dict(default_pair_family(desk))
         a, b = fam["stage1_full"], fam["stage2_half0"]
         t = desk.height(2) * F(3, 7)
         est = oracle_correlation(a, b, t, 10**18, desk)
-        assert est.samples == 10**18
         assert abs(est.value - correlation(a, b, t, desk)) <= est.bound
         assert est.bound < F(1, 10**15)
+        # the edge count does not depend on n, so the bound scales as 1/n
+        assert est.bound * 10**18 == oracle_correlation(a, b, t, 1, desk).bound
 
 
 def random_sub_slab(sched, rng, k=None):
@@ -222,6 +226,40 @@ class TestPerSampleReference:
             assert str(got.value) == str(want.value)
 
 
+class TestValiditySweep:
+    """Every estimate within its bound of the exact correlation, and its
+    value the per-sample reference's, over family slabs, multi-interval
+    sub-slabs and empty slabs, times up to +-h_6 and near +-h_k, and
+    sample counts from 1 to 2000."""
+
+    @pytest.mark.parametrize("name", ["desk", "broken", "desk_perturbed", "deep16"])
+    def test_within_bound_and_reference_value(self, request, name):
+        sched = request.getfixturevalue(name)
+        fam = [slab for _, slab in default_pair_family(sched)]
+        rng = random.Random(37)
+
+        def slab():
+            pick = rng.random()
+            if pick < 0.1:
+                return make_slab(sched, rng.randint(1, 3), [])
+            return rng.choice(fam) if pick < 0.55 else random_sub_slab(sched, rng)
+
+        for i in range(12):  # one empty A and one empty B at least
+            a = make_slab(sched, 1, []) if i == 0 else slab()
+            b = make_slab(sched, 2, []) if i == 1 else slab()
+            h = sched.height(1 + i // 2)
+            if i % 2:
+                t = h + sched.height(1) * F(rng.randrange(-2**10, 2**10), 2**10)
+            else:
+                t = h * F(rng.randrange(2**16), 2**16)
+            t *= rng.choice([1, -1])
+            exact = correlation(a, b, t, sched)
+            for n in (1, 2, 7, 97, 2000):
+                est = oracle_correlation(a, b, t, n, sched)
+                assert abs(est.value - exact) <= est.bound
+                assert est.value == oracle_per_sample(a, b, t, n, sched).value
+
+
 def pinned_triples(desk):
     """(a, b, t, n) triples whose estimates are pinned by digest below."""
     fam = dict(default_pair_family(desk))
@@ -253,21 +291,26 @@ def pinned_triples(desk):
     return triples
 
 
-def pinned_digest(desk) -> str:
-    fields = []
-    for a, b, t, n in pinned_triples(desk):
-        est = oracle_correlation(a, b, t, n, desk)
-        fields.append((est.value, est.bound, est.regions, est.edge_cap))
-    return hashlib.sha256(repr(fields).encode()).hexdigest()
+def pinned_digests(desk) -> tuple[str, str]:
+    """Digests of the pinned triples' values, and of their (value, bound)."""
+    estimates = [oracle_correlation(a, b, t, n, desk) for a, b, t, n in pinned_triples(desk)]
+    values = [est.value for est in estimates]
+    pairs = [(est.value, est.bound) for est in estimates]
+    return tuple(hashlib.sha256(repr(x).encode()).hexdigest() for x in (values, pairs))
 
 
 class TestPinnedEstimates:
-    """``(value, bound, regions, edge_cap)`` recorded before the region walk."""
+    """The values, unchanged since the per-sample walk, and the bounds of
+    the weighted edge count."""
 
-    DIGEST = "70e49bbaa61da2af375225c58c7730af4f143fc5e1fac1413f69410c1938a95c"
+    VALUES = "e96d647f48814bdef22ebdc2cd63581407cbd43341a54ed94333e023b6938c09"
+    DIGEST = "93a885b1f3aa5f446914926dc543a779b2ffae2b9110c09cd3670a4171b370e3"
+
+    def test_pinned_values(self, desk):
+        assert pinned_digests(desk)[0] == self.VALUES
 
     def test_pinned_digest(self, desk):
-        assert pinned_digest(desk) == self.DIGEST
+        assert pinned_digests(desk)[1] == self.DIGEST
 
     def test_horizon_message(self, desk):
         y = base_slab(desk)
