@@ -32,7 +32,7 @@ from .construction import (
 )
 from .errors import EscalationExhausted, HorizonExceeded, NotDissipative, RankOneError
 from .exactnum import rat_str
-from .levelset import base_slab, correlation, correlation_profile
+from .levelset import base_slab, correlation, correlation_profile, horizon
 from .oracle import oracle_correlation
 from .verify import (
     DensityGrid,
@@ -363,7 +363,8 @@ def verify(schedule, which, out, jobs, seed, spot_checks, ratio):
 @click.option("--schedule", "-s", default="out/schedule.json", type=click.Path())
 @click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
 @click.option("--t-min", default="0/1")
-@click.option("--t-max", default=None, help="defaults to the height of tower 2")
+@click.option("--t-max", default=None,
+              help="defaults to the height of tower 2 or the horizon, whichever is lower")
 @click.option("--samples", default=512, type=click.IntRange(min=1))
 @click.option("--window", "window_index", default=None, type=int,
               help="emit the hitting report for window [h_j, h_{j+1}]")
@@ -373,7 +374,9 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
     sched = _load_schedule(schedule)
     y = base_slab(sched)
     lo = read_rat(t_min)
-    hi = read_rat(t_max) if t_max is not None else sched.height(min(2, sched.num_stages))
+    # a 1-stage schedule absorbs no time (horizon 0), so its default h_1 is refused
+    h = sched.height(min(2, sched.num_stages))
+    hi = read_rat(t_max) if t_max is not None else min(h, horizon(sched)) or h
     prof = correlation_profile(y, y, (lo, hi), sched)
     hits = hitting_report(sched, window_index) if window_index is not None else None
     # every sample lies in [lo, hi] and under the largest breakpoint value,

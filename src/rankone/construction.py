@@ -504,9 +504,11 @@ class Schedule:
         return self.stage(j).height
 
     def width(self, j: int) -> Rat:
+        """Width of tower j, as ``_assemble_stages`` stacked it; j may run
+        one past the last built stage, whose four copies stack into it."""
         if not 1 <= j <= self.num_stages + 1:
             raise RankOneError(f"stage {j} not built")
-        return self.base_width / Fraction(4) ** (j - 1)
+        return self.stages[j - 1].width if j <= self.num_stages else self.stages[-1].width / 4
 
     def offsets(self, j: int) -> tuple[Rat, Rat, Rat, Rat]:
         return self.stage(j).offsets

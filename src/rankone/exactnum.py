@@ -2,8 +2,9 @@
 
 Every quantity in this package (heights, flow times, measures) is a
 ``fractions.Fraction``; nothing in this module ever rounds.  Sets of reals
-are finite disjoint unions of half-open intervals ``[lo, hi)`` kept in a
-canonical sorted, merged form, so set equality is representation equality.
+are finite disjoint unions of half-open intervals ``[lo, hi)``.  The one
+constructor sorts and merges its intervals, so every set holds the canonical
+form by construction and set equality is representation equality.
 """
 
 from __future__ import annotations
@@ -72,16 +73,6 @@ class IntervalSet:
     def __init__(self, intervals: Iterable[tuple[Rat, Rat]] = ()):
         pairs = sorted((rat(lo), rat(hi)) for lo, hi in intervals)
         self._ivs: tuple[tuple[Rat, Rat], ...] = tuple(merge_sorted(pairs))
-
-    @classmethod
-    def _wrap(cls, canonical: tuple[tuple[Rat, Rat], ...]) -> "IntervalSet":
-        out = object.__new__(cls)
-        out._ivs = canonical
-        return out
-
-    @classmethod
-    def single(cls, lo, hi) -> "IntervalSet":
-        return cls(((lo, hi),))
 
     @property
     def intervals(self) -> tuple[tuple[Rat, Rat], ...]:

@@ -61,7 +61,7 @@ def make_slab(sched, stage: int, levels) -> SlabSet:
 
 def base_slab(sched) -> SlabSet:
     """The first tower as a slab set (the distinguished test set)."""
-    return SlabSet(stage=1, levels=IntervalSet.single(0, sched.height(1)))
+    return make_slab(sched, 1, [(0, sched.height(1))])
 
 
 # --------------------------------------------------------------------------
@@ -154,9 +154,7 @@ def _merge_runs(pieces: Iterable[tuple], lo, hi) -> Iterator[tuple]:
 
 def _lattice_set(unit: int, runs: Iterable[tuple]) -> IntervalSet:
     """The runs [lo, hi) in units of 1/unit, one ``Fraction`` per endpoint."""
-    return IntervalSet._wrap(
-        tuple((Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in runs)
-    )
+    return IntervalSet((Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in runs)
 
 
 def _lattice(sched) -> tuple[int, list, list[int], list[int], list[list[int]]]:

@@ -980,6 +980,24 @@ class TestArtifacts:
         assert "horizon exceeded" in result.output
         assert not list(out.glob("profile.*")) and not list(out.glob("hitting_window_*"))
 
+    @pytest.mark.parametrize("stages, code, said", [
+        (2, 0, "profile on [0, 256]: "),
+        (1, 4, "horizon exceeded: time 1 exceeds what the 1-stage schedule absorbs"),
+    ], ids=["2-stage", "1-stage"])
+    def test_profile_default_t_max_within_horizon(self, tmp_path, stages, code, said):
+        """The default window ends at h_2 or at the horizon, whichever is
+        lower: the 2-stage default schedule absorbs times up to 256, below
+        h_2 = 553/2.  A 1-stage schedule absorbs none, and h_1 is refused."""
+        cfg, out = tmp_path / "config.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"stages": stages}))
+        runner = CliRunner()
+        assert runner.invoke(main, ["build", "-c", str(cfg), "-o", str(out)]).exit_code == 0
+        result = runner.invoke(main, ["profile", "-s", str(out / "schedule.json"), "-o", str(out)])
+        assert result.exit_code == code, result.output
+        assert said in result.output
+        if code == 0:
+            assert json.loads((out / "profile.json").read_text())["t_max"] == "256/1"
+
     def test_density_csv_and_mass(self, built, tmp_path):
         out = tmp_path / "dens"
         result = CliRunner().invoke(

@@ -811,7 +811,7 @@ class TestWitnessSearch:
         r_dil = hitting_set(y, y, (d * lo, d * hi), sched)
         n = sched.dissipativity_threshold(d)
         return intersect(
-            intersect(r_set, scale(r_dil, 1 / d)), IntervalSet.single(n, hi + 1)
+            intersect(r_set, scale(r_dil, 1 / d)), IntervalSet([(n, hi + 1)])
         )
 
     def test_matches_hitting_set_composition(self, desk, broken):

@@ -349,12 +349,16 @@ class TestIndependence:
     @pytest.mark.parametrize(
         "module, loaded",
         [("rankone.oracle", ["rankone", "rankone.errors", "rankone.exactnum", "rankone.oracle"]),
-         ("rankone.exactnum", ["rankone", "rankone.exactnum"])],
-        ids=["oracle", "exactnum"],
+         ("rankone.exactnum", ["rankone", "rankone.exactnum"]),
+         ("rankone.cli", ["rankone", "rankone.cli", "rankone.construction", "rankone.errors",
+                          "rankone.exactnum", "rankone.levelset", "rankone.oracle",
+                          "rankone.verify"])],
+        ids=["oracle", "exactnum", "cli"],
     )
     def test_import_loads_only_what_the_module_uses(self, module, loaded):
         """The package root re-exports nothing, so importing the oracle in a
-        fresh interpreter runs none of the engine it checks."""
+        fresh interpreter runs none of the engine it checks; the command line
+        loads the package's modules and no others."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p
