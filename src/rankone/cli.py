@@ -9,6 +9,7 @@ subcommand raises to its code; a failed certificate exits 3 explicitly.
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import sys
@@ -46,10 +47,6 @@ from .verify import (
     singularity_evidence,
     spectral_density,
 )
-
-# after the package: compiling its modules (no cached bytecode) on top of
-# click's heap would raise every command's peak RSS by about 0.6 MB
-import click
 
 DEFAULT_CONFIG: dict = {
     "base_width": "1/1",
@@ -122,45 +119,104 @@ _EXIT_CODES = (
 )
 
 
-class _ExitCodeGroup(click.Group):
-    """Report a subcommand's error on stderr and exit with its code."""
+def main(args: list[str] | None = None, prog_name: str = "rankone",
+         standalone_mode: bool = True) -> None:
+    """Run one subcommand on ``args`` (default ``sys.argv[1:]``).  A usage error
+    exits 2 and a raised error exits with its ``_EXIT_CODES`` code, by ``SystemExit``;
+    success exits 0 in ``standalone_mode`` and otherwise returns."""
+    options = vars(_parser(prog_name).parse_args(args))
+    command = options.pop("command")
+    try:
+        command(**options)
+    except tuple(kind for kind, _, _ in _EXIT_CODES) as exc:
+        code, label = next(row[1:] for row in _EXIT_CODES if isinstance(exc, row[0]))
+        print(f"{label}: {exc}", file=sys.stderr)
+        sys.exit(code)
+    if standalone_mode:
+        sys.exit(0)
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except tuple(kind for kind, _, _ in _EXIT_CODES) as exc:
-            for kind, code, label in _EXIT_CODES:
-                if isinstance(exc, kind):
-                    click.echo(f"{label}: {exc}", err=True)
-                    sys.exit(code)
+
+main.main = main  # one command in process: main.main(args=[...], standalone_mode=False)
 
 
-@click.group(cls=_ExitCodeGroup)
-def main():
-    """Exact verification lab for the cutting-and-stacking flow."""
+def _at_least(low: int):
+    """The ``add_argument`` type of an integer option that is at least ``low``."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is not in the range x>={low}")
+        return int(text)
+    return integer
 
 
-@main.command()
-@click.option("--config", "-c", required=True, type=click.Path(dir_okay=False))
-@click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """One subparser per command; each option is its flags, then its ``add_argument`` keywords."""
+    schedule = ("--schedule", "-s", dict(default="out/schedule.json"))
+    out = ("--out", "-o", dict(default="out"))
+    options = {
+        build: [("--config", "-c", dict(required=True)), out],
+        verify: [
+            schedule, out,
+            ("--which", dict(choices=["singular", "dissipative", "perturbed", "all"],
+                             default="all")),
+            ("--jobs", dict(default=1, type=_at_least(1))),
+            ("--seed", dict(type=int, help="seeds the spot checks (default 0)")),
+            ("--spot-checks", dict(default=0, type=_at_least(0), help="random times per window")),
+            ("--ratio", dict(help="keep the selected kinds whose targets hold this ratio (p/q)")),
+        ],
+        profile: [
+            schedule, out,
+            ("--t-min", dict(default="0/1")),
+            ("--t-max", dict(help="defaults to the height of tower 2 or the horizon, "
+                                  "whichever is lower")),
+            ("--samples", dict(default=512, type=_at_least(1))),
+            ("--window", dict(dest="window_index", type=int,
+                              help="emit the hitting report for window [h_j, h_{j+1}]")),
+        ],
+        density: [
+            schedule, out,
+            ("--ratio", "-d", dict(default="2/1")),
+            ("--s-max", dict(default=DensityGrid.s_max, type=float)),
+            ("--samples", dict(default=DensityGrid.samples, type=int)),
+        ],
+        oracle: [
+            schedule, out,
+            ("--triples", dict(default=12, type=_at_least(1))),
+            ("--samples", dict(default=2000, type=int)),
+            ("--seed", dict(default=0, type=int)),
+            ("--t-max-stage", dict(default=3, type=_at_least(1),
+                                   help="triple i draws its time from [0, h_k], k = 1 + i "
+                                        "mod this, capped at the built stages")),
+        ],
+    }
+    parser = argparse.ArgumentParser(prog, description=__doc__.split("\n")[0], allow_abbrev=False)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for fn, fn_options in options.items():
+        sub = commands.add_parser(fn.__name__, help=fn.__doc__.split("\n")[0],
+                                  description=fn.__doc__, allow_abbrev=False)
+        sub.set_defaults(command=fn)
+        for *flags, keywords in fn_options:
+            sub.add_argument(*flags, **keywords)
+    return parser
+
+
 def build(config, out):
     """Build a schedule from a JSON config and write it as schedule.json."""
     out_dir = Path(out)
     sched = schedule_from_config(load_config(config))
     _write_json(out_dir / "schedule.json", sched.to_dict())
     if not sched.certified_windows():
-        click.echo("built schedule: no certified windows (schedule too short)")
+        print("built schedule: no certified windows (schedule too short)", flush=True)
     else:
-        click.echo(
+        print(
             f"built {sched.num_stages} stages; certified windows "
             f"{sched.certified_windows()[0]}..{sched.certified_windows()[-1]}; "
-            f"{len(sched.escalations)} escalations"
+            f"{len(sched.escalations)} escalations", flush=True
         )
 
 
 def _echo(lines: list[str], text: str) -> None:
     lines.append(text)
-    click.echo(text)
+    print(text, flush=True)
 
 
 def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
@@ -304,20 +360,6 @@ def _verify_perturbed(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
     return passed == len(reports)
 
 
-@main.command()
-@click.option("--schedule", "-s", default="out/schedule.json", type=click.Path())
-@click.option(
-    "--which",
-    type=click.Choice(["singular", "dissipative", "perturbed", "all"]),
-    default="all",
-)
-@click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
-@click.option("--jobs", default=1, type=click.IntRange(min=1))
-@click.option("--seed", default=None, type=int, help="seeds the spot checks (default 0)")
-@click.option("--spot-checks", default=0, type=click.IntRange(min=0),
-              help="random times per window")
-@click.option("--ratio", default=None,
-              help="keep the selected kinds whose targets hold this ratio (p/q)")
 def verify(schedule, which, out, jobs, seed, spot_checks, ratio):
     """Run certificates against a built schedule; exit 0 iff all pass.
 
@@ -354,20 +396,11 @@ def verify(schedule, which, out, jobs, seed, spot_checks, ratio):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "verify_summary.txt").write_text("\n".join(lines) + "\n")
     if not ok:
-        click.echo(verdict, err=True)
+        print(verdict, file=sys.stderr)
         sys.exit(3)
-    click.echo(verdict)
+    print(verdict, flush=True)
 
 
-@main.command()
-@click.option("--schedule", "-s", default="out/schedule.json", type=click.Path())
-@click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
-@click.option("--t-min", default="0/1")
-@click.option("--t-max", default=None,
-              help="defaults to the height of tower 2 or the horizon, whichever is lower")
-@click.option("--samples", default=512, type=click.IntRange(min=1))
-@click.option("--window", "window_index", default=None, type=int,
-              help="emit the hitting report for window [h_j, h_{j+1}]")
 def profile(schedule, out, t_min, t_max, samples, window_index):
     """Emit the exact self-correlation profile of the base slab as CSV."""
     out_dir = Path(out)
@@ -394,15 +427,9 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
     if hits is not None:
         with open(out_dir / f"hitting_window_{window_index}.json", "w") as f:
             f.writelines(hits)
-    click.echo(f"profile on [{lo}, {hi}]: {len(prof.breakpoints)} breakpoints")
+    print(f"profile on [{lo}, {hi}]: {len(prof.breakpoints)} breakpoints", flush=True)
 
 
-@main.command()
-@click.option("--schedule", "-s", default="out/schedule.json", type=click.Path())
-@click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
-@click.option("--ratio", "-d", default="2/1")
-@click.option("--s-max", default=DensityGrid.s_max, type=float)
-@click.option("--samples", default=DensityGrid.samples, type=int)
 def density(schedule, out, ratio, s_max, samples):
     """Spectral-density samples for a dissipative ratio (CSV + summary)."""
     out_dir = Path(out)
@@ -414,22 +441,13 @@ def density(schedule, out, ratio, s_max, samples):
         csv.write("s,density\n")
         csv.writelines(f"{s:.12e},{v:.12e}\n" for s, v in zip(dens.frequencies, dens.density))
     _write_json(out_dir / "density.json", write_block(dens))
-    click.echo(
+    print(
         f"density d={rat_str(dens.ratio)}: mass over [-{dens.mass_range_s}, {dens.mass_range_s}] "
         f"= {dens.mass_range_value:.6f} (target {float(dens.phi_at_zero):.6f}), "
-        f"min sample {dens.min_density:.3e}"
+        f"min sample {dens.min_density:.3e}", flush=True
     )
 
 
-@main.command()
-@click.option("--schedule", "-s", default="out/schedule.json", type=click.Path())
-@click.option("--out", "-o", default="out", type=click.Path(file_okay=False))
-@click.option("--triples", default=12, type=click.IntRange(min=1))
-@click.option("--samples", default=2000, type=int)
-@click.option("--seed", default=0, type=int)
-@click.option("--t-max-stage", default=3, type=click.IntRange(min=1),
-              help="triple i draws its time from [0, h_k], k = 1 + i mod this, "
-                   "capped at the built stages")
 def oracle(schedule, out, triples, samples, seed, t_max_stage):
     """Cross-check the exact engine against the orbit-simulation oracle."""
     out_dir = Path(out)
@@ -454,8 +472,8 @@ def oracle(schedule, out, triples, samples, seed, t_max_stage):
         )
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "oracle.csv").write_text("\n".join(rows) + "\n")
-    click.echo(
-        f"oracle: {triples - violations}/{triples} within the deterministic bound"
+    print(
+        f"oracle: {triples - violations}/{triples} within the deterministic bound", flush=True
     )
     if violations:
         sys.exit(3)

@@ -1,9 +1,12 @@
+import contextlib
+import io
+from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from rankone.cli import load_config, schedule_from_config
+from rankone.cli import load_config, main, schedule_from_config
 from rankone.construction import (
     GaugeSpec,
     PerturbationSpec,
@@ -12,6 +15,47 @@ from rankone.construction import (
     TopSpacerRule,
     build_schedule,
 )
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    output: str  # stdout and stderr interleaved, as a terminal shows them
+    stdout: str
+    stderr: str
+    exception: BaseException | None  # a nonzero SystemExit, or what escaped the command
+
+
+class _Tee(io.StringIO):
+    """One stream's text, also written to the interleaved ``output``."""
+
+    def __init__(self, output: io.StringIO):
+        super().__init__()
+        self.output = output
+
+    def write(self, text: str) -> int:
+        self.output.write(text)
+        return super().write(text)
+
+
+def invoke(args: list[str]) -> CliResult:
+    """Run one ``rankone`` command in process, capturing stdout and stderr.
+
+    An exception other than ``SystemExit`` is kept in ``exception`` with
+    exit code 1; the caller decides whether to re-raise it."""
+    output = io.StringIO()
+    stdout, stderr = _Tee(output), _Tee(output)
+    code, exception = 0, None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main.main(args, standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+            exception = exc if code else None
+        except Exception as exc:  # noqa: BLE001  (kept for the caller to re-raise)
+            code, exception = 1, exc
+    return CliResult(code, output.getvalue(), stdout.getvalue(), stderr.getvalue(), exception)
+
 
 DESK_TARGETS = dict(
     singular=(F(3, 2), F(5, 2)),

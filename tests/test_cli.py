@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import dataclasses
 import hashlib
@@ -10,11 +11,12 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from rankone import errors
-from rankone.cli import _EXIT_CODES, main
+from rankone.cli import _EXIT_CODES, _parser, main
 from rankone.construction import PerturbationSpec, Schedule, write_block
+
+from conftest import invoke
 
 BASE_CONFIG = {
     "targets": {"singular": ["3/2", "5/2"], "dissipative": ["2/1", "3/1"]},
@@ -48,7 +50,7 @@ def built(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_build")
     cfg = write_config(tmp)
     out = tmp / "out"
-    result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)])
+    result = invoke(["build", "-c", str(cfg), "-o", str(out)])
     assert result.exit_code == 0, result.output
     return out
 
@@ -65,9 +67,7 @@ def built_desk(desk, tmp_path_factory):
 class TestBuild:
     def test_writes_schedule_and_log(self, tmp_path):
         out = tmp_path / "out"
-        result = CliRunner().invoke(
-            main, ["build", "-c", str(write_config(tmp_path)), "-o", str(out)]
-        )
+        result = invoke(["build", "-c", str(write_config(tmp_path)), "-o", str(out)])
         assert result.exit_code == 0, result.output
         sched = json.loads((out / "schedule.json").read_text())
         assert len(sched["stages"]) == 6
@@ -81,9 +81,7 @@ class TestBuild:
 
     def test_short_schedule_reports_no_windows(self, tmp_path):
         cfg = write_config(tmp_path, {"stages": 2, "targets": {"dissipative": []}})
-        result = CliRunner().invoke(
-            main, ["build", "-c", str(cfg), "-o", str(tmp_path / "out")]
-        )
+        result = invoke(["build", "-c", str(cfg), "-o", str(tmp_path / "out")])
         assert result.exit_code == 0
         assert "no certified windows" in result.output
 
@@ -91,17 +89,13 @@ class TestBuild:
         cfg = write_config(
             tmp_path, {"targets": {"singular": ["2/1"], "dissipative": ["2/1"]}}
         )
-        result = CliRunner().invoke(
-            main, ["build", "-c", str(cfg), "-o", str(tmp_path / "out")]
-        )
+        result = invoke(["build", "-c", str(cfg), "-o", str(tmp_path / "out")])
         assert result.exit_code == 2
 
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"stages": 4, "bogus": 1}))
-        result = CliRunner().invoke(
-            main, ["build", "-c", str(cfg), "-o", str(tmp_path / "out")]
-        )
+        result = invoke(["build", "-c", str(cfg), "-o", str(tmp_path / "out")])
         assert result.exit_code == 2
 
     def test_escalation_exhausted_exit_2(self, tmp_path):
@@ -117,9 +111,7 @@ class TestBuild:
                 "policy": {"max_retries": 2},
             },
         )
-        result = CliRunner().invoke(
-            main, ["build", "-c", str(cfg), "-o", str(tmp_path / "out")]
-        )
+        result = invoke(["build", "-c", str(cfg), "-o", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "escalation exhausted" in result.output
 
@@ -364,7 +356,7 @@ class TestLoaderErrors:
             src = tmp_path / "config.json"
             args = ["build", "-c", str(src)]
         src.write_text(_dump(doc, path, value))
-        result = CliRunner().invoke(main, args + ["-o", str(tmp_path / "out")])
+        result = invoke(args + ["-o", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "error" in result.output
@@ -376,8 +368,8 @@ class TestLoaderErrors:
         doc["escalations"] = [ESCALATION] * 40
         src = tmp_path / "schedule.json"
         src.write_text(json.dumps(doc))
-        result = CliRunner().invoke(
-            main, ["verify", "-s", str(src), "-o", str(tmp_path / "out"), "--which", "dissipative"]
+        result = invoke(
+            ["verify", "-s", str(src), "-o", str(tmp_path / "out"), "--which", "dissipative"]
         )
         assert result.exit_code == 0, result.output
 
@@ -387,7 +379,7 @@ class TestLoaderErrors:
         if text is not None:
             cfg.write_text(text)
         out = tmp_path / "out"
-        result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)])
+        result = invoke(["build", "-c", str(cfg), "-o", str(out)])
         assert result.exit_code == 2, result.output
         assert f"usage error: cannot read config {cfg}: " in result.output
         assert not out.exists()
@@ -397,7 +389,7 @@ class TestLoaderErrors:
         # CPython converts to a string: the build writes nothing
         cfg = write_config(tmp_path, {"stages": 120})
         out = tmp_path / "out"
-        result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)])
+        result = invoke(["build", "-c", str(cfg), "-o", str(out)])
         assert result.exit_code == 2, result.output
         assert "stage 119 has a number of more than 4300 digits" in result.output
         assert "Exceeds the limit" not in result.output
@@ -414,18 +406,14 @@ class TestLoaderErrors:
     )
     def test_command_blocks_rejected_exit_2(self, tmp_path, block):
         cfg = write_config(tmp_path, block)
-        result = CliRunner().invoke(
-            main, ["build", "-c", str(cfg), "-o", str(tmp_path / "out")]
-        )
+        result = invoke(["build", "-c", str(cfg), "-o", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert f"unknown keys {list(block)}" in result.output
 
 
 class TestVerify:
     def test_all_pass_exit_0(self, built_desk, tmp_path):
-        result = CliRunner().invoke(
-            main, ["verify", "-s", str(built_desk / "schedule.json"), "-o", str(tmp_path)]
-        )
+        result = invoke(["verify", "-s", str(built_desk / "schedule.json"), "-o", str(tmp_path)])
         assert result.exit_code == 0, result.output
         assert "singular: 110/110 pair checks pass" in result.output
         assert "PASS" in result.output
@@ -435,8 +423,8 @@ class TestVerify:
     def test_deterministic_reports(self, built_desk, tmp_path):
         args = ["verify", "-s", str(built_desk / "schedule.json")]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert CliRunner().invoke(main, args + ["-o", str(out1)]).exit_code == 0
-        assert CliRunner().invoke(main, args + ["-o", str(out2)]).exit_code == 0
+        assert invoke(args + ["-o", str(out1)]).exit_code == 0
+        assert invoke(args + ["-o", str(out2)]).exit_code == 0
         for name in ("weak_limits.json", "dissipativity.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         # every file the run writes, pinned byte for byte
@@ -462,9 +450,8 @@ class TestVerify:
             },
         )
         out = tmp_path / "out"
-        assert CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)]).exit_code == 0
-        result = CliRunner().invoke(
-            main,
+        assert invoke(["build", "-c", str(cfg), "-o", str(out)]).exit_code == 0
+        result = invoke(
             ["verify", "-s", str(out / "schedule.json"), "-o", str(out),
              "--which", "dissipative"],
         )
@@ -476,9 +463,9 @@ class TestVerify:
         """The exact-quarter weak limits fail on a perturbed schedule."""
         (tmp_path / "schedule.json").write_text(desk_perturbed.to_json() + "\n")
         out = tmp_path / "out"
-        result = CliRunner().invoke(
-            main, ["verify", "-s", str(tmp_path / "schedule.json"), "-o", str(out),
-                   "--which", "singular"],
+        result = invoke(
+            ["verify", "-s", str(tmp_path / "schedule.json"), "-o", str(out),
+             "--which", "singular"],
         )
         assert result.exit_code == 3, result.output
         lines = result.output.splitlines()
@@ -490,8 +477,7 @@ class TestVerify:
         assert (out / "verify_summary.txt").exists()
 
     def test_foreign_ratio_exit_2(self, built):
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["verify", "-s", str(built / "schedule.json"), "-o", str(built),
              "--which", "singular", "--ratio", "7/2"],
         )
@@ -508,8 +494,7 @@ class TestVerify:
             reports = []
             for jobs in ("2", "1"):
                 out = tmp_path / f"{schedule.stem}-{jobs}"
-                result = CliRunner().invoke(
-                    main,
+                result = invoke(
                     ["verify", "-s", str(schedule), "-o", str(out),
                      "--which", "dissipative", "--jobs", jobs],
                 )
@@ -537,8 +522,7 @@ class TestVerify:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["verify", "-s", str(built / "schedule.json"), "-o", str(tmp_path),
              "--which", "dissipative", "--jobs", "64"],
         )
@@ -546,18 +530,16 @@ class TestVerify:
         assert pools == [2]  # the dissipative targets 2/1 and 3/1
 
     def test_missing_schedule_exit_2(self, tmp_path):
-        result = CliRunner().invoke(
-            main, ["verify", "-s", str(tmp_path / "nope.json"), "-o", str(tmp_path)]
-        )
+        result = invoke(["verify", "-s", str(tmp_path / "nope.json"), "-o", str(tmp_path)])
         assert result.exit_code == 2
 
     def test_requested_kind_without_targets_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"stages": 8, "targets": {"dissipative": []}})
         built = tmp_path / "built"
-        result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(built)])
+        result = invoke(["build", "-c", str(cfg), "-o", str(built)])
         assert result.exit_code == 0, result.output
         out = tmp_path / "out"
-        result = CliRunner().invoke(main, [
+        result = invoke([
             "verify", "-s", str(built / "schedule.json"), "--which", "dissipative",
             "-o", str(out),
         ])
@@ -578,16 +560,16 @@ class TestVerify:
         dissipative targets: it writes no dissipativity.json."""
         cfg = write_config(tmp_path, {**extra, "targets": {"dissipative": []}})
         built = tmp_path / "built"
-        result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(built)])
+        result = invoke(["build", "-c", str(cfg), "-o", str(built)])
         assert result.exit_code == 0, result.output
         schedule = str(built / "schedule.json")
         out = tmp_path / "out"
-        result = CliRunner().invoke(main, ["verify", "-s", schedule, "-o", str(out)])
+        result = invoke(["verify", "-s", schedule, "-o", str(out)])
         assert result.exit_code == 0, result.output
         assert "dissipative" not in result.output
         assert sorted(p.name for p in out.iterdir()) == written
-        result = CliRunner().invoke(
-            main, ["verify", "-s", schedule, "-o", str(tmp_path / "spot"), "--spot-checks", "5"]
+        result = invoke(
+            ["verify", "-s", schedule, "-o", str(tmp_path / "spot"), "--spot-checks", "5"]
         )
         assert result.exit_code == 2, result.output
         assert result.output == (
@@ -595,8 +577,7 @@ class TestVerify:
         )
 
     def test_perturbed_on_base_schedule_exit_2(self, built):
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["verify", "-s", str(built / "schedule.json"), "-o", str(built),
              "--which", "perturbed"],
         )
@@ -616,9 +597,7 @@ class TestVerify:
     )
     def test_ignored_option_exit_2(self, built_desk, tmp_path, args, named):
         out = tmp_path / "out"
-        result = CliRunner().invoke(
-            main, ["verify", "-s", str(built_desk / "schedule.json"), "-o", str(out), *args]
-        )
+        result = invoke(["verify", "-s", str(built_desk / "schedule.json"), "-o", str(out), *args])
         assert result.exit_code == 2, result.output
         assert result.output == f"usage error: {named}\n"
         assert not out.exists()
@@ -627,8 +606,7 @@ class TestVerify:
         reports = []
         for seed in ([], ["--seed", "0"]):
             out = tmp_path / f"seed{len(seed)}"
-            result = CliRunner().invoke(
-                main,
+            result = invoke(
                 ["verify", "-s", str(built / "schedule.json"), "-o", str(out),
                  "--which", "dissipative", "--spot-checks", "5", *seed],
             )
@@ -652,8 +630,8 @@ class TestRationalOptions:
     )
     def test_non_pq_text_exit_2(self, built, tmp_path, command, option, text):
         out = tmp_path / "out"
-        result = CliRunner().invoke(
-            main, [command, "-s", str(built / "schedule.json"), "-o", str(out), option, text]
+        result = invoke(
+            [command, "-s", str(built / "schedule.json"), "-o", str(out), option, text]
         )
         assert result.exit_code == 2, result.output
         assert result.output == f"usage error: expected a 'p/q' string, got {text!r}\n"
@@ -663,9 +641,9 @@ class TestRationalOptions:
         outputs = []
         for t_min, t_max in (("0", "6/4"), ("0/1", "3/2")):
             out = tmp_path / t_max.replace("/", "_")
-            result = CliRunner().invoke(
-                main, ["profile", "-s", str(built / "schedule.json"), "-o", str(out),
-                       "--t-min", t_min, "--t-max", t_max],
+            result = invoke(
+                ["profile", "-s", str(built / "schedule.json"), "-o", str(out),
+                 "--t-min", t_min, "--t-max", t_max],
             )
             assert result.exit_code == 0, result.output
             outputs.append((result.output, *(
@@ -673,9 +651,9 @@ class TestRationalOptions:
             )))
         assert outputs[0] == outputs[1]
         assert outputs[0][0].startswith("profile on [0, 3/2]: ")
-        result = CliRunner().invoke(
-            main, ["verify", "-s", str(built / "schedule.json"), "-o", str(tmp_path),
-                   "--ratio", "3", "--which", "dissipative"],
+        result = invoke(
+            ["verify", "-s", str(built / "schedule.json"), "-o", str(tmp_path),
+             "--ratio", "3", "--which", "dissipative"],
         )
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "dissipativity.json").read_text())
@@ -689,9 +667,7 @@ class TestRationalOptions:
     )
     def test_foreign_ratio_named_in_pq_form(self, built, tmp_path, args, named):
         out = tmp_path / "out"
-        result = CliRunner().invoke(
-            main, [args[0], "-s", str(built / "schedule.json"), "-o", str(out), *args[1:]]
-        )
+        result = invoke([args[0], "-s", str(built / "schedule.json"), "-o", str(out), *args[1:]])
         assert result.exit_code == 2, result.output
         assert result.output == f"usage error: 7/1 is not a {named} target of this schedule\n"
         assert not out.exists()
@@ -701,12 +677,12 @@ class TestRationalOptions:
         cfg = write_config(tmp_path, {"targets": {"singular": ["5/2"],
                                                   "dissipative": ["3/2", "3/1"]}})
         built = tmp_path / "built"
-        result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(built)])
+        result = invoke(["build", "-c", str(cfg), "-o", str(built)])
         assert result.exit_code == 0, result.output
         out = tmp_path / "out"
-        result = CliRunner().invoke(
-            main, ["density", "-s", str(built / "schedule.json"), "-o", str(out),
-                   "--ratio", text, "--s-max", "60", "--samples", "101"],
+        result = invoke(
+            ["density", "-s", str(built / "schedule.json"), "-o", str(out),
+             "--ratio", text, "--s-max", "60", "--samples", "101"],
         )
         assert result.exit_code == 0, result.output
         assert result.output.startswith(f"density d={read}: ")
@@ -725,8 +701,7 @@ class TestRatioSelection:
     def test_all_runs_kinds_holding_ratio(
         self, built_desk, tmp_path, ratio, written, skipped
     ):
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["verify", "-s", str(built_desk / "schedule.json"), "-o", str(tmp_path),
              "--ratio", ratio],
         )
@@ -761,12 +736,9 @@ class TestCoverage:
     def test_uncovered_target_exit_2(self, tmp_path, extra, which, named):
         cfg = write_config(tmp_path, extra)
         built = tmp_path / "built"
-        assert CliRunner().invoke(
-            main, ["build", "-c", str(cfg), "-o", str(built)]
-        ).exit_code == 0
+        assert invoke(["build", "-c", str(cfg), "-o", str(built)]).exit_code == 0
         out = tmp_path / "out"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["verify", "-s", str(built / "schedule.json"), "-o", str(out),
              "--which", which],
         )
@@ -795,7 +767,7 @@ class TestLargeRatio:
                      ["verify", "-s", schedule],
                      ["density", "-s", schedule, "--ratio", "100000/1",
                       "--samples", "3", "--s-max", "1"]):
-            result = CliRunner().invoke(main, [*argv, "-o", str(out)])
+            result = invoke([*argv, "-o", str(out)])
             assert result.exit_code == 0, result.output
         report = json.loads((out / "dissipativity.json").read_text())
         windows = {r["ratio"]: [w["window"] for w in r["windows"]] for r in report}
@@ -816,11 +788,9 @@ class TestLargeRatio:
 def test_shipped_config_builds_and_verifies(config, tmp_path):
     """Every config in ``configs/`` builds and passes ``verify``, except the
     ``broken`` negative control, whose certificate fails."""
-    result = CliRunner().invoke(main, ["build", "-c", str(config), "-o", str(tmp_path)])
+    result = invoke(["build", "-c", str(config), "-o", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    result = CliRunner().invoke(
-        main, ["verify", "-s", str(tmp_path / "schedule.json"), "-o", str(tmp_path)]
-    )
+    result = invoke(["verify", "-s", str(tmp_path / "schedule.json"), "-o", str(tmp_path)])
     assert result.exit_code == (3 if config.stem == "broken" else 0), result.output
 
 
@@ -829,15 +799,14 @@ def built_perturbed(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_perturbed")
     cfg = write_config(tmp, {"perturbation": {"net_depth": 1}, "stages": 6})
     out = tmp / "out"
-    result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)])
+    result = invoke(["build", "-c", str(cfg), "-o", str(out)])
     assert result.exit_code == 0, result.output
     return out
 
 
 class TestPerturbedVerify:
     def test_perturbed_all(self, built_perturbed, tmp_path):
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["verify", "-s", str(built_perturbed / "schedule.json"), "-o", str(tmp_path),
              "--which", "perturbed"],
         )
@@ -849,8 +818,7 @@ class TestPerturbedVerify:
         )
 
     def test_default_which_skips_singular(self, built_perturbed, tmp_path):
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["verify", "-s", str(built_perturbed / "schedule.json"), "-o", str(tmp_path)],
         )
         assert result.exit_code == 0, result.output
@@ -863,15 +831,15 @@ class TestPerturbedVerify:
         points that the carrying stages visit."""
         cfg = write_config(tmp_path, {"perturbation": {"net_depth": 9}, "stages": 8})
         out = tmp_path / "out"
-        assert CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)]).exit_code == 0
+        assert invoke(["build", "-c", str(cfg), "-o", str(out)]).exit_code == 0
 
         def whole_net(spec):
             raise AssertionError("verify built the whole net")
 
         monkeypatch.setattr(PerturbationSpec, "points", whole_net)
-        result = CliRunner().invoke(
-            main, ["verify", "-s", str(out / "schedule.json"), "-o", str(out),
-                   "--which", "perturbed"],
+        result = invoke(
+            ["verify", "-s", str(out / "schedule.json"), "-o", str(out),
+             "--which", "perturbed"],
         )
         assert result.exit_code == 0, result.output
         sched = Schedule.from_json((out / "schedule.json").read_text())
@@ -885,8 +853,7 @@ class TestPerturbedVerify:
         assert [r["point"] for r in report] == visited
 
     def test_foreign_ratio_exit_2_before_reports(self, built_perturbed, tmp_path):
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["verify", "-s", str(built_perturbed / "schedule.json"), "-o", str(tmp_path),
              "--which", "perturbed", "--ratio", "7/1"],
         )
@@ -898,8 +865,7 @@ class TestPerturbedVerify:
 class TestArtifacts:
     def test_profile_csv(self, built, tmp_path):
         out = tmp_path / "prof"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["profile", "-s", str(built / "schedule.json"), "-o", str(out),
              "--t-max", "2/1", "--samples", "16", "--window", "2"],
         )
@@ -919,8 +885,7 @@ class TestArtifacts:
         chunk, has the digest of the report's joined text."""
         (tmp_path / "schedule.json").write_text(broken.to_json() + "\n")
         out = tmp_path / "prof"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["profile", "-s", str(tmp_path / "schedule.json"), "-o", str(out),
              "--window", "5"],
         )
@@ -932,8 +897,7 @@ class TestArtifacts:
     @pytest.mark.parametrize("window", ["0", "9"])
     def test_profile_unbuilt_window_writes_nothing(self, built, tmp_path, window):
         out = tmp_path / "prof"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["profile", "-s", str(built / "schedule.json"), "-o", str(out),
              "--window", window],
         )
@@ -946,8 +910,7 @@ class TestArtifacts:
         """A window outside 1..8 of the 8-stage desk is refused by its own
         number, not by the tower stage it would read."""
         out = tmp_path / "prof"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["profile", "-s", str(built_desk / "schedule.json"), "-o", str(out),
              "--window", window],
         )
@@ -958,8 +921,7 @@ class TestArtifacts:
     def test_profile_last_window_past_horizon(self, built_desk, tmp_path):
         """Window 8 is built but ends at h_9, past the horizon: exit 4."""
         out = tmp_path / "prof"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["profile", "-s", str(built_desk / "schedule.json"), "-o", str(out),
              "--window", "8"],
         )
@@ -971,8 +933,7 @@ class TestArtifacts:
         """Window 7 of the 8-stage desk ends at h_8, which no built tower
         absorbs: the report is refused before anything is written."""
         out = tmp_path / "prof"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["profile", "-s", str(built_desk / "schedule.json"), "-o", str(out),
              "--window", "7"],
         )
@@ -990,9 +951,8 @@ class TestArtifacts:
         h_2 = 553/2.  A 1-stage schedule absorbs none, and h_1 is refused."""
         cfg, out = tmp_path / "config.json", tmp_path / "out"
         cfg.write_text(json.dumps({"stages": stages}))
-        runner = CliRunner()
-        assert runner.invoke(main, ["build", "-c", str(cfg), "-o", str(out)]).exit_code == 0
-        result = runner.invoke(main, ["profile", "-s", str(out / "schedule.json"), "-o", str(out)])
+        assert invoke(["build", "-c", str(cfg), "-o", str(out)]).exit_code == 0
+        result = invoke(["profile", "-s", str(out / "schedule.json"), "-o", str(out)])
         assert result.exit_code == code, result.output
         assert said in result.output
         if code == 0:
@@ -1000,8 +960,7 @@ class TestArtifacts:
 
     def test_density_csv_and_mass(self, built, tmp_path):
         out = tmp_path / "dens"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["density", "-s", str(built / "schedule.json"), "-o", str(out),
              "--ratio", "2/1", "--s-max", "60", "--samples", "1201"],
         )
@@ -1018,9 +977,7 @@ class TestArtifacts:
         src = tmp_path / "schedule.json"
         src.write_text(desk.to_json() + "\n")
         out = tmp_path / "dens"
-        result = CliRunner().invoke(
-            main, ["density", "-s", str(src), "-o", str(out), "--ratio", "2/1"]
-        )
+        result = invoke(["density", "-s", str(src), "-o", str(out), "--ratio", "2/1"])
         assert result.exit_code == 0, result.output
         summary = json.loads((out / "density.json").read_text())
         floats = {
@@ -1053,16 +1010,13 @@ class TestArtifacts:
             },
         )
         out = tmp_path / "out"
-        CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(out)])
-        result = CliRunner().invoke(
-            main, ["density", "-s", str(out / "schedule.json"), "-o", str(out)]
-        )
+        invoke(["build", "-c", str(cfg), "-o", str(out)])
+        result = invoke(["density", "-s", str(out / "schedule.json"), "-o", str(out)])
         assert result.exit_code == 3
 
     def test_oracle_table(self, built, tmp_path):
         out = tmp_path / "oracle"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["oracle", "-s", str(built / "schedule.json"), "-o", str(out),
              "--triples", "6", "--samples", "500", "--seed", "3"],
         )
@@ -1072,7 +1026,7 @@ class TestArtifacts:
         assert all(row.endswith("True") for row in rows[1:])
 
     def test_oracle_help_states_the_cap(self):
-        result = CliRunner().invoke(main, ["oracle", "--help"])
+        result = invoke(["oracle", "--help"])
         assert result.exit_code == 0, result.output
         assert "k = 1 + i mod this, capped at the built stages" in " ".join(result.output.split())
 
@@ -1088,9 +1042,9 @@ class TestArtifacts:
 
         monkeypatch.setattr(cli, "oracle_correlation", off)
         out = tmp_path / "oracle"
-        result = CliRunner().invoke(
-            main, ["oracle", "-s", str(built / "schedule.json"), "-o", str(out),
-                   "--triples", "3", "--samples", "200"],
+        result = invoke(
+            ["oracle", "-s", str(built / "schedule.json"), "-o", str(out),
+             "--triples", "3", "--samples", "200"],
         )
         assert result.exit_code == 3, result.output
         assert "oracle: 0/3 within the deterministic bound" in result.output
@@ -1102,9 +1056,9 @@ class TestArtifacts:
         """Triple i draws t from [0, h_{1 + i mod 3}]: on [0, h_3] alone the
         desk family's correlations are nonzero on under 2% of the times."""
         out = tmp_path / "oracle"
-        result = CliRunner().invoke(
-            main, ["oracle", "-s", str(built_desk / "schedule.json"), "-o", str(out),
-                   "--seed", str(seed)],
+        result = invoke(
+            ["oracle", "-s", str(built_desk / "schedule.json"), "-o", str(out),
+             "--seed", str(seed)],
         )
         assert result.exit_code == 0, result.output
         rows = [row.split(",") for row in (out / "oracle.csv").read_text().splitlines()[1:]]
@@ -1120,7 +1074,7 @@ HUGE_HEIGHT = "1" + "0" * 400
 def built_huge(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_huge")
     cfg = write_config(tmp, {"base_height": HUGE_HEIGHT})
-    result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(tmp)])
+    result = invoke(["build", "-c", str(cfg), "-o", str(tmp)])
     assert result.exit_code == 0, result.output
     return tmp / "schedule.json"
 
@@ -1138,7 +1092,7 @@ class TestExitCodeEscapes:
             if command == "build"
             else ["-s", str(built_desk / "schedule.json")]
         )
-        result = CliRunner().invoke(main, [command, *source, "-o", str(blocker / "out")])
+        result = invoke([command, *source, "-o", str(blocker / "out")])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "file error: " in result.stderr and "Not a directory" in result.stderr
@@ -1148,24 +1102,138 @@ class TestExitCodeEscapes:
     @pytest.mark.parametrize("command", ["profile", "density", "oracle"])
     def test_heights_past_float_range_exit_2(self, built_huge, tmp_path, command):
         out = tmp_path / "out"
-        result = CliRunner().invoke(main, [command, "-s", str(built_huge), "-o", str(out)])
+        result = invoke([command, "-s", str(built_huge), "-o", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "beyond the float range: " in result.stderr
         assert not out.exists()
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _filled(args: list[str], **paths: Path) -> list[str]:
+    return [arg.format(**{k: str(v) for k, v in paths.items()}) for arg in args]
+
+
+class TestUsageErrors:
+    """A malformed command line exits 2 with a message on stderr and writes
+    nothing under ``-o``."""
+
+    @pytest.mark.parametrize(
+        "args, said",
+        [
+            ([], "rankone: error: the following arguments are required: COMMAND"),
+            (["bogus", "-o", "{out}"], "rankone: error: argument COMMAND: invalid choice: 'bogus'"),
+            (["build", "-c", "{config}", "-o", "{out}", "--bogus"],
+             "rankone: error: unrecognized arguments: --bogus"),
+            (["build", "-o", "{out}"],
+             "rankone build: error: the following arguments are required: --config/-c"),
+            (["verify", "-s", "{schedule}", "-o", "{out}", "--which", "bogus"],
+             "rankone verify: error: argument --which: invalid choice: 'bogus'"),
+            (["verify", "-s", "{schedule}", "-o", "{out}", "--which", "dissipative",
+              "--jobs", "0"],
+             "rankone verify: error: argument --jobs: 0 is not in the range x>=1"),
+            (["verify", "-s", "{schedule}", "-o", "{out}", "--which", "dissipative",
+              "--spot-checks", "-1"],
+             "rankone verify: error: argument --spot-checks: -1 is not in the range x>=0"),
+            (["verify", "-s", "{schedule}", "-o", "{out}", "--which", "dissipative",
+              "--spot-checks", "2", "--seed", "x"],
+             "rankone verify: error: argument --seed: invalid int value: 'x'"),
+            (["build", "-c", "{directory}", "-o", "{out}"],
+             "usage error: cannot read config {directory}: [Errno 21] Is a directory"),
+            (["build", "-c", "{config}", "-o", "{file}"], "file error: [Errno 17] File exists"),
+            (["verify", "-s", "{schedule}", "-o", "{file}", "--which", "dissipative"],
+             "file error: [Errno 17] File exists"),
+            (["profile", "-s", "{schedule}", "-o", "{file}"], "file error: [Errno 17] File exists"),
+            (["density", "-s", "{schedule}", "-o", "{file}"], "file error: [Errno 17] File exists"),
+            (["oracle", "-s", "{schedule}", "-o", "{file}"], "file error: [Errno 17] File exists"),
+        ],
+        ids=["no-command", "unknown-command", "unknown-option", "missing-config",
+             "which-bogus", "jobs-0", "spot-checks-neg", "seed-not-int", "config-directory",
+             "out-file-build", "out-file-verify", "out-file-profile", "out-file-density",
+             "out-file-oracle"],
+    )
+    def test_exit_2_writes_nothing(self, built, tmp_path, args, said):
+        paths = dict(out=tmp_path / "out", directory=tmp_path / "config_dir",
+                     file=tmp_path / "file", config=CONFIGS / "desk.json",
+                     schedule=built / "schedule.json")
+        paths["directory"].mkdir()
+        paths["file"].write_text("x")
+        result = invoke(_filled(args, **paths))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert _filled([said], **paths)[0] in result.stderr and not result.stdout
+        assert sorted(tmp_path.iterdir()) == [paths["directory"], paths["file"]]
+        assert not list(paths["directory"].iterdir()) and paths["file"].read_text() == "x"
+
+    @pytest.mark.parametrize("command", ["", "build", "verify", "profile", "density", "oracle"])
+    def test_help_exits_0(self, command):
+        result = invoke([command, "--help"] if command else ["--help"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith(f"usage: rankone {command}".rstrip())
+        assert not result.stderr
+
+
+@pytest.fixture(scope="module")
+def built_broken(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_broken")
+    result = invoke(["build", "-c", str(CONFIGS / "broken.json"), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    return out / "schedule.json"
+
+
+class TestEntryPoints:
+    """``rankone`` runs ``sys.exit(main())`` on ``sys.argv``, ``python -m
+    rankone.cli`` runs ``main()``, and a harness calls ``main.main(args=...,
+    prog_name="rankone", standalone_mode=False)`` for one command in process;
+    each ends with the command's exit code."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["verify", "-s", "{desk}", "-o", "{out}"], 0),
+         (["verify", "-s", "{broken}", "-o", "{out}", "--which", "dissipative"], 3),
+         (["profile", "-s", "{desk}", "-o", "{out}", "--window", "8"], 4)],
+        ids=["desk", "broken", "horizon"],
+    )
+    def test_console_script(self, built_desk, built_broken, tmp_path, monkeypatch, capsys,
+                            args, code):
+        argv = _filled(args, desk=built_desk / "schedule.json", broken=built_broken,
+                       out=tmp_path / "out")
+        monkeypatch.setattr(sys, "argv", ["rankone", *argv])
+        with pytest.raises(SystemExit) as exc:
+            sys.exit(main())
+        assert exc.value.code == code, capsys.readouterr()
+
+    def test_module_run(self, built_broken, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankone.cli", "verify", "-s", str(built_broken),
+             "-o", str(tmp_path), "--which", "dissipative"],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert proc.stderr == "FAIL: at least one certificate failed\n"
+
+    def test_in_process_call(self, built_desk, built_broken, tmp_path, capsys):
+        args = ["verify", "-o", str(tmp_path), "--which", "dissipative", "-s"]
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=[*args, str(built_broken)], prog_name="rankone",
+                      standalone_mode=False)
+        assert exc.value.code == 3
+        assert main.main(args=[*args, str(built_desk / "schedule.json")], prog_name="rankone",
+                         standalone_mode=False) is None
+        assert capsys.readouterr().out.endswith("PASS: all requested certificates hold\n")
+
+
 def test_committed_out_matches_a_fresh_run(tmp_path):
     """``out/`` is what ``build`` on the desk config and ``verify
     --spot-checks 50`` write, byte for byte."""
     repo = Path(__file__).resolve().parents[1]
-    result = CliRunner().invoke(
-        main, ["build", "-c", str(repo / "configs" / "desk.json"), "-o", str(tmp_path)]
-    )
+    result = invoke(["build", "-c", str(repo / "configs" / "desk.json"), "-o", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    result = CliRunner().invoke(
-        main, ["verify", "-s", str(tmp_path / "schedule.json"), "-o", str(tmp_path),
-               "--spot-checks", "50"],
+    result = invoke(
+        ["verify", "-s", str(tmp_path / "schedule.json"), "-o", str(tmp_path),
+         "--spot-checks", "50"],
     )
     assert result.exit_code == 0, result.output
     committed = sorted(path.name for path in (repo / "out").iterdir())
@@ -1234,6 +1302,21 @@ def test_cli_import_skips_heavy_modules(desk, tmp_path):
     assert lines[2] == "[]"
 
 
+def test_cli_import_adds_only_stdlib_and_rankone():
+    """``import rankone.cli`` loads, beyond what the interpreter loaded at
+    start-up (a site ``.pth`` file may import packages there), only standard
+    library modules and the package's own: the install needs no dependency."""
+    code = (
+        "import sys; bare = set(sys.modules); import rankone.cli; "
+        "print(sorted(m for m in set(sys.modules) - bare "
+        "if m.partition('.')[0] not in sys.stdlib_module_names | {'rankone'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
+    )
+    assert proc.stdout == "[]\n"
+
+
 def test_error_classes_one_per_exit_row():
     """``rankone.errors`` holds one class per row of ``_EXIT_CODES``, and
     each class is reported by its own row."""
@@ -1252,14 +1335,17 @@ def test_readme_command_options_exist():
     subcommand, and the block shows every subcommand."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = next(
+        action.choices for action in _parser("rankone")._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
     shown = set()
     for line in block.splitlines():
         words = line.split("#")[0].split()
         assert words[0] == "rankone", line
-        command = main.commands[words[1]]
-        known = {opt for param in command.params for opt in param.opts + param.secondary_opts}
+        known = set(commands[words[1]]._option_string_actions)
         for word in words[2:]:
             if word.startswith("-"):
                 assert word in known, f"{words[1]} has no option {word}"
         shown.add(words[1])
-    assert shown == set(main.commands)
+    assert shown == set(commands)

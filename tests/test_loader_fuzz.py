@@ -9,11 +9,10 @@ table fixes the exit code of every one-field mutation of a full config.
 import json
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rankone.cli import main
+from conftest import invoke
 
 CONFIG = {
     "targets": {"singular": ["3/2", "5/2"], "dissipative": ["2/1"]},
@@ -102,7 +101,7 @@ def _mutated(doc, path, value):
 
 
 def _invoke(args):
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise result.exception
     assert result.exit_code in EXIT_CODES, result.output
@@ -114,7 +113,7 @@ def work(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
     cfg = tmp / "config.json"
     cfg.write_text(json.dumps(CONFIG))
-    result = CliRunner().invoke(main, ["build", "-c", str(cfg), "-o", str(tmp)])
+    result = invoke(["build", "-c", str(cfg), "-o", str(tmp)])
     assert result.exit_code == 0, result.output
     return tmp
 
