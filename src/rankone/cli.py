@@ -278,7 +278,7 @@ def _verify_singular(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
             for name_b, b in family[i:]:
                 rep = check_weak_limits(a, b, c, sched)
                 reports.append({**write_block(rep), "pair": [name_a, name_b]})
-                if rep.passed:
+                if rep["passed"]:
                     passing.append((name_a, name_b, rep))
         if passing:
             ev = write_block(singularity_evidence(c, passing))
@@ -309,12 +309,12 @@ def _verify_dissipative(
             certs = list(pool.map(check_dissipativity, ratios, repeat(sched)))
     else:
         certs = list(map(check_dissipativity, ratios, repeat(sched)))
-    all_pass = all(cert.passed for cert in certs)
+    all_pass = all(cert["passed"] for cert in certs)
     reports = [write_block(cert) for cert in certs]
     if spot > 0:
         rng = random.Random(seed)
         for cert, rep in zip(certs, reports):
-            res = dissipativity_spot_check(cert.ratio, sched, spot, rng)
+            res = dissipativity_spot_check(cert["ratio"], sched, spot, rng)
             rep["spot_checks"] = {
                 "checked": res["checked"],
                 "failures": write_block(res["failures"]),
@@ -435,16 +435,17 @@ def density(schedule, out, ratio, s_max, samples):
     out_dir = Path(out)
     sched = _load_schedule(schedule)
     grid = DensityGrid(s_max=s_max, samples=samples)
-    dens = spectral_density(read_rat(ratio), sched, grid)
+    dens, frequencies, values = spectral_density(read_rat(ratio), sched, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "density.csv").open("w") as csv:
         csv.write("s,density\n")
-        csv.writelines(f"{s:.12e},{v:.12e}\n" for s, v in zip(dens.frequencies, dens.density))
+        csv.writelines(f"{s:.12e},{v:.12e}\n" for s, v in zip(frequencies, values))
     _write_json(out_dir / "density.json", write_block(dens))
+    s_mass = dens["mass_range_s"]
     print(
-        f"density d={rat_str(dens.ratio)}: mass over [-{dens.mass_range_s}, {dens.mass_range_s}] "
-        f"= {dens.mass_range_value:.6f} (target {float(dens.phi_at_zero):.6f}), "
-        f"min sample {dens.min_density:.3e}", flush=True
+        f"density d={rat_str(dens['ratio'])}: mass over [-{s_mass}, {s_mass}] "
+        f"= {dens['mass_range_value']:.6f} (target {float(dens['phi_at_zero']):.6f}), "
+        f"min sample {dens['min_density']:.3e}", flush=True
     )
 
 

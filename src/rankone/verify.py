@@ -1,5 +1,11 @@
 """Certificates for the three verifiable spectral claims.
 
+Each report function returns the document it writes, a dict of exact
+values (``Fraction``, ``IntervalSet``, tuples) that ``write_block`` turns
+into JSON; the fields that restate a report's own data (matches,
+thresholds, verdicts, limit constants, density summaries) are set by the
+function that builds it.
+
 * weak-limit reports: exact quarter-correlation identities at tower
   heights along the stages carrying a given ratio (evidence that the
   product automorphism has singular spectrum);
@@ -22,14 +28,14 @@ import math
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, floordiv
 from typing import Iterator, Sequence
 
 from .errors import NotDissipative, RankOneError
-from .exactnum import IntervalSet, Rat, rat, rat_str
+from .exactnum import Rat, rat, rat_str
 from .levelset import (
     SlabSet,
     _hitting_runs,
@@ -71,39 +77,6 @@ def default_pair_family(sched) -> tuple[tuple[str, SlabSet], ...]:
 # weak limits (singularity evidence)
 
 
-@dataclass(frozen=True)
-class StageCheck:
-    stage: int
-    value_at_height: Rat
-    match_at_height: bool
-    value_at_stretched_height: Rat
-    match_at_stretched_height: bool
-    product: Rat
-    product_match: bool
-
-
-@dataclass(frozen=True)
-class WeakLimitReport:
-    """Exact per-stage verdicts for the quarter-correlation identities.
-
-    For stages j carrying ratio c, both mu(T_{h_j} A /\\ B) and
-    mu(T_{c h_j} A /\\ B) must equal mu(A /\\ B)/4 exactly; their product
-    must equal mu(A /\\ B)^2/16, the constant of the product weak limit.
-    The report also records the two limit constants (1/4 per factor,
-    1/16 for the product), which differ; the computed values are the
-    ground truth.
-    """
-
-    ratio: Rat
-    target: Rat
-    product_target: Rat
-    stages: tuple[StageCheck, ...]
-    threshold_stage: int | None
-    passed: bool
-    factor_limit_constant: Rat = field(default=QUARTER, init=False)
-    product_limit_constant: Rat = field(default=Fraction(1, 16), init=False)
-
-
 def carrying_stages(sched, c: Rat) -> list[int]:
     """The certified stages carrying ratio c."""
     return [j for j in sched.certified_windows() if sched.stage(j).ratio == c]
@@ -117,8 +90,17 @@ def _limit_walk(a: SlabSet, b: SlabSet, c: Rat, stages, sched) -> Iterator[tuple
         yield j, correlation(a, b, h, sched), correlation(a, b, c * h, sched)
 
 
-def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> WeakLimitReport:
-    """Verify the quarter-correlation identities for one pair and ratio."""
+def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> dict:
+    """Exact per-stage verdicts for the quarter-correlation identities of
+    one pair and ratio, as a ``weak_limits.json`` entry.
+
+    For stages j carrying ratio c, both mu(T_{h_j} A /\\ B) and
+    mu(T_{c h_j} A /\\ B) must equal mu(A /\\ B)/4 exactly; their product
+    must equal mu(A /\\ B)^2/16, the constant of the product weak limit.
+    The report also records the two limit constants (1/4 per factor,
+    1/16 for the product), which differ; the computed values are the
+    ground truth.
+    """
     c = rat(c)
     if c not in sched.targets.singular:
         raise ValueError(f"{rat_str(c)} is not a singular target of this schedule")
@@ -131,36 +113,38 @@ def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> WeakLimitReport:
     mu_ab = correlation(a, b, ZERO, sched)
     target = mu_ab / 4
     product_target = mu_ab * mu_ab / 16
-    checks = [
-        StageCheck(
-            stage=j,
-            value_at_height=v1,
-            match_at_height=v1 == target,
-            value_at_stretched_height=v2,
-            match_at_stretched_height=v2 == target,
-            product=v1 * v2,
-            product_match=v1 * v2 == product_target,
-        )
+    checks = tuple(
+        {
+            "stage": j,
+            "value_at_height": v1,
+            "match_at_height": v1 == target,
+            "value_at_stretched_height": v2,
+            "match_at_stretched_height": v2 == target,
+            "product": v1 * v2,
+            "product_match": v1 * v2 == product_target,
+        }
         for j, v1, v2 in _limit_walk(a, b, c, matching, sched)
-    ]
+    )
     # the identities hold for all sufficiently large stages: report the
     # start of the maximal suffix on which both hold at every stage
     threshold = None
     for ch in reversed(checks):
-        if not (ch.match_at_height and ch.match_at_stretched_height):
+        if not (ch["match_at_height"] and ch["match_at_stretched_height"]):
             break
-        threshold = ch.stage
-    return WeakLimitReport(
-        ratio=c,
-        target=target,
-        product_target=product_target,
-        stages=tuple(checks),
-        threshold_stage=threshold,
-        passed=threshold is not None,
-    )
+        threshold = ch["stage"]
+    return {
+        "ratio": c,
+        "target": target,
+        "product_target": product_target,
+        "stages": checks,
+        "threshold_stage": threshold,
+        "passed": threshold is not None,
+        "factor_limit_constant": QUARTER,
+        "product_limit_constant": Fraction(1, 16),
+    }
 
 
-def singularity_evidence(c, reports: Sequence[tuple[str, str, WeakLimitReport]]) -> dict:
+def singularity_evidence(c, reports: Sequence[tuple[str, str, dict]]) -> dict:
     """The ``evidence_<c>.json`` document of passing (name_a, name_b, report)s.
 
     Along the stages carrying c, the product correlation of each pair
@@ -172,22 +156,24 @@ def singularity_evidence(c, reports: Sequence[tuple[str, str, WeakLimitReport]])
     c = rat(c)
     entries = []
     for name_a, name_b, rep in reports:
-        if rep.ratio != c:
+        if rep["ratio"] != c:
             raise ValueError(
-                f"report for ({name_a}, {name_b}) is for c={rep.ratio}, not c={c}"
+                f"report for ({name_a}, {name_b}) is for c={rep['ratio']}, not c={c}"
             )
-        if not rep.passed:
+        if not rep["passed"]:
             raise RankOneError(
                 f"weak-limit check failed for ({name_a}, {name_b}); "
                 "evidence requires passing pairs"
             )
         entries.append({
             "pair": (name_a, name_b),
-            "constant": rep.product_target,
+            "constant": rep["product_target"],
             "sequence": tuple(
-                (ch.stage, ch.product) for ch in rep.stages if ch.stage >= rep.threshold_stage
+                (ch["stage"], ch["product"])
+                for ch in rep["stages"]
+                if ch["stage"] >= rep["threshold_stage"]
             ),
-            "informative": rep.product_target > 0,
+            "informative": rep["product_target"] > 0,
         })
     return {
         "ratio": c,
@@ -201,32 +187,11 @@ def singularity_evidence(c, reports: Sequence[tuple[str, str, WeakLimitReport]])
 # dissipativity
 
 
-@dataclass(frozen=True)
-class WindowVerdict:
-    window: int
-    range: tuple[Rat, Rat]
-    empty: bool
-    witness: IntervalSet
-
-
-@dataclass(frozen=True)
-class DissipativityCertificate:
-    """Per-window emptiness verdicts for one dissipative ratio.
-
-    Valid iff on every certified window above the threshold the set
-    {t : rho(t) > 0 and rho(d t) > 0} is exactly empty.
-    """
-
-    ratio: Rat
-    entry_stage: int
-    threshold: Rat
-    windows: tuple[WindowVerdict, ...]
-    passed: bool
-
-
-def check_dissipativity(d, sched) -> DissipativityCertificate:
-    """The d-certificate: the witness of every window of
-    ``sched.windows_for(d)``, of which there must be at least one."""
+def check_dissipativity(d, sched) -> dict:
+    """The d-certificate, a ``dissipativity.json`` entry: the witness of
+    every window of ``sched.windows_for(d)``, of which there must be at
+    least one.  It passes iff on every window the set
+    {t : rho(t) > 0 and rho(d t) > 0} is exactly empty."""
     d = rat(d)
     windows = sched.windows_for(d)
     if not windows:
@@ -237,19 +202,19 @@ def check_dissipativity(d, sched) -> DissipativityCertificate:
     verdicts = []
     for j in windows:
         witness = find_dissipativity_witness(sched, d, j)
-        verdicts.append(WindowVerdict(
-            window=j,
-            range=(sched.height(j), sched.height(j + 1)),
-            empty=witness.is_empty(),
-            witness=witness,
-        ))
-    return DissipativityCertificate(
-        ratio=d,
-        entry_stage=sched.targets.entry_stage(d),
-        threshold=sched.dissipativity_threshold(d),
-        windows=tuple(verdicts),
-        passed=all(v.empty for v in verdicts),
-    )
+        verdicts.append({
+            "window": j,
+            "range": (sched.height(j), sched.height(j + 1)),
+            "empty": witness.is_empty(),
+            "witness": witness,
+        })
+    return {
+        "ratio": d,
+        "entry_stage": sched.targets.entry_stage(d),
+        "threshold": sched.dissipativity_threshold(d),
+        "windows": tuple(verdicts),
+        "passed": all(v["empty"] for v in verdicts),
+    }
 
 
 def dissipativity_spot_check(
@@ -282,40 +247,6 @@ def dissipativity_spot_check(
 # perturbed weak limits
 
 
-@dataclass(frozen=True)
-class PerturbedStageCheck:
-    stage: int
-    error_at_height: Rat
-    error_at_stretched_height: Rat
-    tolerance: Rat
-    within: bool = field(init=False)
-
-    def __post_init__(self):
-        worst = max(self.error_at_height, self.error_at_stretched_height)
-        object.__setattr__(self, "within", worst <= self.tolerance)
-
-
-@dataclass(frozen=True)
-class PerturbedLimitReport:
-    """Convergence check toward the translated limit (1/16) T_{-a} x T_{-b}.
-
-    At each certified stage carrying (c, a, b) the correlation at the
-    tower height is compared with a quarter of the correlation of the
-    a-translated pair (same for the stretched height and b); the errors
-    must fall below the per-stage boundary-sliver tolerance at the last
-    two matching stages.  A point that only one certified stage carries
-    passes on that one stage; on an 8-stage desk schedule with a depth-1
-    net every point is such a point.
-    """
-
-    ratio: Rat
-    point: tuple[Rat, Rat]
-    limit_at_height: Rat
-    limit_at_stretched_height: Rat
-    stages: tuple[PerturbedStageCheck, ...]
-    passed: bool
-
-
 def perturbation_tolerance(sched, j: int) -> Rat:
     """Boundary-sliver budget at stage j: 4 w_j.
 
@@ -327,9 +258,20 @@ def perturbation_tolerance(sched, j: int) -> Rat:
     return 4 * sched.width(j)
 
 
-def check_perturbed_limit(c, sched) -> list[PerturbedLimitReport]:
-    """One report for Y = ``base_slab(sched)`` against itself per net point
-    that the certified stages carrying c visit, in first-visit order."""
+def check_perturbed_limit(c, sched) -> list[dict]:
+    """One ``perturbed_limits.json`` entry for Y = ``base_slab(sched)``
+    against itself per net point that the certified stages carrying c
+    visit, in first-visit order: a convergence check toward the translated
+    limit (1/16) T_{-a} x T_{-b}.
+
+    At each certified stage carrying (c, a, b) the correlation at the
+    tower height is compared with a quarter of the correlation of the
+    a-translated pair (same for the stretched height and b); the errors
+    must fall below the per-stage boundary-sliver tolerance at the last
+    two matching stages.  A point that only one certified stage carries
+    passes on that one stage; on an 8-stage desk schedule with a depth-1
+    net every point is such a point.
+    """
     c = rat(c)
     if sched.perturbation is None:
         raise RankOneError("schedule was built without perturbations")
@@ -343,19 +285,25 @@ def check_perturbed_limit(c, sched) -> list[PerturbedLimitReport]:
     for (a_shift, b_shift), stages in visits.items():
         limit_h = correlation(y, y, -a_shift, sched) / 4
         limit_c = correlation(y, y, -b_shift, sched) / 4
-        checks = [
-            PerturbedStageCheck(j, abs(v1 - limit_h), abs(v2 - limit_c),
-                                perturbation_tolerance(sched, j))
-            for j, v1, v2 in _limit_walk(y, y, c, stages, sched)
-        ]
-        reports.append(PerturbedLimitReport(
-            ratio=c,
-            point=(a_shift, b_shift),
-            limit_at_height=limit_h,
-            limit_at_stretched_height=limit_c,
-            stages=tuple(checks),
-            passed=all(ch.within for ch in checks[-2:]),
-        ))
+        checks = []
+        for j, v1, v2 in _limit_walk(y, y, c, stages, sched):
+            err_h, err_c = abs(v1 - limit_h), abs(v2 - limit_c)
+            tolerance = perturbation_tolerance(sched, j)
+            checks.append({
+                "stage": j,
+                "error_at_height": err_h,
+                "error_at_stretched_height": err_c,
+                "tolerance": tolerance,
+                "within": max(err_h, err_c) <= tolerance,
+            })
+        reports.append({
+            "ratio": c,
+            "point": (a_shift, b_shift),
+            "limit_at_height": limit_h,
+            "limit_at_stretched_height": limit_c,
+            "stages": tuple(checks),
+            "passed": all(ch["within"] for ch in checks[-2:]),
+        })
     return reports
 
 
@@ -375,43 +323,6 @@ class DensityGrid:
             raise ValueError("samples must be an odd count >= 3")
         if not (math.isfinite(self.s_max) and self.s_max > 0):
             raise ValueError("s_max must be finite and positive")
-
-
-@dataclass(frozen=True)
-class SpectralDensitySamples:
-    """Floating samples of the absolutely continuous spectral density.
-
-    The correlation product phi(t) = rho(t) rho(d t) is piecewise
-    quadratic with exact compact support [-T0, T0]; the density is its
-    Fourier transform divided by 2*pi.  The nonzero pieces are exact, each
-    in its own coordinate; the only floating step is the final evaluation
-    of each piece's cosine integral.  phi is certified zero from
-    ``support_bound`` through ``certified_zero_through``, the top of the
-    last window the certificate covers.  The closed-form mass over
-    [-S, S], S = ``mass_range_s`` = 2000 d, should be phi(0).  The compared
-    fields are the keys of ``density.json``; the samples go to the CSV.
-    """
-
-    ratio: Rat
-    support_bound: Rat
-    certified_zero_through: Rat
-    frequencies: array = field(compare=False)
-    density: array = field(compare=False)
-    piece_count: int
-    phi_at_zero: Rat
-    phi_integral: Rat
-    mass_range_s: float
-    mass_range_value: float
-    mass_trapezoid: float
-    grid: dict = field(init=False, hash=False)
-    density_at_zero: float = field(init=False)
-    min_density: float = field(init=False)
-
-    def __post_init__(self):
-        grid = {"s_max": self.frequencies[-1], "samples": len(self.frequencies)}
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "density_at_zero", self.density[len(self.density) // 2])
-        object.__setattr__(self, "min_density", min(self.density))
 
 
 def _phi_pieces(sched, d: Rat, t0: Rat) -> tuple[int, list[tuple[Rat, ...]]]:
@@ -504,14 +415,26 @@ def _si(x: float) -> float:
     return math.pi / 2 + (f * complex(math.cos(x), -math.sin(x))).imag
 
 
-def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensitySamples:
-    """Density samples witnessing absolute continuity for a dissipative ratio."""
+def spectral_density(d, sched, grid: DensityGrid | None = None) -> tuple[dict, array, array]:
+    """Floating samples of the absolutely continuous spectral density of a
+    dissipative ratio: the ``density.json`` document, the frequencies and
+    the density there (the two ``array("d")`` columns of the CSV).
+
+    The correlation product phi(t) = rho(t) rho(d t) is piecewise
+    quadratic with exact compact support [-T0, T0]; the density is its
+    Fourier transform divided by 2*pi.  The nonzero pieces are exact, each
+    in its own coordinate; the only floating step is the final evaluation
+    of each piece's cosine integral.  phi is certified zero from
+    ``support_bound`` through ``certified_zero_through``, the top of the
+    last window the certificate covers.  The closed-form mass over
+    [-S, S], S = ``mass_range_s`` = 2000 d, should be phi(0).
+    """
     d = rat(d)
     grid = grid or DensityGrid()
     cert = check_dissipativity(d, sched)
-    if not cert.passed:
+    if not cert["passed"]:
         raise NotDissipative(f"certificate for d={d} fails; no density exists")
-    t0 = cert.threshold
+    t0 = cert["threshold"]
     piece_count, pieces = _phi_pieces(sched, d, t0)
     half_integral = sum(
         (c0 * L + c1 * L * L / 2 + c2 * L**3 / 3 for _, L, c0, c1, c2 in pieces), ZERO
@@ -545,19 +468,21 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> SpectralDensi
             mass += sign * anti / s_mass
     mass *= 2.0 / math.pi
 
-    return SpectralDensitySamples(
-        ratio=d,
-        support_bound=t0,
-        certified_zero_through=cert.windows[-1].range[1],
-        frequencies=freqs,
-        density=dens,
-        piece_count=piece_count,
-        phi_at_zero=pieces[0][2],  # the first cell starts at 0: rho(0)^2 = mu(Y)^2
-        phi_integral=2 * half_integral,
-        mass_range_s=s_mass,
-        mass_range_value=mass,
-        mass_trapezoid=mass_trapz,
-    )
+    document = {
+        "ratio": d,
+        "support_bound": t0,
+        "certified_zero_through": cert["windows"][-1]["range"][1],
+        "piece_count": piece_count,
+        "phi_at_zero": pieces[0][2],  # the first cell starts at 0: rho(0)^2 = mu(Y)^2
+        "phi_integral": 2 * half_integral,
+        "mass_range_s": s_mass,
+        "mass_range_value": mass,
+        "mass_trapezoid": mass_trapz,
+        "grid": {"s_max": freqs[-1], "samples": len(freqs)},
+        "density_at_zero": dens[len(dens) // 2],
+        "min_density": min(dens),
+    }
+    return document, freqs, dens
 
 
 # --------------------------------------------------------------------------

@@ -73,12 +73,12 @@ def test_criterion_1_exact_quarter_identities(desk):
     for c in desk.targets.singular:
         for name_a, a, name_b, b in all_pairs(desk):
             rep = check_weak_limits(a, b, c, desk)
-            assert rep.passed, (name_a, name_b, c)
-            suffix = [ch for ch in rep.stages if ch.stage >= rep.threshold_stage]
+            assert rep["passed"], (name_a, name_b, c)
+            suffix = [ch for ch in rep["stages"] if ch["stage"] >= rep["threshold_stage"]]
             assert suffix
             for ch in suffix:
-                assert ch.value_at_height == rep.target  # exact rational equality
-                assert ch.value_at_stretched_height == rep.target
+                assert ch["value_at_height"] == rep["target"]  # exact rational equality
+                assert ch["value_at_stretched_height"] == rep["target"]
                 checked += 1
     report(
         1,
@@ -93,9 +93,9 @@ def test_criterion_2_product_constant(desk):
     for c in desk.targets.singular:
         for name_a, a, name_b, b in all_pairs(desk):
             rep = check_weak_limits(a, b, c, desk)
-            for ch in rep.stages:
-                if ch.stage >= rep.threshold_stage:
-                    assert ch.product == rep.product_target  # mu^2/16 exactly
+            for ch in rep["stages"]:
+                if ch["stage"] >= rep["threshold_stage"]:
+                    assert ch["product"] == rep["product_target"]  # mu^2/16 exactly
                     checked += 1
             d = write_block(rep)
             assert d["factor_limit_constant"] == "1/4"
@@ -115,10 +115,10 @@ def test_criterion_3_dissipativity(desk):
     spots = 0
     for d in (F(2), F(3)):
         cert = check_dissipativity(d, desk)
-        assert cert.passed
-        assert [w.window for w in cert.windows] == desk.windows_for(d)
-        for w in cert.windows:
-            assert w.witness.is_empty()
+        assert cert["passed"]
+        assert [w["window"] for w in cert["windows"]] == desk.windows_for(d)
+        for w in cert["windows"]:
+            assert w["witness"].is_empty()
             windows_checked += 1
         res = dissipativity_spot_check(d, desk, 1000, rng)
         assert not res["failures"]
@@ -134,8 +134,8 @@ def test_criterion_3_dissipativity(desk):
 
 def test_criterion_4_negative_control(broken):
     cert = check_dissipativity(F(2), broken)
-    witnesses = [w for w in cert.windows if not w.empty]
-    ok = not cert.passed and bool(witnesses)
+    witnesses = [w for w in cert["windows"] if not w["empty"]]
+    ok = not cert["passed"] and bool(witnesses)
     report(
         4,
         ok,
@@ -152,13 +152,13 @@ def test_criterion_5_perturbed_weak_limits(desk_perturbed):
     final_two = matching[-2:]
 
     reports = check_perturbed_limit(c, sched)
-    assert [rep.point for rep in reports] == list(realized)
+    assert [rep["point"] for rep in reports] == list(realized)
     for rep in reports:
-        assert rep.passed
-        for ch in rep.stages:
-            if ch.stage in final_two:
-                assert ch.error_at_height <= ch.tolerance
-                assert ch.error_at_stretched_height <= ch.tolerance
+        assert rep["passed"]
+        for ch in rep["stages"]:
+            if ch["stage"] in final_two:
+                assert ch["error_at_height"] <= ch["tolerance"]
+                assert ch["error_at_stretched_height"] <= ch["tolerance"]
 
     taus = [perturbation_tolerance(sched, j) for j in matching]
     assert taus[0] >= 2 * taus[-1]
@@ -310,16 +310,17 @@ def test_criterion_7_structural_invariants(desk):
 
 def test_criterion_8_spectral_density(desk):
     grid = DensityGrid(s_max=200.0, samples=8001)
-    dens = spectral_density(F(2), desk, grid)
-    assert dens.phi_at_zero == 1  # mu(Y)^2 for the desk configuration
-    nonneg = dens.min_density >= -1e-6
-    symmetric = dens.density == dens.density[::-1]
-    mass_err = abs(dens.mass_range_value - float(dens.phi_at_zero))
+    dens, _, density = spectral_density(F(2), desk, grid)
+    assert dens["phi_at_zero"] == 1  # mu(Y)^2 for the desk configuration
+    nonneg = dens["min_density"] >= -1e-6
+    symmetric = density == density[::-1]
+    mass_err = abs(dens["mass_range_value"] - float(dens["phi_at_zero"]))
     ok = nonneg and symmetric and mass_err <= 0.01
+    s_mass = dens["mass_range_s"]
     report(
         8,
         ok,
-        f"density for d=2: min sample {dens.min_density:.2e} >= -1e-6, "
-        f"symmetric, mass over [-{dens.mass_range_s:.0f}, {dens.mass_range_s:.0f}] = "
-        f"{dens.mass_range_value:.6f} within 1% of mu(Y)^2 = 1",
+        f"density for d=2: min sample {dens['min_density']:.2e} >= -1e-6, "
+        f"symmetric, mass over [-{s_mass:.0f}, {s_mass:.0f}] = "
+        f"{dens['mass_range_value']:.6f} within 1% of mu(Y)^2 = 1",
     )

@@ -46,15 +46,15 @@ def test_random_family_certificates(spec):
         if len([j for j in matching if j > 1]) < 2:
             continue
         rep = check_weak_limits(y, y, c, sched)
-        assert rep.passed, (c, write_block(rep.stages))
-        assert rep.target == F(1, 4)
+        assert rep["passed"], (c, write_block(rep["stages"]))
+        assert rep["target"] == F(1, 4)
 
     rng = random.Random(99)
     for d in targets.dissipative:
         if not sched.windows_for(d):
             continue
         cert = check_dissipativity(d, sched)
-        assert cert.passed, (d, write_block(cert.windows))
+        assert cert["passed"], (d, write_block(cert["windows"]))
         res = dissipativity_spot_check(d, sched, 50, rng)
         assert not res["failures"]
 
@@ -66,7 +66,7 @@ def test_close_pair_requires_escalation_or_tall_towers():
     targets = TargetSets(singular=(F(3, 2),), dissipative=(F(301, 200),))
     sched = build_schedule(1, 1, targets, 6)
     cert = check_dissipativity(F(301, 200), sched)
-    assert cert.passed
+    assert cert["passed"]
 
 
 def test_small_gauge_deterministic_escalations():
@@ -77,7 +77,7 @@ def test_small_gauge_deterministic_escalations():
     assert one == two
     assert one.escalations == two.escalations
     for d in targets.dissipative:
-        assert check_dissipativity(d, one).passed
+        assert check_dissipativity(d, one)["passed"]
 
 
 def test_perturbation_preserves_dissipativity():
@@ -89,9 +89,9 @@ def test_perturbation_preserves_dissipativity():
         1, 1, targets, 7, perturbation=PerturbationSpec(net_depth=2)
     )
     for d in targets.dissipative:
-        assert check_dissipativity(d, sched).passed
-    rep = next(r for r in check_perturbed_limit(F(3, 2), sched) if r.point == (0, F(1, 4)))
-    assert rep.passed
+        assert check_dissipativity(d, sched)["passed"]
+    rep = next(r for r in check_perturbed_limit(F(3, 2), sched) if r["point"] == (0, F(1, 4)))
+    assert rep["passed"]
     # rho(1/4) at stage 2: merged piece [0,2) overlaps 7/4, the two unit
     # copies 3/4 each, times width 1/4
-    assert rep.limit_at_stretched_height == F(1, 4) * F(13, 16)
+    assert rep["limit_at_stretched_height"] == F(1, 4) * F(13, 16)
