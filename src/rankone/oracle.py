@@ -30,20 +30,13 @@ offset patterns, so agreement with the exact engine is evidence for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import HorizonExceeded
 from .exactnum import Rat, denominator_lcm, rat
 
 
-@dataclass(frozen=True)
-class OracleEstimate:
-    value: Rat
-    bound: Rat
-
-
-def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
-    """Deterministic stratified estimate of mu(T_t A /\\ B) with a hard bound.
+def oracle_correlation(a, b, t, n: int, sched) -> tuple[Rat, Rat]:
+    """Deterministic stratified estimate of mu(T_t A /\\ B) with a hard
+    bound: the pair ``(value, bound)``.
 
     Negative t is folded by the flow symmetry mu(T_t A /\\ B) =
     mu(T_{-t} B /\\ A).
@@ -135,4 +128,4 @@ def oracle_correlation(a, b, t, n: int, sched) -> OracleEstimate:
         walk(k_a, 0, lo, hi)
 
     unit = sched.width(k_a) * a.levels.total_length / (n * 4 ** (top - k_a))
-    return OracleEstimate(value=unit * hits, bound=unit * edges)
+    return unit * hits, unit * edges

@@ -28,7 +28,6 @@ import math
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, floordiv
@@ -223,7 +222,8 @@ def dissipativity_spot_check(
     """Sample random rational times per window; min(rho(t), rho(dt)) must be 0.
 
     Times are drawn strictly inside each window (the threshold itself is
-    exempt from the claim).  Returns counts and any failures.
+    exempt from the claim).  Returns the ``spot_checks`` block of the
+    ratio's ``dissipativity.json`` entry: counts and (window, t) failures.
     """
     d = rat(d)
     y = base_slab(sched)
@@ -240,7 +240,7 @@ def dissipativity_spot_check(
                 if rho_dt != 0:
                     failures.append((j, t))
             checked += 1
-    return {"ratio": d, "checked": checked, "failures": failures}
+    return {"checked": checked, "failures": failures}
 
 
 # --------------------------------------------------------------------------
@@ -311,18 +311,8 @@ def check_perturbed_limit(c, sched) -> list[dict]:
 # spectral density
 
 
-@dataclass(frozen=True)
-class DensityGrid:
-    """The sampled frequencies; the mass check's range follows the ratio."""
-
-    s_max: float = 200.0
-    samples: int = 8001
-
-    def __post_init__(self):
-        if self.samples < 3 or self.samples % 2 == 0:
-            raise ValueError("samples must be an odd count >= 3")
-        if not (math.isfinite(self.s_max) and self.s_max > 0):
-            raise ValueError("s_max must be finite and positive")
+# the default sampled frequencies; the mass check's range follows the ratio
+DENSITY_S_MAX, DENSITY_SAMPLES = 200.0, 8001
 
 
 def _phi_pieces(sched, d: Rat, t0: Rat) -> tuple[int, list[tuple[Rat, ...]]]:
@@ -415,10 +405,12 @@ def _si(x: float) -> float:
     return math.pi / 2 + (f * complex(math.cos(x), -math.sin(x))).imag
 
 
-def spectral_density(d, sched, grid: DensityGrid | None = None) -> tuple[dict, array, array]:
+def spectral_density(d, sched, s_max: float = DENSITY_S_MAX,
+                     samples: int = DENSITY_SAMPLES) -> tuple[dict, array, array]:
     """Floating samples of the absolutely continuous spectral density of a
-    dissipative ratio: the ``density.json`` document, the frequencies and
-    the density there (the two ``array("d")`` columns of the CSV).
+    dissipative ratio at ``samples`` frequencies over [-s_max, s_max]: the
+    ``density.json`` document, the frequencies and the density there (the
+    two ``array("d")`` columns of the CSV).
 
     The correlation product phi(t) = rho(t) rho(d t) is piecewise
     quadratic with exact compact support [-T0, T0]; the density is its
@@ -429,8 +421,11 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> tuple[dict, a
     last window the certificate covers.  The closed-form mass over
     [-S, S], S = ``mass_range_s`` = 2000 d, should be phi(0).
     """
+    if samples < 3 or samples % 2 == 0:
+        raise ValueError("samples must be an odd count >= 3")
+    if not (math.isfinite(s_max) and s_max > 0):
+        raise ValueError("s_max must be finite and positive")
     d = rat(d)
-    grid = grid or DensityGrid()
     cert = check_dissipativity(d, sched)
     if not cert["passed"]:
         raise NotDissipative(f"certificate for d={d} fails; no density exists")
@@ -442,10 +437,10 @@ def spectral_density(d, sched, grid: DensityGrid | None = None) -> tuple[dict, a
     local = [tuple(map(float, piece)) for piece in pieces]
 
     # the samples as C doubles, eight bytes each: 0 <= s <= s_max, mirrored
-    half = (grid.samples - 1) // 2
-    step = grid.s_max / half
+    half = (samples - 1) // 2
+    step = s_max / half
     s_half = array("d", (i * step for i in range(half)))
-    s_half.append(grid.s_max)
+    s_half.append(s_max)
     dens_half = array("d", (sum(_piece_cosine(*pc, s) for pc in local) / math.pi for s in s_half))
     freqs = array("d", (-s for s in s_half[:0:-1])) + s_half
     dens = dens_half[:0:-1] + dens_half

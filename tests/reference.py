@@ -33,7 +33,6 @@ from typing import Iterable
 from rankone.errors import HorizonExceeded, RankOneError
 from rankone.exactnum import IntervalSet, Rat, rat
 from rankone.levelset import SlabSet
-from rankone.oracle import OracleEstimate
 
 ZERO = Fraction(0)
 
@@ -409,8 +408,9 @@ def strata_midpoints(intervals: list[tuple[int, int]], n: int) -> list[int]:
     return out
 
 
-def oracle_per_sample(a, b, t, n: int, sched) -> OracleEstimate:
-    """``rankone.oracle.oracle_correlation`` with a per-sample B test."""
+def oracle_per_sample(a, b, t, n: int, sched) -> tuple[Rat, Rat]:
+    """``rankone.oracle.oracle_correlation`` with a per-sample B test: the
+    pair ``(value, bound)``."""
     t = rat(t)
     if n < 1:
         raise ValueError("need at least one sample")
@@ -495,4 +495,4 @@ def oracle_per_sample(a, b, t, n: int, sched) -> OracleEstimate:
         walk(k_a, 0, lo, hi)
 
     unit = sched.width(k_a) * a.levels.total_length / (n * 4 ** (top - k_a))
-    return OracleEstimate(value=unit * hits, bound=unit * edges)
+    return unit * hits, unit * edges

@@ -1,6 +1,5 @@
 import argparse
 import concurrent.futures
-import dataclasses
 import hashlib
 import json
 import math
@@ -1037,8 +1036,8 @@ class TestArtifacts:
         estimate = cli.oracle_correlation
 
         def off(*args):
-            est = estimate(*args)
-            return dataclasses.replace(est, value=est.value + 2 * est.bound + 1)
+            value, bound = estimate(*args)
+            return value + 2 * bound + 1, bound
 
         monkeypatch.setattr(cli, "oracle_correlation", off)
         out = tmp_path / "oracle"
@@ -1140,6 +1139,8 @@ class TestUsageErrors:
             (["verify", "-s", "{schedule}", "-o", "{out}", "--which", "dissipative",
               "--spot-checks", "2", "--seed", "x"],
              "rankone verify: error: argument --seed: invalid int value: 'x'"),
+            (["oracle", "-s", "{schedule}", "-o", "{out}", "--samples", "0"],
+             "rankone oracle: error: argument --samples: 0 is not in the range x>=1"),
             (["build", "-c", "{directory}", "-o", "{out}"],
              "usage error: cannot read config {directory}: [Errno 21] Is a directory"),
             (["build", "-c", "{config}", "-o", "{file}"], "file error: [Errno 17] File exists"),
@@ -1150,7 +1151,8 @@ class TestUsageErrors:
             (["oracle", "-s", "{schedule}", "-o", "{file}"], "file error: [Errno 17] File exists"),
         ],
         ids=["no-command", "unknown-command", "unknown-option", "missing-config",
-             "which-bogus", "jobs-0", "spot-checks-neg", "seed-not-int", "config-directory",
+             "which-bogus", "jobs-0", "spot-checks-neg", "seed-not-int", "oracle-samples-0",
+             "config-directory",
              "out-file-build", "out-file-verify", "out-file-profile", "out-file-density",
              "out-file-oracle"],
     )

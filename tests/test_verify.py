@@ -18,7 +18,6 @@ from rankone.levelset import (
 )
 from rankone.verify import (
     EVIDENCE_NOTE,
-    DensityGrid,
     _si,
     check_dissipativity,
     check_perturbed_limit,
@@ -276,8 +275,7 @@ class TestPerturbedLimits:
 
 class TestSpectralDensity:
     def test_density_for_two(self, desk):
-        grid = DensityGrid(s_max=120.0, samples=4001)
-        dens, _, density = spectral_density(F(2), desk, grid)
+        dens, _, density = spectral_density(F(2), desk, s_max=120.0, samples=4001)
         assert dens["support_bound"] == desk.height(2)
         mid = len(density) // 2
         assert density[mid] > 0
@@ -288,15 +286,13 @@ class TestSpectralDensity:
 
     def test_density_for_three(self, desk):
         # second dissipative ratio: support bound is the stage-3 height
-        dens, _, _ = spectral_density(
-            F(3), desk, DensityGrid(s_max=50.0, samples=1001)
-        )
+        dens, _, _ = spectral_density(F(3), desk, s_max=50.0, samples=1001)
         assert dens["support_bound"] == desk.height(3)
         assert dens["min_density"] >= -1e-6
         assert abs(dens["mass_range_value"] - 1.0) < 0.01
 
     def test_density_zero_matches_exact_integral(self, desk):
-        dens, _, density = spectral_density(F(2), desk, DensityGrid(s_max=50.0, samples=501))
+        dens, _, density = spectral_density(F(2), desk, s_max=50.0, samples=501)
         mid = len(density) // 2
         assert abs(density[mid] - float(dens["phi_integral"]) / (2 * math.pi)) < 1e-12
 
@@ -313,13 +309,34 @@ class TestSpectralDensity:
             "stages": 7,
         }))
         sched = schedule_from_config(load_config(path))
-        dens, _, _ = spectral_density(F(201, 200), sched, DensityGrid(s_max=50.0, samples=501))
+        dens, _, _ = spectral_density(F(201, 200), sched, s_max=50.0, samples=501)
         assert math.isclose(
             dens["density_at_zero"], float(dens["phi_integral"]) / (2 * math.pi), rel_tol=1e-9
         )
         assert dens["min_density"] >= 0
         assert abs(dens["mass_range_value"] - dens["phi_at_zero"]) < 0.01
         assert dens["piece_count"] == 125482
+
+    @pytest.mark.parametrize(
+        "grid, said",
+        [(dict(samples=8000), "samples must be an odd count >= 3"),
+         (dict(samples=1), "samples must be an odd count >= 3"),
+         (dict(samples=-3), "samples must be an odd count >= 3"),
+         (dict(s_max=math.nan), "s_max must be finite and positive"),
+         (dict(s_max=math.inf), "s_max must be finite and positive"),
+         (dict(s_max=0.0), "s_max must be finite and positive"),
+         (dict(s_max=-1.0), "s_max must be finite and positive")],
+        ids=["even", "one", "negative", "nan", "inf", "zero", "negative-s-max"],
+    )
+    def test_grid_refused_before_the_certificate(self, desk, monkeypatch, grid, said):
+        def certificate(*args):
+            raise AssertionError("the certificate ran")
+
+        monkeypatch.setattr("rankone.verify.check_dissipativity", certificate)
+        with pytest.raises(ValueError, match=f"^{said}$"):
+            spectral_density(F(2), desk, **grid)
+        with pytest.raises(AssertionError, match="the certificate ran"):  # a valid grid reaches it
+            spectral_density(F(2), desk, s_max=50.0, samples=501)
 
     @pytest.mark.parametrize("x, si", [
         # Si(x) at the float x, by mpmath at 30 digits
@@ -436,6 +453,19 @@ def test_no_float_in_certificate(name):
     assert "float(" not in inspect.getsource(getattr(verify, name))
 
 
+@pytest.mark.parametrize("module", ["rankone.verify", "rankone.oracle"])
+def test_plain_values_no_classes(module):
+    """The certificates and the oracle return dicts, tuples and rationals:
+    their modules define no class."""
+    import importlib
+    import inspect
+
+    mod = importlib.import_module(module)
+    assert [name for name, cls in inspect.getmembers(mod, inspect.isclass)
+            if cls.__module__ == module] == []
+    assert "dataclasses" not in inspect.getsource(mod)
+
+
 @pytest.mark.parametrize("module", ["rankone.levelset"])
 def test_no_to_dict_on_reports(module):
     """Reports are written by ``write_block``: their field names are the
@@ -504,7 +534,7 @@ def test_derived_report_fields_agree_with_their_data(desk, desk_perturbed, broke
         assert cert["passed"] == all(w["empty"] for w in cert["windows"])
 
     # density summaries
-    dens, frequencies, density = spectral_density(F(2), desk, DensityGrid(s_max=50.0, samples=501))
+    dens, frequencies, density = spectral_density(F(2), desk, s_max=50.0, samples=501)
     assert dens["grid"] == {"s_max": frequencies[-1], "samples": len(frequencies)}
     assert dens["grid"] == {"s_max": 50.0, "samples": 501} and len(density) == 501
     assert frequencies[250] == 0.0 and dens["density_at_zero"] == density[250]
