@@ -420,7 +420,8 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
         csv.writelines(f"{float(t):.12e},{float(prof.value_at(t)):.12e}\n" for t in ts)
     _write_json(
         out_dir / "profile.json",
-        {"t_min": rat_str(lo), "t_max": rat_str(hi), **write_block(prof)},
+        write_block({"t_min": lo, "t_max": hi, "breakpoints": prof.breakpoints,
+                     "values": prof.values}),
     )
     if hits is not None:
         with open(out_dir / f"hitting_window_{window_index}.json", "w") as f:

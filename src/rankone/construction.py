@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, count
@@ -31,8 +30,50 @@ ONE = Fraction(1)
 
 # --------------------------------------------------------------------------
 # document fields: the one parser of config and schedule JSON.  A block is
-# a dataclass, read by ``read_block`` with each field's reader taken from
-# its annotation and written back by ``write_block``.
+# a ``Block``, read by ``read_block`` with each key's reader taken from its
+# annotation and written back by ``write_block``.
+
+
+class Block:
+    """A document block.  Its ``doc_keys`` are the names its class body
+    annotates, each defaulting to its class attribute if it has one; the
+    annotations stay text until ``_block_readers`` reads them.  A block is made
+    from its keys by name, checks them in ``__post_init__``, compares, hashes
+    and prints by them, and cannot be assigned to."""
+
+    def __init_subclass__(cls):
+        cls.doc_keys = tuple(cls.__annotations__)
+
+    def __init__(self, **values):
+        cls = type(self)
+        values = {key: getattr(cls, key) for key in cls.doc_keys if hasattr(cls, key)} | values
+        if values.keys() != set(cls.doc_keys):
+            raise TypeError(f"{cls.__name__} takes {list(cls.doc_keys)}, not {sorted(values)}")
+        for key in cls.doc_keys:
+            object.__setattr__(self, key, values[key])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self.doc_keys)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{key}={getattr(self, key)!r}" for key in self.doc_keys)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
 
 _FRACTION = re.compile(r"-?\d+(/0*[1-9]\d*)?")
 
@@ -146,12 +187,12 @@ _SCALAR_READERS = {Rat: read_rat, int: read_int, IntervalSet: read_interval_set,
 def field_reader(hint):
     """The reader of a document field annotated ``hint``: ``Rat``, ``int``,
     ``IntervalSet``, ``str`` (taken as is; the constructors check it), a
-    homogeneous ``tuple`` of one of these (a list), a dataclass (its block,
+    homogeneous ``tuple`` of one of these (a list), a ``Block`` (its block,
     through its ``from_dict`` if it has one) or ``X | None`` (null or {}
     read as None).  Any other annotation is a TypeError."""
     if hint in _SCALAR_READERS:
         return _SCALAR_READERS[hint]
-    if is_dataclass(hint):
+    if type(hint) is type and issubclass(hint, Block):
         return getattr(hint, "from_dict", None) or partial(read_block, hint)
     args = get_args(hint)
     if get_origin(hint) is tuple and len(set(args) - {...}) == 1:
@@ -165,13 +206,12 @@ def field_reader(hint):
 @cache
 def _block_readers(cls, **readers) -> dict:
     hints = get_type_hints(cls)
-    keys = [f.name for f in fields(cls) if f.compare]
-    return {k: readers.get(k) or field_reader(hints[k]) for k in keys}
+    return {k: readers.get(k) or field_reader(hints[k]) for k in cls.doc_keys}
 
 
 def read_block(cls, value, **readers):
-    """Dataclass ``cls`` from a document object whose keys are exactly its
-    compared fields, each read by ``readers[name]`` or else by the
+    """Block ``cls`` from a document object whose keys are exactly its
+    ``doc_keys``, each read by ``readers[name]`` or else by the
     ``field_reader`` of its annotation.  The table is cached per class and
     ``readers``, so these must be module-level functions, not lambdas."""
     return cls(**read_object(value, _block_readers(cls, **readers)))
@@ -180,7 +220,7 @@ def read_block(cls, value, **readers):
 def write_block(value):
     """The document form of ``value``, the inverse of ``read_block``: a
     rational as 'p/q', an interval set as its pairs, a tuple as a list, a
-    dict by its values, a dataclass as an object of its compared fields
+    dict by its values, a block as an object of its keys
     (``TargetSets`` entry stages keyed by ratio)."""
     if isinstance(value, Fraction):
         return rat_str(value)
@@ -190,11 +230,9 @@ def write_block(value):
         return [write_block(v) for v in value]
     if isinstance(value, dict):
         return {k: write_block(v) for k, v in value.items()}
-    if not is_dataclass(value):
+    if not isinstance(value, Block):
         return value
-    out = {
-        f.name: write_block(getattr(value, f.name)) for f in fields(value) if f.compare
-    }
+    out = {key: write_block(getattr(value, key)) for key in value.doc_keys}
     if isinstance(value, TargetSets):
         out["entry_stages"] = dict(out["entry_stages"])
     return out
@@ -204,8 +242,7 @@ def write_block(value):
 # target ratio sets
 
 
-@dataclass(frozen=True)
-class TargetSets:
+class TargetSets(Block):
     """The two disjoint families of ratios the flow is built around.
 
     ``singular`` entries c drive the weak-limit identities; ``dissipative``
@@ -275,8 +312,7 @@ def _read_entry_stages(m) -> tuple:
 # build policy
 
 
-@dataclass(frozen=True)
-class GaugeSpec:
+class GaugeSpec(Block):
     """Divergent lower bound g(j) for the spacer growth multipliers.
 
     kind 'pow2' gives max(floor, 2**j); 'constant' gives floor; 'table'
@@ -311,8 +347,7 @@ class GaugeSpec:
         return self.values[idx]
 
 
-@dataclass(frozen=True)
-class TopSpacerRule:
+class TopSpacerRule(Block):
     """How the top spacer is derived from the middle one.
 
     mode 'multiplier' (the real construction) sets s4 = M * s2.  mode
@@ -336,8 +371,7 @@ class TopSpacerRule:
         return (self.collide_ratio if self.mode == "collide" else m) * s2
 
 
-@dataclass(frozen=True)
-class StagePolicy:
+class StagePolicy(Block):
     gauge: GaugeSpec = GaugeSpec()
     initial_multiplier: Rat = ONE
     escalation_factor: Rat = Fraction(2)
@@ -358,8 +392,7 @@ class StagePolicy:
         return self.gauge.value(j) * self.initial_multiplier
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
+class PerturbationSpec(Block):
     """Dyadic net over [0,1]^2 visited cyclically by the stages of each ratio."""
 
     net_depth: int = 1
@@ -389,8 +422,7 @@ def _stacking_offsets(h: Rat, s: Sequence[Rat]) -> tuple[Rat, Rat, Rat, Rat]:
     return tuple(accumulate((h + x for x in s[:3]), initial=ZERO))
 
 
-@dataclass(frozen=True)
-class StageParams:
+class StageParams(Block):
     """Everything stage j contributes: spacers, height, width, offsets.
 
     offsets[i] is the base height of column copy i+1 of tower j inside
@@ -417,8 +449,7 @@ class StageParams:
 _DERIVED = ("index", "height", "width", "spacers", "offsets")
 
 
-@dataclass(frozen=True)
-class EscalationEvent:
+class EscalationEvent(Block):
     window: int
     ratio: Rat
     old_multiplier: Rat
@@ -427,8 +458,7 @@ class EscalationEvent:
     escalated_stages: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Block):
     """An immutable, fully determined finite-stage construction record.
 
     Made from a positive base tower and its free choices, one (ratio,
@@ -442,22 +472,23 @@ class Schedule:
     base_height: Rat
     targets: TargetSets
     policy: StagePolicy
-    choices: tuple[tuple[Rat, Rat, Rat, Rat], ...] = field(compare=False)
-    perturbation: PerturbationSpec | None = None
-    escalations: tuple[EscalationEvent, ...] = ()
-    stages: tuple[StageParams, ...] = field(init=False)
-    runtime_cache: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    perturbation: PerturbationSpec | None
+    escalations: tuple[EscalationEvent, ...]
+    stages: tuple[StageParams, ...]
 
-    def __post_init__(self):
-        if self.base_width <= 0 or self.base_height <= 0:
+    def __init__(self, base_width, base_height, targets, policy, choices,
+                 perturbation=None, escalations=()):
+        if base_width <= 0 or base_height <= 0:
             raise ValueError("base width and height must be positive")
-        stages = _assemble_stages(self.base_width, self.base_height, self.choices,
-                                  self.policy, self.targets.singular)
+        stages = _assemble_stages(base_width, base_height, choices, policy, targets.singular)
         if not stages:
             raise ValueError("a schedule needs at least one stage")
-        object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "choices",
                            tuple((s.ratio, s.delta1, s.delta3, s.multiplier) for s in stages))
+        object.__setattr__(self, "runtime_cache", {})
+        super().__init__(base_width=base_width, base_height=base_height, targets=targets,
+                         policy=policy, perturbation=perturbation, escalations=escalations,
+                         stages=stages)
         if len(self.escalations) > self.policy.max_retries:
             raise ValueError(
                 f"escalations: {len(self.escalations)} events, more than the "

@@ -29,19 +29,17 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import ceil, lcm
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import HorizonExceeded, RankOneError
 from .exactnum import IntervalSet, Rat, denominator_lcm, merge_sorted, rat
 
 
-@dataclass(frozen=True)
-class SlabSet:
+class SlabSet(NamedTuple):
     """Full-width slabs of tower ``stage`` at the given level set."""
 
     stage: int
@@ -110,20 +108,19 @@ def horizon(sched) -> Rat:
 # piecewise-linear profiles
 
 
-@dataclass(frozen=True)
 class PiecewiseLinear:
     """Exact piecewise-linear function on a window, constant outside it."""
 
-    breakpoints: tuple[Rat, ...]
-    values: tuple[Rat, ...]
+    __slots__ = ("breakpoints", "values")
 
-    def __post_init__(self):
-        if len(self.breakpoints) != len(self.values) or len(self.breakpoints) < 2:
+    def __init__(self, breakpoints: tuple[Rat, ...], values: tuple[Rat, ...]):
+        if len(breakpoints) != len(values) or len(breakpoints) < 2:
             raise ValueError("need matching breakpoint/value sequences")
-        if any(b <= a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
+        if any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(v < 0 for v in self.values):
+        if any(v < 0 for v in values):
             raise ValueError("profile values must be non-negative")
+        self.breakpoints, self.values = breakpoints, values
 
     def value_at(self, t) -> Rat:
         t = rat(t)

@@ -40,6 +40,7 @@ from rankone.verify import (
     window_landmarks,
 )
 
+import reference
 from reference import (
     dissipativity_witness,
     integral,
@@ -772,13 +773,31 @@ class TestLandmarkLabels:
         ]
 
 
+class TestSlabSet:
+    def test_frozen(self, desk):
+        y = base_slab(desk)
+        for name in ("stage", "levels", "other"):
+            with pytest.raises(AttributeError):
+                setattr(y, name, None)
+        assert (y.stage, y.levels) == (1, IntervalSet([(0, desk.height(1))]))
+
+    def test_equal_slabs_hash_equal(self, desk):
+        # the reference refinement memoises by (slab, stage)
+        a = make_slab(desk, 1, [(0, 1)])
+        b = make_slab(desk, 1, IntervalSet([(F(0), F(1))]))
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert reference.refine(a, 3, desk).stage == 3
+        assert (b, 3) in reference._REFINED[id(desk)]
+        assert {a: 1}[b] == 1
+
+
 class TestPiecewiseLinear:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need matching breakpoint/value sequences$"):
             PiecewiseLinear(breakpoints=(F(0),), values=(F(1),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^breakpoints must be strictly increasing$"):
             PiecewiseLinear(breakpoints=(F(0), F(0)), values=(F(1), F(1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^profile values must be non-negative$"):
             PiecewiseLinear(breakpoints=(F(0), F(1)), values=(F(-1), F(1)))
 
     def test_clamped_outside_window(self):

@@ -357,15 +357,31 @@ class TestIndependence:
         """The package root re-exports nothing, so importing the oracle in a
         fresh interpreter runs none of the engine it checks; the command line
         loads the package's modules and no others."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
         code = (
             f"import sys, {module}; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'rankone'))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        assert _fresh_interpreter(code) == str(loaded)
+
+    def test_command_line_builds_no_class_from_generated_code(self):
+        """No class of the package is made by ``dataclasses``, so starting
+        the command line loads neither it nor the reflection modules it
+        pulls in, which would cost every process their import."""
+        code = (
+            "import sys, rankone.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'copy'}"
+            " & sys.modules.keys()))"
         )
-        assert proc.stdout.strip() == str(loaded)
+        assert _fresh_interpreter(code) == "[]"
+
+
+def _fresh_interpreter(code: str) -> str:
+    """What ``code`` prints in a new interpreter with ``src/`` on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout.strip()
