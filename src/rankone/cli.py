@@ -73,8 +73,10 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-# what parsing a malformed config or schedule document raises
-_MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
+# what parsing a malformed config or schedule document raises; one nested
+# past the recursion limit raises RecursionError as it is parsed, or as a
+# reader prints a value it refuses
+_MALFORMED = (ValueError, TypeError, RecursionError)
 
 
 def load_config(path: str | Path) -> dict:
@@ -89,7 +91,7 @@ def schedule_from_config(cfg: dict) -> Schedule:
     try:
         args = read_object(cfg, dict(
             base_width=read_rat, base_height=read_rat, stages=read_int, certify=read_bool,
-            targets=TargetSets.from_dict, policy=field_reader(StagePolicy),
+            targets=TargetSets.from_dict, policy=StagePolicy.from_dict,
             perturbation=field_reader(PerturbationSpec | None),
         ))
     except _MALFORMED as exc:

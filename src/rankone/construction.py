@@ -9,16 +9,14 @@ certifies, window by window, that the dissipativity constraint holds for
 every active ratio d, escalating the multipliers until it does.
 """
 
-from __future__ import annotations
-
 import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import accumulate, count
 from types import NoneType, UnionType
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Sequence, get_args, get_origin
 
 from . import levelset
 from .errors import EscalationExhausted, RankOneError
@@ -30,19 +28,25 @@ ONE = Fraction(1)
 
 # --------------------------------------------------------------------------
 # document fields: the one parser of config and schedule JSON.  A block is
-# a ``Block``, read by ``read_block`` with each key's reader taken from its
+# a ``Block``, read by its ``from_dict`` with each key's reader taken from its
 # annotation and written back by ``write_block``.
 
 
 class Block:
     """A document block.  Its ``doc_keys`` are the names its class body
-    annotates, each defaulting to its class attribute if it has one; the
-    annotations stay text until ``_block_readers`` reads them.  A block is made
-    from its keys by name, checks them in ``__post_init__``, compares, hashes
-    and prints by them, and cannot be assigned to."""
+    annotates, each defaulting to its class attribute if it has one and read
+    by its annotation's ``field_reader`` in ``readers``, made with the class.
+    A block is made from its keys by name, checks them in ``__post_init__``,
+    compares, hashes and prints by them, and cannot be assigned to."""
 
     def __init_subclass__(cls):
         cls.doc_keys = tuple(cls.__annotations__)
+        cls.readers = {key: field_reader(hint) for key, hint in cls.__annotations__.items()}
+
+    @classmethod
+    def from_dict(cls, value):
+        """The block whose document object has exactly its keys, each read by its reader."""
+        return cls(**read_object(value, cls.readers))
 
     def __init__(self, **values):
         cls = type(self)
@@ -181,19 +185,28 @@ def read_json(text: str):
     return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_parse_int)
 
 
-_SCALAR_READERS = {Rat: read_rat, int: read_int, IntervalSet: read_interval_set, str: lambda v: v}
+EntryStages = tuple[tuple[Rat, int], ...]  # TargetSets' (ratio, first window) pairs
+
+
+def _read_entry_stages(m) -> EntryStages:
+    """Entry stages as an object keyed by ratio, so that '2/1' and '4/2' collide."""
+    return tuple((read_rat(r), _at(r, read_int, k)) for r, k in read_object(m).items())
+
+
+_SCALAR_READERS = {Rat: read_rat, int: read_int, IntervalSet: read_interval_set, str: lambda v: v,
+                   EntryStages: _read_entry_stages}
 
 
 def field_reader(hint):
     """The reader of a document field annotated ``hint``: ``Rat``, ``int``,
-    ``IntervalSet``, ``str`` (taken as is; the constructors check it), a
-    homogeneous ``tuple`` of one of these (a list), a ``Block`` (its block,
-    through its ``from_dict`` if it has one) or ``X | None`` (null or {}
-    read as None).  Any other annotation is a TypeError."""
+    ``IntervalSet``, ``str`` (taken as is; the constructors check it),
+    ``EntryStages``, a homogeneous ``tuple`` of one of these (a list), a
+    ``Block`` (its ``from_dict``) or ``X | None`` (null or {} read as None).
+    Any other annotation is a TypeError."""
     if hint in _SCALAR_READERS:
         return _SCALAR_READERS[hint]
     if type(hint) is type and issubclass(hint, Block):
-        return getattr(hint, "from_dict", None) or partial(read_block, hint)
+        return hint.from_dict
     args = get_args(hint)
     if get_origin(hint) is tuple and len(set(args) - {...}) == 1:
         return partial(read_list, item=field_reader(args[0]))
@@ -203,22 +216,8 @@ def field_reader(hint):
     raise TypeError(f"no document reader for {hint!r}")
 
 
-@cache
-def _block_readers(cls, **readers) -> dict:
-    hints = get_type_hints(cls)
-    return {k: readers.get(k) or field_reader(hints[k]) for k in cls.doc_keys}
-
-
-def read_block(cls, value, **readers):
-    """Block ``cls`` from a document object whose keys are exactly its
-    ``doc_keys``, each read by ``readers[name]`` or else by the
-    ``field_reader`` of its annotation.  The table is cached per class and
-    ``readers``, so these must be module-level functions, not lambdas."""
-    return cls(**read_object(value, _block_readers(cls, **readers)))
-
-
 def write_block(value):
-    """The document form of ``value``, the inverse of ``read_block``: a
+    """The document form of ``value``, the inverse of ``from_dict``: a
     rational as 'p/q', an interval set as its pairs, a tuple as a list, a
     dict by its values, a block as an object of its keys
     (``TargetSets`` entry stages keyed by ratio)."""
@@ -256,7 +255,7 @@ class TargetSets(Block):
 
     singular: tuple[Rat, ...]
     dissipative: tuple[Rat, ...] = ()
-    entry_stages: tuple[tuple[Rat, int], ...] = ()
+    entry_stages: EntryStages | None = ()
 
     def __post_init__(self):
         singular = tuple(rat(c) for c in self.singular)
@@ -294,18 +293,6 @@ class TargetSets(Block):
             if dd == d:
                 return k
         raise ValueError(f"{rat_str(d)} is not a dissipative target of this schedule")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TargetSets":
-        """Parse a ``targets`` block; null or {} entry stages take their defaults."""
-        return read_block(cls, d, entry_stages=_read_entry_stages)
-
-
-def _read_entry_stages(m) -> tuple:
-    """Entry stages as an object keyed by ratio, so that '2/1' and '4/2' collide."""
-    if m is None:
-        return ()
-    return tuple((read_rat(r), _at(r, read_int, k)) for r, k in read_object(m).items())
 
 
 # --------------------------------------------------------------------------
@@ -583,7 +570,7 @@ class Schedule(Block):
     def from_dict(cls, d: dict) -> "Schedule":
         """The schedule made from the stored stages' free choices; the first
         stored stage and ``_DERIVED`` field that it derives otherwise is refused."""
-        args = read_object(d, _block_readers(cls))
+        args = read_object(d, cls.readers)
         stored = args.pop("stages")
         sched = cls(choices=[(s.ratio, s.delta1, s.delta3, s.multiplier) for s in stored], **args)
         for j, (st, want) in enumerate(zip(stored, sched.stages), start=1):

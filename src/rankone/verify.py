@@ -30,7 +30,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add, floordiv
+from operator import add, floordiv, lt
 from typing import Iterator, Sequence
 
 from .errors import NotDissipative, RankOneError
@@ -425,6 +425,13 @@ def spectral_density(d, sched, s_max: float = DENSITY_S_MAX,
         raise ValueError("samples must be an odd count >= 3")
     if not (math.isfinite(s_max) and s_max > 0):
         raise ValueError("s_max must be finite and positive")
+    # the samples as C doubles, eight bytes each: 0 <= s <= s_max, mirrored
+    half = (samples - 1) // 2
+    step = s_max / half
+    s_half = array("d", (i * step for i in range(half)))
+    s_half.append(s_max)
+    if not all(map(lt, s_half, s_half[1:])):  # a subnormal step rounds them out of order
+        raise ValueError("s_max is too small for increasing samples")
     d = rat(d)
     cert = check_dissipativity(d, sched)
     if not cert["passed"]:
@@ -435,12 +442,6 @@ def spectral_density(d, sched, s_max: float = DENSITY_S_MAX,
         (c0 * L + c1 * L * L / 2 + c2 * L**3 / 3 for _, L, c0, c1, c2 in pieces), ZERO
     )
     local = [tuple(map(float, piece)) for piece in pieces]
-
-    # the samples as C doubles, eight bytes each: 0 <= s <= s_max, mirrored
-    half = (samples - 1) // 2
-    step = s_max / half
-    s_half = array("d", (i * step for i in range(half)))
-    s_half.append(s_max)
     dens_half = array("d", (sum(_piece_cosine(*pc, s) for pc in local) / math.pi for s in s_half))
     freqs = array("d", (-s for s in s_half[:0:-1])) + s_half
     dens = dens_half[:0:-1] + dens_half

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
@@ -55,6 +56,14 @@ def invoke(args: list[str]) -> CliResult:
         except Exception as exc:  # noqa: BLE001  (kept for the caller to re-raise)
             code, exception = 1, exc
     return CliResult(code, output.getvalue(), stdout.getvalue(), stderr.getvalue(), exception)
+
+
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
 
 
 DESK_TARGETS = dict(

@@ -3,7 +3,6 @@ import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -15,7 +14,7 @@ from rankone import errors
 from rankone.cli import _EXIT_CODES, _parser, main
 from rankone.construction import PerturbationSpec, Schedule, write_block
 
-from conftest import invoke
+from conftest import invoke, src_env
 
 BASE_CONFIG = {
     "targets": {"singular": ["3/2", "5/2"], "dissipative": ["2/1", "3/1"]},
@@ -1211,7 +1210,7 @@ class TestEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-m", "rankone.cli", "verify", "-s", str(built_broken),
              "-o", str(tmp_path), "--which", "dissipative"],
-            capture_output=True, text=True, env=_src_env(), timeout=60,
+            capture_output=True, text=True, env=src_env(), timeout=60,
         )
         assert proc.returncode == 3, proc.stdout + proc.stderr
         assert proc.stderr == "FAIL: at least one certificate failed\n"
@@ -1245,21 +1244,13 @@ def test_committed_out_matches_a_fresh_run(tmp_path):
         assert (tmp_path / name).read_bytes() == (repo / "out" / name).read_bytes(), name
 
 
-def _src_env() -> dict:
-    """The environment of a fresh interpreter that imports this checkout's ``src``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-
-
 def test_long_build_refused_quickly(tmp_path):
     """Net points go to stages by a running count per ratio, so a 20,000-stage
     config reaches the digit-limit refusal at stage 119 without a quadratic walk."""
     cfg = write_config(tmp_path, {"stages": 20000})
     proc = subprocess.run(
         [sys.executable, "-m", "rankone.cli", "build", "-c", str(cfg), "-o", str(tmp_path / "out")],
-        capture_output=True, text=True, env=_src_env(), timeout=10,
+        capture_output=True, text=True, env=src_env(), timeout=10,
     )
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "stage 119 has a number of more than 4300 digits" in proc.stderr
@@ -1273,7 +1264,7 @@ def test_long_build_refusal_cost_is_independent_of_stages(tmp_path):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "rankone.cli", "build", "-c", str(cfg), "-o", str(tmp_path / "out")],
-        capture_output=True, text=True, env=_src_env(), timeout=60,
+        capture_output=True, text=True, env=src_env(), timeout=60,
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 2, proc.stdout + proc.stderr
@@ -1284,7 +1275,7 @@ def test_long_build_refusal_cost_is_independent_of_stages(tmp_path):
 def test_cli_import_skips_heavy_modules(desk, tmp_path):
     """The process pool loads only where it is used; numpy and scipy load
     nowhere, not even in ``density``."""
-    env = _src_env()
+    env = src_env()
     schedule = tmp_path / "schedule.json"
     schedule.write_text(desk.to_json() + "\n")
     code = (
@@ -1314,7 +1305,7 @@ def test_cli_import_adds_only_stdlib_and_rankone():
         "if m.partition('.')[0] not in sys.stdlib_module_names | {'rankone'}))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), check=True
     )
     assert proc.stdout == "[]\n"
 

@@ -3,9 +3,11 @@ import importlib
 import inspect
 import json
 import pkgutil
+import subprocess
+import sys
 from collections.abc import Hashable
 from fractions import Fraction as F
-from typing import get_args, get_type_hints
+from typing import get_args
 
 import pytest
 
@@ -29,6 +31,8 @@ from rankone.construction import (
 from rankone.errors import EscalationExhausted, RankOneError
 from rankone.exactnum import IntervalSet, rat_str
 from rankone.levelset import base_slab, correlation
+
+from conftest import src_env
 
 
 class TestTargetSets:
@@ -361,8 +365,7 @@ def _document_blocks() -> list:
         cls = todo.pop()
         if cls not in blocks:
             blocks.append(cls)
-            hints = get_type_hints(cls)
-            todo += [b for key in cls.doc_keys for b in _blocks_in(hints[key])]
+            todo += [b for hint in cls.__annotations__.values() for b in _blocks_in(hint)]
     return blocks
 
 
@@ -449,15 +452,34 @@ class TestBlock:
 
 class TestDocumentReaders:
     def test_every_field_has_a_reader(self):
-        # an annotation without a reader fails here, not in a user's load
         blocks = _document_blocks()
         assert set(blocks) == {Schedule, TargetSets, StagePolicy, GaugeSpec, TopSpacerRule,
                                PerturbationSpec, StageParams, EscalationEvent}
         for cls in blocks:
-            hints = get_type_hints(cls)
-            for key in cls.doc_keys:
-                if (cls, key) != (TargetSets, "entry_stages"):
-                    assert callable(field_reader(hints[key])), (cls, key)
+            assert set(cls.readers) == set(cls.doc_keys), cls
+            assert all(map(callable, cls.readers.values())), cls
+
+    def test_unsupported_annotation_refused_at_the_class_statement(self):
+        # an annotation without a reader fails at import, not in a user's load
+        with pytest.raises(TypeError, match="^no document reader for <class 'float'>$"):
+            class Measured(Block):
+                width: float
+
+    def test_load_evaluates_no_type_hints(self, desk):
+        # the readers are made with the classes, so a fresh interpreter whose
+        # typing.get_type_hints refuses to run still loads desk's schedule
+        code = (
+            "import sys, typing\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('typing.get_type_hints ran')\n"
+            "typing.get_type_hints = refuse\n"
+            "from rankone.construction import Schedule\n"
+            "print(Schedule.from_json(sys.stdin.read()).to_json())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], input=desk.to_json(),
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == desk.to_json() + "\n"
 
     @pytest.mark.parametrize("hint", [float, dict, list[F], tuple[F, int], F | int])
     def test_unsupported_annotation_refused(self, hint):

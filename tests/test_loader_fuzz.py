@@ -7,6 +7,7 @@ table fixes the exit code of every one-field mutation of a full config.
 """
 
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -140,13 +141,15 @@ def test_unmutated_inputs_pass(work):
         ["oracle", "--t-max-stage", "-1"],
         ["density", "--s-max", "nan"],
         ["density", "--s-max", "inf"],
+        ["density", "--s-max", "1e-320"],
         ["density", "--mass-s", "4000"],
         ["density", "--samples", "4"],
         ["density", "--samples", "1"],
         ["oracle", "--samples", "0"],
     ],
     ids=["samples-0", "samples-neg", "jobs-0", "jobs-neg", "spot-checks-neg",
-         "triples-0", "triples-neg", "t-max-stage-0", "t-max-stage-neg", "s-max-nan", "s-max-inf", "mass-s-removed",
+         "triples-0", "triples-neg", "t-max-stage-0", "t-max-stage-neg", "s-max-nan", "s-max-inf",
+         "s-max-subnormal", "mass-s-removed",
          "density-samples-even", "density-samples-1", "oracle-samples-0"],
 )
 def test_out_of_range_options_exit_2(work, args):
@@ -154,6 +157,44 @@ def test_out_of_range_options_exit_2(work, args):
         [args[0], "-s", str(work / "schedule.json"), "-o", str(work / "r"), *args[1:]]
     )
     assert result.exit_code == 2, result.output
+
+
+# documents nested past the interpreter's recursion limit
+DEEP_DOCUMENTS = {
+    "list-100000": "[" * 100_000,
+    "object-5000": '{"targets": ' + '{"a": ' * 5000 + "1" + "}" * 5001,
+}
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "profile", "density", "oracle"])
+@pytest.mark.parametrize("text", DEEP_DOCUMENTS.values(), ids=DEEP_DOCUMENTS.keys())
+def test_deeply_nested_document_exits_2(tmp_path, command, text):
+    src = tmp_path / "doc.json"
+    src.write_text(text)
+    flag, what = ("-c", "cannot read config") if command == "build" else (
+        "-s", "cannot load schedule")
+    result = _invoke([command, flag, str(src), "-o", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"usage error: {what} {src}: "), result.stderr
+    assert "recursion" in result.stderr
+    assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_every_nesting_depth_exits_2(work, tmp_path, command):
+    # just below the depth the parser refuses, a reader reaches the
+    # recursion limit as it prints the value it refuses
+    flag, doc = ("-c", dict(CONFIG)) if command == "build" else (
+        "-s", json.loads((work / "schedule.json").read_text()))
+    doc["targets"] = {**doc["targets"], "singular": "DEEP"}
+    template = json.dumps(doc)
+    src = tmp_path / "doc.json"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 100, limit + 20):
+        src.write_text(template.replace('"DEEP"', "[" * depth + "]" * depth))
+        result = _invoke([command, flag, str(src), "-o", str(tmp_path / "out")])
+        assert result.exit_code == 2, (depth, result.output)
+    assert list(tmp_path.iterdir()) == [src]
 
 
 def _pinned_cases():

@@ -325,8 +325,13 @@ class TestSpectralDensity:
          (dict(s_max=math.nan), "s_max must be finite and positive"),
          (dict(s_max=math.inf), "s_max must be finite and positive"),
          (dict(s_max=0.0), "s_max must be finite and positive"),
-         (dict(s_max=-1.0), "s_max must be finite and positive")],
-        ids=["even", "one", "negative", "nan", "inf", "zero", "negative-s-max"],
+         (dict(s_max=-1.0), "s_max must be finite and positive"),
+         # the step underflows to a subnormal, rounded up past s_max / 4000
+         (dict(s_max=1e-320), "s_max is too small for increasing samples"),
+         # the step underflows to zero
+         (dict(s_max=5e-324), "s_max is too small for increasing samples")],
+        ids=["even", "one", "negative", "nan", "inf", "zero", "negative-s-max",
+             "subnormal-step", "zero-step"],
     )
     def test_grid_refused_before_the_certificate(self, desk, monkeypatch, grid, said):
         def certificate(*args):
