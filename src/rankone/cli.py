@@ -38,15 +38,14 @@ from .oracle import oracle_correlation
 from .verify import (
     DENSITY_S_MAX,
     DENSITY_SAMPLES,
-    carrying_stages,
     check_dissipativity,
     check_perturbed_limit,
-    check_weak_limits,
     default_pair_family,
     dissipativity_spot_check,
     hitting_report,
-    singularity_evidence,
+    shortfall,
     spectral_density,
+    weak_limits,
 )
 
 DEFAULT_CONFIG: dict = {
@@ -230,9 +229,7 @@ def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
     targets; a kind requested by name must have targets.  ``ratio`` keeps
     the kinds whose targets hold it (perturbed checks use the singular
     targets).  Every planned (kind, ratio) must be checkable on the built
-    stages, or none runs: singular c needs two certified stages carrying c
-    above the pair family's top stage, dissipative d a window of
-    ``Schedule.windows_for``, perturbed c one certified stage carrying c.
+    stages, as ``verify.shortfall`` decides, or none runs.
     """
     if which != "all":
         kinds: tuple[str, ...] = (which,)
@@ -255,37 +252,21 @@ def _verify_plan(sched, which: str, ratio: str | None) -> dict[str, tuple]:
             raise RankOneError(
                 f"{rat_str(only)} is not a {' or '.join(kinds)} target of this schedule"
             )
-    top = max(slab.stage for _, slab in default_pair_family(sched))
-    covers = {
-        "singular": lambda c: len([j for j in carrying_stages(sched, c) if j > top]) >= 2,
-        "dissipative": lambda d: bool(sched.windows_for(d)),
-        "perturbed": lambda c: bool(carrying_stages(sched, c)),
-    }
-    short = [
-        f"{kind} {rat_str(x)}"
-        for kind, ratios in plan.items()
-        for x in ratios
-        if not covers[kind](x)
-    ]
+    short = [f"{kind} {rat_str(x)}" for kind, ratios in plan.items() for x in ratios
+             if shortfall(sched, kind, x)]
     if short:
         raise RankOneError(f"schedule too short to check {', '.join(short)}")
     return plan
 
 
 def _verify_singular(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
-    family = default_pair_family(sched)
     reports = []
     for c in ratios:
-        passing = []
-        for i, (name_a, a) in enumerate(family):
-            for name_b, b in family[i:]:
-                rep = check_weak_limits(a, b, c, sched)
-                reports.append({**write_block(rep), "pair": [name_a, name_b]})
-                if rep["passed"]:
-                    passing.append((name_a, name_b, rep))
-        if passing:
-            ev = write_block(singularity_evidence(c, passing))
-            _write_json(out_dir / f"evidence_{c.numerator}_{c.denominator}.json", ev)
+        entries, evidence = weak_limits(c, sched)
+        reports += map(write_block, entries)
+        if evidence is not None:
+            _write_json(out_dir / f"evidence_{c.numerator}_{c.denominator}.json",
+                        write_block(evidence))
     _write_json(out_dir / "weak_limits.json", reports)
     passed = sum(r["passed"] for r in reports)
     _echo(lines, f"singular: {passed}/{len(reports)} pair checks pass")
@@ -342,12 +323,7 @@ def _verify_dissipative(
 
 
 def _verify_perturbed(sched, ratios, out_dir: Path, lines: list[str]) -> bool:
-    y_name = default_pair_family(sched)[0][0]  # the base slab's name
-    reports = [
-        {**write_block(rep), "pair": [y_name, y_name]}
-        for c in ratios
-        for rep in check_perturbed_limit(c, sched)
-    ]
+    reports = [write_block(rep) for c in ratios for rep in check_perturbed_limit(c, sched)]
     _write_json(out_dir / "perturbed_limits.json", reports)
     passed = sum(r["passed"] for r in reports)
     _echo(lines, f"perturbed: {passed}/{len(reports)} net-point checks pass")

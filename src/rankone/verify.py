@@ -81,6 +81,22 @@ def carrying_stages(sched, c: Rat) -> list[int]:
     return [j for j in sched.certified_windows() if sched.stage(j).ratio == c]
 
 
+def shortfall(sched, kind: str, x: Rat, k: int = 2) -> str:
+    """Why the built stages cannot check ``kind`` at ratio x, or '' if they
+    can: singular x needs two ``carrying_stages`` above the pair's top stage
+    k (2 for ``default_pair_family`` once a stage is certified), dissipative
+    x a window of ``sched.windows_for``, perturbed x one carrying stage."""
+    if kind == "dissipative":
+        return "" if sched.windows_for(x) else (
+            f"schedule too short: no window for d={x} at or above stage "
+            f"{sched.targets.entry_stage(x)} whose dilated top the towers absorb")
+    carrying = carrying_stages(sched, x)
+    if kind == "perturbed":
+        return "" if carrying else f"no certified stage carries c={x}"
+    above = len([j for j in carrying if j > k])
+    return "" if above >= 2 else f"need at least two certified stages above {k} carrying c={x}"
+
+
 def _limit_walk(a: SlabSet, b: SlabSet, c: Rat, stages, sched) -> Iterator[tuple[int, Rat, Rat]]:
     """(j, mu(T_{h_j} A /\\ B), mu(T_{c h_j} A /\\ B)) for each stage j of
     ``stages``: what the exact and the perturbed weak limits compare."""
@@ -103,12 +119,8 @@ def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> dict:
     c = rat(c)
     if c not in sched.targets.singular:
         raise ValueError(f"{rat_str(c)} is not a singular target of this schedule")
-    k = max(a.stage, b.stage)
-    matching = carrying_stages(sched, c)
-    if len([j for j in matching if j > k]) < 2:
-        raise RankOneError(
-            f"need at least two certified stages above {k} carrying c={c}"
-        )
+    if why := shortfall(sched, "singular", c, max(a.stage, b.stage)):
+        raise RankOneError(why)
     mu_ab = correlation(a, b, ZERO, sched)
     target = mu_ab / 4
     product_target = mu_ab * mu_ab / 16
@@ -122,7 +134,7 @@ def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> dict:
             "product": v1 * v2,
             "product_match": v1 * v2 == product_target,
         }
-        for j, v1, v2 in _limit_walk(a, b, c, matching, sched)
+        for j, v1, v2 in _limit_walk(a, b, c, carrying_stages(sched, c), sched)
     )
     # the identities hold for all sufficiently large stages: report the
     # start of the maximal suffix on which both hold at every stage
@@ -141,6 +153,21 @@ def check_weak_limits(a: SlabSet, b: SlabSet, c, sched) -> dict:
         "factor_limit_constant": QUARTER,
         "product_limit_constant": Fraction(1, 16),
     }
+
+
+def weak_limits(c, sched) -> tuple[list[dict], dict | None]:
+    """The ``weak_limits.json`` entries of ratio c, one per unordered pair of
+    ``default_pair_family`` in family order and naming it in ``pair``, and
+    the ``evidence_<c>.json`` document of those that pass (None if none does)."""
+    family = default_pair_family(sched)
+    entries, passing = [], []
+    for i, (name_a, a) in enumerate(family):
+        for name_b, b in family[i:]:
+            rep = check_weak_limits(a, b, c, sched)
+            entries.append({**rep, "pair": (name_a, name_b)})
+            if rep["passed"]:
+                passing.append((name_a, name_b, rep))
+    return entries, singularity_evidence(c, passing) if passing else None
 
 
 def singularity_evidence(c, reports: Sequence[tuple[str, str, dict]]) -> dict:
@@ -192,14 +219,10 @@ def check_dissipativity(d, sched) -> dict:
     least one.  It passes iff on every window the set
     {t : rho(t) > 0 and rho(d t) > 0} is exactly empty."""
     d = rat(d)
-    windows = sched.windows_for(d)
-    if not windows:
-        raise RankOneError(
-            f"schedule too short: no window for d={d} at or above stage "
-            f"{sched.targets.entry_stage(d)} whose dilated top the towers absorb"
-        )
+    if why := shortfall(sched, "dissipative", d):
+        raise RankOneError(why)
     verdicts = []
-    for j in windows:
+    for j in sched.windows_for(d):
         witness = find_dissipativity_witness(sched, d, j)
         verdicts.append({
             "window": j,
@@ -259,10 +282,10 @@ def perturbation_tolerance(sched, j: int) -> Rat:
 
 
 def check_perturbed_limit(c, sched) -> list[dict]:
-    """One ``perturbed_limits.json`` entry for Y = ``base_slab(sched)``
-    against itself per net point that the certified stages carrying c
-    visit, in first-visit order: a convergence check toward the translated
-    limit (1/16) T_{-a} x T_{-b}.
+    """One ``perturbed_limits.json`` entry for the base slab Y, the first of
+    ``default_pair_family`` and named in its ``pair``, against itself per
+    net point that the certified stages carrying c visit, in first-visit
+    order: a convergence check toward the translated limit (1/16) T_{-a} x T_{-b}.
 
     At each certified stage carrying (c, a, b) the correlation at the
     tower height is compared with a quarter of the correlation of the
@@ -275,12 +298,12 @@ def check_perturbed_limit(c, sched) -> list[dict]:
     c = rat(c)
     if sched.perturbation is None:
         raise RankOneError("schedule was built without perturbations")
+    if why := shortfall(sched, "perturbed", c):
+        raise RankOneError(why)
     visits: dict[tuple[Rat, Rat], list[int]] = {}
     for j in carrying_stages(sched, c):
         visits.setdefault(sched.delta_pair(j), []).append(j)
-    if not visits:
-        raise RankOneError(f"no certified stage carries c={c}")
-    y = base_slab(sched)
+    name, y = default_pair_family(sched)[0]
     reports = []
     for (a_shift, b_shift), stages in visits.items():
         limit_h = correlation(y, y, -a_shift, sched) / 4
@@ -298,6 +321,7 @@ def check_perturbed_limit(c, sched) -> list[dict]:
             })
         reports.append({
             "ratio": c,
+            "pair": (name, name),
             "point": (a_shift, b_shift),
             "limit_at_height": limit_h,
             "limit_at_stretched_height": limit_c,

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import rankone.verify as verify
 from rankone.cli import load_config, schedule_from_config
 from rankone.construction import PerturbationSpec, TargetSets, build_schedule, write_block
 from rankone.errors import NotDissipative, RankOneError
@@ -28,7 +29,17 @@ from rankone.verify import (
     perturbation_tolerance,
     singularity_evidence,
     spectral_density,
+    weak_limits,
 )
+
+from conftest import DESK_TARGETS
+
+
+@pytest.fixture(scope="module")
+def desk6():
+    """Desk's targets at 6 stages: 3/2 is carried at certified stages 1, 2
+    and 4, 5/2 at stage 3 alone."""
+    return build_schedule(1, 1, TargetSets(**DESK_TARGETS), 6)
 
 
 class TestWeakLimits:
@@ -78,10 +89,40 @@ class TestWeakLimits:
         with pytest.raises(ValueError, match="^7/1 is not a singular target of this schedule$"):
             check_weak_limits(y, y, 7, desk)
 
-    def test_needs_two_stages_above(self, tiny):
-        y = base_slab(tiny)
-        with pytest.raises(RankOneError, match="need at least two certified stages above 1 carrying c=3/2"):
-            check_weak_limits(y, y, F(3, 2), tiny)
+    def test_needs_two_stages_above(self, tiny, desk6):
+        # tiny certifies no stage; desk6 carries 5/2 at one stage above the
+        # base slab's, and 3/2 at one stage above a stage-2 slab's
+        y2 = default_pair_family(desk6)[-1][1]
+        for sched, y, c, k in ((tiny, base_slab(tiny), "3/2", 1),
+                               (desk6, base_slab(desk6), "5/2", 1), (desk6, y2, "3/2", 2)):
+            with pytest.raises(
+                RankOneError, match=f"^need at least two certified stages above {k} carrying c={c}$"
+            ):
+                check_weak_limits(y, y, F(c), sched)
+
+    def test_entries_name_every_family_pair(self, desk):
+        names = [name for name, _ in default_pair_family(desk)]
+        entries, evidence = weak_limits(F(5, 2), desk)
+        assert [e["pair"] for e in entries] == [
+            (a, b) for i, a in enumerate(names) for b in names[i:]
+        ]
+        fam = dict(default_pair_family(desk))
+        for e in entries:
+            assert e == {**check_weak_limits(*map(fam.get, e["pair"]), F(5, 2), desk),
+                         "pair": e["pair"]}
+        passing = [(*e["pair"], e) for e in entries if e["passed"]]
+        assert evidence == singularity_evidence(F(5, 2), passing)
+
+    def test_no_evidence_without_a_passing_pair(self, desk, monkeypatch):
+        # the pair checks are looked up in the module, where a wrapper may replace them
+        check = verify.check_weak_limits
+        monkeypatch.setattr(
+            verify, "check_weak_limits", lambda *args: {**check(*args), "passed": False}
+        )
+        entries, evidence = weak_limits(F(3, 2), desk)
+        n = len(default_pair_family(desk))
+        assert len(entries) == n * (n + 1) // 2
+        assert evidence is None
 
 
 class TestDefaultPairFamily:
@@ -221,6 +262,7 @@ class TestPerturbedLimits:
     def test_zero_point_reduces_to_weak_limit(self, desk_perturbed):
         rep = check_perturbed_limit(F(3, 2), desk_perturbed)[0]
         assert rep["point"] == (0, 0)
+        assert rep["pair"] == ("stage1_full", "stage1_full")
         assert rep["passed"]
         assert rep["limit_at_height"] == rep["limit_at_stretched_height"] == F(1, 4)
         assert all(
@@ -259,6 +301,27 @@ class TestPerturbedLimits:
         )
         with pytest.raises(RankOneError, match="^no certified stage carries c=5/2$"):
             check_perturbed_limit(F(5, 2), sched)
+
+    def test_point_fails_on_its_second_to_last_stage(self, monkeypatch):
+        # desk's targets at 24 stages visit ratio 3/2's point (0, 0) at
+        # stages 1 and 18; at stage 1 both errors are 1/8, within 4 w_1 = 4
+        sched = build_schedule(1, 1, TargetSets(**DESK_TARGETS), 24,
+                               perturbation=PerturbationSpec(net_depth=1))
+
+        def zero_point():
+            return next(r for r in check_perturbed_limit(F(3, 2), sched) if r["point"] == (0, 0))
+
+        rep = zero_point()
+        assert [ch["stage"] for ch in rep["stages"]] == [1, 18]
+        first = rep["stages"][0]
+        assert first["error_at_height"] == first["error_at_stretched_height"] == F(1, 8)
+        assert rep["passed"]
+        tolerance = verify.perturbation_tolerance
+        monkeypatch.setattr(verify, "perturbation_tolerance",
+                            lambda s, j: F(1, 16) if j == 1 else tolerance(s, j))
+        rep = zero_point()
+        assert [ch["within"] for ch in rep["stages"]] == [False, True]
+        assert not rep["passed"]
 
     def test_requires_perturbed_schedule(self, desk):
         with pytest.raises(RankOneError, match="schedule was built without perturbations"):
