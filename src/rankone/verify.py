@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from operator import add, floordiv, lt
+from itertools import chain, combinations, islice, repeat
+from operator import add, floordiv, lt, sub
 from typing import Iterator, Sequence
 
 from .errors import NotDissipative, RankOneError
@@ -524,66 +524,51 @@ def window_landmarks(sched, j: int) -> dict[str, Rat]:
     }
 
 
-def landmark_terms(landmarks: dict[str, Rat]) -> tuple[tuple[str, int, int], ...]:
-    """The positive landmarks as (name, numerator, denominator), in dict
-    order: taken apart once per window, not once per label."""
-    return tuple((name, v.numerator, v.denominator) for name, v in landmarks.items() if v > 0)
+def annotate_landmark(landmarks: dict[str, Rat], t: Rat) -> str:
+    """Label time t > 0 with its nearest landmark of ``window_landmarks``, the
+    positive v with the least ratio max(t/v, v/t), if that ratio is at most
+    2; on a tie the first landmark in dict order wins."""
+    ratio, name = min(((max(t / v, v / t), name) for name, v in landmarks.items() if v > 0),
+                      key=lambda pair: pair[0], default=(3, "unresolved"))
+    return name if ratio <= 2 else "unresolved"
 
 
-def annotate_landmark(terms: tuple[tuple[str, int, int], ...], tn: int, td: int) -> str:
-    """Label t = tn/td with the nearest landmark if their ratio is within [1/2, 2].
+def _label_cuts(landmarks: dict[str, Rat], td: int) -> tuple[list[int], list[str]]:
+    """The midpoints m >= 1, ascending, at which the label of time m/td can
+    change, and ``annotate_landmark``'s label from each one on.
 
-    ``terms`` is ``landmark_terms(window_landmarks(sched, j))``; tn/td need
-    not be reduced, but td > 0.  Ratios are compared by cross-multiplying
-    numerators and denominators; on a tie the first landmark wins.
-    """
-    best_name, best_num, best_den = "unresolved", 0, 0
-    for name, vn, vd in terms:
-        num, den = tn * vd, td * vn  # t / val
-        if num < den:
-            num, den = den, num  # val / t, the ratio that is >= 1
-        if num <= 2 * den and (best_den == 0 or num * best_den < best_num * den):
-            best_name, best_num, best_den = name, num, den
-    return best_name
-
-
-def _block_labels(terms: tuple[tuple[str, int, int], ...], mids: list[int], td: int) -> list[str]:
-    """``annotate_landmark(terms, m, td)`` for each of the strictly
-    increasing midpoints m in ``mids``, found block by block.
-
-    A landmark's label holds on one interval of t, its nearest-in-log cell
-    within [v/2, 2v], so its block ends where a bisection first finds
-    another label.  "unresolved" holds between those intervals: its block
-    ends at the first midpoint reaching the next landmark's v/2.
-    """
-    # the least midpoint at or above each landmark's lower reach v/2
-    reach = sorted(-(-vn * td // (2 * vd)) for _, vn, vd in terms)
-    labels: list[str] = []
-    i, n = 0, len(mids)
-    while i < n:
-        name = annotate_landmark(terms, mids[i], td)
-        if name == "unresolved":
-            r = bisect_right(reach, mids[i])
-            end = bisect_left(mids, reach[r], i + 1) if r < len(reach) else n
-        else:
-            end = bisect_left(range(n), True, i + 1,
-                              key=lambda x: annotate_landmark(terms, mids[x], td) != name)
-        labels += repeat(name, end - i)
-        i = end
-    return labels
+    A landmark v is eligible on [v/2, 2v], both ends included, and of two
+    landmarks v1 < v2 the lesser is nearer below t^2 = v1 v2 and the greater
+    above it (an exact tie keeps the first in dict order at that point
+    only); between these cuts no eligibility and no comparison changes, so
+    neither does the label."""
+    vs = [v for v in landmarks.values() if v > 0]
+    cuts = {1}
+    for v in vs:
+        cuts |= {math.ceil(v * td / 2), math.floor(2 * v * td) + 1}
+    for v1, v2 in combinations(vs, 2):
+        # m^2 <= ceil(v1 v2 td^2) < (m + 1)^2: the pair's order flips at m or m + 1
+        m = math.isqrt(math.ceil(v1 * v2 * td * td))
+        cuts |= {m, m + 1}
+    cuts = sorted(cuts)
+    return cuts, [annotate_landmark(landmarks, Fraction(m, td)) for m in cuts]
 
 
-def _report_chunks(scale: int, runs: Iterator[tuple[int, int]], terms, tail: str) -> Iterator[str]:
+def _report_chunks(scale: int, runs: Iterator[tuple[int, int]], landmarks, tail: str) -> Iterator[str]:
     """The report's text from its integer runs on 1/scale, ``_CHUNK_RUNS``
     entries at a time: each chunk reduces its endpoints in one ``gcd`` pass,
-    labels its midpoints by blocks and fills one template with one ``%``."""
+    labels its midpoints from the window's ``_label_cuts`` (one bisection
+    per cut) and fills one template with one ``%``."""
+    cuts, names = _label_cuts(landmarks, 2 * scale)
     yield '{\n  "intervals": ['
     sep = ""
     while chunk := list(islice(runs, _CHUNK_RUNS)):
         ends = list(chain.from_iterable(chunk))
         gs = list(map(math.gcd, ends, repeat(scale)))
         fracs = chain.from_iterable(zip(map(floordiv, ends, gs), map(floordiv, repeat(scale), gs)))
-        labels = _block_labels(terms, list(map(add, ends[::2], ends[1::2])), 2 * scale)
+        mids = list(map(add, ends[::2], ends[1::2]))
+        starts = [bisect_left(mids, m) for m in cuts]
+        labels = chain.from_iterable(map(repeat, names, map(sub, starts[1:] + [len(mids)], starts)))
         values = tuple(chain.from_iterable(zip(fracs, fracs, fracs, fracs, labels)))
         yield sep + ",".join(repeat(_ENTRY, len(chunk))) % values
         sep = ","
@@ -606,4 +591,4 @@ def hitting_report(sched, j: int) -> Iterator[str]:
     scale, runs = _hitting_runs(y, y, *window, sched)
     w_lo, w_hi = map(rat_str, window)
     tail = f',\n  "range": [\n    "{w_lo}",\n    "{w_hi}"\n  ],\n  "window": {j}\n}}\n'
-    return _report_chunks(scale, runs, landmark_terms(window_landmarks(sched, j)), tail)
+    return _report_chunks(scale, runs, window_landmarks(sched, j), tail)

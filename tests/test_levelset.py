@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rankone import levelset
+from rankone import levelset, verify
 from rankone.construction import (
     Schedule,
     StagePolicy,
@@ -30,13 +30,12 @@ from rankone.levelset import (
     min_valid_stage,
 )
 from rankone.verify import (
-    _block_labels,
+    _label_cuts,
     annotate_landmark,
     check_weak_limits,
     default_pair_family,
     dissipativity_spot_check,
     hitting_report,
-    landmark_terms,
     window_landmarks,
 )
 
@@ -650,7 +649,8 @@ class TestMergeRuns:
 
 
 class TestLandmarkLabels:
-    """Lattice landmark labels against the Fraction formula they replace."""
+    """Landmark labels and the report's cut table against the Fraction
+    formula, stated here on its own."""
 
     @staticmethod
     def reference(landmarks, t):
@@ -662,6 +662,17 @@ class TestLandmarkLabels:
             if r <= 2 and (best_ratio is None or r < best_ratio):
                 best_name, best_ratio = name, r
         return best_name
+
+    @staticmethod
+    def report_labels(landmarks, mids, td):
+        """The labels the report writes for runs at the increasing times
+        m/td: on the lattice of 1/(2 td), the run (2m - 1, 2m + 1) has the
+        midpoint sum 4m, which the report reads as time 4m/(4 td)."""
+        cuts, names = _label_cuts(landmarks, 4 * td)
+        assert cuts == sorted(set(cuts)) and cuts[0] == 1 and len(cuts) <= 21
+        runs = iter([(2 * m - 1, 2 * m + 1) for m in mids])
+        text = "".join(verify._report_chunks(2 * td, runs, landmarks, "\n}\n"))
+        return [entry["landmark"] for entry in json.loads(text)["intervals"]]
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -687,11 +698,7 @@ class TestLandmarkLabels:
         else:
             t = data.draw(st.fractions(min_value=0, max_value=120), label="t")
         assume(t > 0)
-        k = data.draw(st.integers(1, 12), label="unreduced by")
-        expected = self.reference(landmarks, t)
-        terms = landmark_terms(landmarks)
-        assert annotate_landmark(terms, t.numerator, t.denominator) == expected
-        assert annotate_landmark(terms, k * t.numerator, k * t.denominator) == expected
+        assert annotate_landmark(landmarks, t) == self.reference(landmarks, t)
 
     @pytest.mark.parametrize(
         "landmarks, t, expected",
@@ -705,20 +712,23 @@ class TestLandmarkLabels:
     )
     def test_ties_keep_the_first_landmark(self, landmarks, t, expected):
         assert self.reference(landmarks, t) == expected
-        terms = landmark_terms(landmarks)
-        assert annotate_landmark(terms, t.numerator, t.denominator) == expected
-        tn, td = 6 * t.numerator, 6 * t.denominator  # unreduced
-        assert annotate_landmark(terms, tn, td) == expected
+        assert annotate_landmark(landmarks, t) == expected
+        # the report keeps the tie at that point only
+        td = 4 * t.denominator
+        assert self.report_labels(landmarks, [int(t * td)], td) == [expected]
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_block_labels_equal_labels_run_by_run(self, data):
-        """The report labels its increasing midpoints block by block, by
-        bisection; each label must be ``annotate_landmark``'s.  Midpoints
-        sit on and beside every label edge: equal landmark values, exact
-        ties at t^2 = v1*v2 in both dict orders, and gaps wider than 4x
-        between landmarks, which leave several unresolved blocks."""
-        kind = data.draw(st.sampled_from(["equal", "tie", "gaps", "any"]), label="kind")
+        """The report labels its runs in blocks, one block per cut of its
+        window's table; each label must be ``annotate_landmark``'s.
+        Midpoints sit on and beside every label edge, on a lattice fine
+        enough to hit each edge and on a coarse one: equal landmark values,
+        exact ties at t^2 = v1*v2 in both dict orders, gaps wider than 4x
+        between landmarks, which leave several unresolved stretches, and
+        non-positive values."""
+        kind = data.draw(st.sampled_from(["equal", "tie", "gaps", "nonpositive", "any"]),
+                         label="kind")
         pos = st.fractions(min_value=F(1, 12), max_value=60, max_denominator=12)
         if kind == "equal":
             v = data.draw(pos, label="v")
@@ -733,46 +743,53 @@ class TestLandmarkLabels:
             for _ in range(data.draw(st.integers(2, 4), label="landmarks")):
                 values.append(v)
                 v *= data.draw(st.integers(5, 12), label="gap")
+        elif kind == "nonpositive":
+            values = [data.draw(pos, label="v"), F(0), data.draw(pos, label="w"), F(-3, 2)]
         else:
             values = data.draw(st.lists(
                 st.fractions(min_value=-2, max_value=60, max_denominator=12), min_size=1, max_size=4
             ), label="values")
         if data.draw(st.booleans(), label="reversed"):
             values.reverse()
-        terms = landmark_terms(dict(zip("abcd", values)))
+        landmarks = dict(zip("abcd", values))
+        positive = [v for v in values if v > 0]
         # the label edges: v/2, v and 2v, and every rational tie sqrt(v1 v2)
-        edges = [e for _, vn, vd in terms for e in (F(vn, 2 * vd), F(vn, vd), F(2 * vn, vd))]
-        for (_, n1, d1), (_, n2, d2) in itertools.combinations(terms, 2):
-            num, den = n1 * n2, d1 * d2
-            if math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den:
-                edges.append(F(math.isqrt(num), math.isqrt(den)))
-        # a lattice fine enough for a point strictly inside every gap
-        td = 4 * math.lcm(*(e.denominator for e in edges)) * data.draw(st.integers(1, 3), label="k")
-        points = {int(e * td) + k for e in edges for k in (-1, 0, 1)}
+        edges = [e for v in positive for e in (v / 2, v, 2 * v)]
+        for v1, v2 in itertools.combinations(positive, 2):
+            num, den = math.isqrt((v1 * v2).numerator), math.isqrt((v1 * v2).denominator)
+            if F(num, den) ** 2 == v1 * v2:
+                edges.append(F(num, den))
+        fine = data.draw(st.booleans(), label="fine lattice")
+        if fine:
+            # fine enough for a point on every edge and strictly inside every gap
+            td = 4 * math.lcm(1, *(e.denominator for e in edges))
+            td *= data.draw(st.integers(1, 3), label="k")
+        else:  # a coarse one, whose points fall beside the edges
+            td = data.draw(st.integers(1, 60), label="td")
+        points = {math.floor(e * td) + k for e in edges for k in (-1, 0, 1, 2)}
         points |= set(data.draw(st.lists(st.integers(1, 130 * td), max_size=20), label="more"))
         mids = sorted(m for m in points if m > 0)
-        labels = _block_labels(terms, mids, td)
-        assert labels == [annotate_landmark(terms, m, td) for m in mids]
-        if kind == "gaps":
-            blocks = [name for name, _ in itertools.groupby(labels)]
-            assert blocks.count("unresolved") >= 3
+        labels = self.report_labels(landmarks, mids, td)
+        assert labels == [annotate_landmark(landmarks, F(m, td)) for m in mids]
+        if kind == "gaps" and fine:
+            stretches = [name for name, _ in itertools.groupby(labels)]
+            assert stretches.count("unresolved") >= 3
 
     @pytest.mark.parametrize(
         "name, j", [("desk", 2), ("desk", 3), ("deep16", 3), ("broken", 4), ("broken", 5)]
     )
     def test_block_labels_on_report_windows(self, request, name, j):
-        """The block labels of every run of a report window, against
-        ``annotate_landmark`` run by run."""
+        """The label of every run of a report window, as the report writes
+        it, against ``annotate_landmark`` at the run's midpoint."""
         sched = request.getfixturevalue(name)
         y = base_slab(sched)
         scale, runs = levelset._hitting_runs(y, y, sched.height(j), sched.height(j + 1), sched)
         mids = [lo + hi for lo, hi in runs]
-        terms = landmark_terms(window_landmarks(sched, j))
-        assert _block_labels(terms, mids, 2 * scale) == [
-            annotate_landmark(terms, m, 2 * scale) for m in mids
+        written = json.loads("".join(hitting_report(sched, j)))["intervals"]
+        landmarks = window_landmarks(sched, j)
+        assert [entry["landmark"] for entry in written] == [
+            annotate_landmark(landmarks, F(m, 2 * scale)) for m in mids
         ]
-
-
 class TestSlabSet:
     def test_frozen(self, desk):
         y = base_slab(desk)
@@ -833,14 +850,20 @@ class TestWitnessSearch:
             intersect(r_set, scale(r_dil, 1 / d)), IntervalSet([(n, hi + 1)])
         )
 
-    def test_matches_hitting_set_composition(self, desk, broken):
-        for sched in (desk, broken):
-            for d in (F(2), F(3)):
-                for j in (2, 3):
-                    if sched.targets.entry_stage(d) > j:
-                        continue
-                    paired = find_dissipativity_witness(sched, d, j)
-                    assert paired == self.composed_witness(sched, d, j)
+    def test_matches_hitting_set_composition(self, desk, broken, deep16):
+        # every window up to 4 of each dissipative ratio: at window 5 desk's
+        # hitting sets for d = 2 already hold 79,093 and 204,321 runs
+        windows = [
+            (sched, d, j)
+            for sched in (desk, broken, deep16)
+            for d in sched.targets.dissipative
+            for j in sched.windows_for(d)
+            if j <= 4
+        ]
+        assert len(windows) == 15
+        for sched, d, j in windows:
+            paired = find_dissipativity_witness(sched, d, j)
+            assert paired == self.composed_witness(sched, d, j)
 
     def test_collision_when_entry_forced_to_one(self):
         targets = TargetSets(

@@ -323,6 +323,27 @@ class TestPerturbedLimits:
         assert [ch["within"] for ch in rep["stages"]] == [False, True]
         assert not rep["passed"]
 
+    @pytest.mark.parametrize("widths, passed", [(5, False), (3, True)])
+    def test_error_between_tolerances(self, desk_perturbed, monkeypatch, widths, passed):
+        """An error of 5 w_j at every checked stage of a point lies outside
+        the 4 w_j sliver budget and fails the point; 3 w_j lies inside it
+        and passes.  The walk is patched to give each point's exact limit
+        plus that error at the height, and the exact limit at the
+        stretched height."""
+        def walk(a, b, c, stages, sched):
+            for j in stages:
+                shift_a, shift_b = sched.delta_pair(j)
+                yield (j, correlation(a, b, -shift_a, sched) / 4 + widths * sched.width(j),
+                       correlation(a, b, -shift_b, sched) / 4)
+
+        monkeypatch.setattr(verify, "_limit_walk", walk)
+        for c in desk_perturbed.targets.singular:
+            for rep in check_perturbed_limit(c, desk_perturbed):
+                for ch in rep["stages"]:
+                    assert ch["error_at_height"] == widths * desk_perturbed.width(ch["stage"])
+                    assert ch["error_at_stretched_height"] == 0
+                assert rep["passed"] is passed
+
     def test_requires_perturbed_schedule(self, desk):
         with pytest.raises(RankOneError, match="schedule was built without perturbations"):
             check_perturbed_limit(F(3, 2), desk)
@@ -474,6 +495,19 @@ class TestHittingReport:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "719f08f33959b152c98d5bda43f9e58c7d888be0001a73d250b69e4dba264560"
         )
+
+    @pytest.mark.parametrize("j, chunk", [(4, 1), (5, 2048)])
+    def test_labels_once_per_cut(self, broken, monkeypatch, j, chunk):
+        """The report asks ``annotate_landmark`` once per cut of its
+        window's table, at most 1 + 8 + 12 = 21 times, however many runs
+        and chunks it writes."""
+        label, calls = verify.annotate_landmark, []
+        monkeypatch.setattr(verify, "_CHUNK_RUNS", chunk)
+        monkeypatch.setattr(verify, "annotate_landmark",
+                            lambda landmarks, t: calls.append(t) or label(landmarks, t))
+        text = "".join(hitting_report(broken, j))
+        assert len(json.loads(text)["intervals"]) > 2048
+        assert 1 <= len(calls) == len(set(calls)) <= 21
 
     def test_stream_peak_below_its_text(self, broken):
         """Consuming the report of broken window 5 chunk by chunk never
