@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -32,7 +33,7 @@ from .construction import (
     write_block,
 )
 from .errors import EscalationExhausted, HorizonExceeded, NotDissipative, RankOneError
-from .exactnum import rat_str
+from .exactnum import denominator_lcm, rat_str
 from .levelset import base_slab, correlation, correlation_profile, horizon
 from .oracle import oracle_correlation
 from .verify import (
@@ -377,6 +378,31 @@ def verify(schedule, which, out, jobs, seed, spot_checks, ratio):
     print(verdict, flush=True)
 
 
+def _float_samples(prof, lo, hi, n: int):
+    """(float(t), float(prof.value_at(t))) at the n + 1 times
+    t = lo + (hi - lo) i / n, the rows of ``profile.csv``.
+
+    No ``Fraction`` is built per sample: the times and breakpoints are
+    scaled to integers on n times their common denominator, the values on
+    theirs, and each float is one int / int true division, which rounds
+    correctly, as ``float`` of the exact ``Fraction`` does."""
+    scale = n * denominator_lcm([lo, hi, *prof.breakpoints])
+    vscale = denominator_lcm(prof.values)
+    bs = [x.numerator * (scale // x.denominator) for x in prof.breakpoints]
+    ws = [v.numerator * (vscale // v.denominator) for v in prof.values]
+    first = lo.numerator * (scale // lo.denominator)
+    step = (hi.numerator * (scale // hi.denominator) - first) // n
+    for t in (first + step * i for i in range(n + 1)):
+        if t <= bs[0]:
+            yield t / scale, ws[0] / vscale
+        elif t >= bs[-1]:
+            yield t / scale, ws[-1] / vscale
+        else:
+            i = bisect_right(bs, t) - 1
+            b0, b1, w0 = bs[i], bs[i + 1], ws[i]
+            yield t / scale, (w0 * (b1 - b0) + (ws[i + 1] - w0) * (t - b0)) / (vscale * (b1 - b0))
+
+
 def profile(schedule, out, t_min, t_max, samples, window_index):
     """Emit the exact self-correlation profile of the base slab as CSV."""
     out_dir = Path(out)
@@ -394,8 +420,7 @@ def profile(schedule, out, t_min, t_max, samples, window_index):
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "profile.csv").open("w") as csv:
         csv.write("t,value\n")
-        ts = (lo + (hi - lo) * Fraction(i, samples) for i in range(samples + 1))
-        csv.writelines(f"{float(t):.12e},{float(prof.value_at(t)):.12e}\n" for t in ts)
+        csv.writelines(f"{t:.12e},{v:.12e}\n" for t, v in _float_samples(prof, lo, hi, samples))
     _write_json(
         out_dir / "profile.json",
         write_block({"t_min": lo, "t_max": hi, "breakpoints": prof.breakpoints,

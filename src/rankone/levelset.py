@@ -17,8 +17,9 @@ Everything the verification layer needs reduces to three exact computations:
   the resulting trapezoid slope events; hitting sets skip the sweep and
   merge the trapezoids' supports, enumerated one stage short: the pair
   stage's supports merge once into a template, shifted by every partial
-  sum of the stages above; the shifted runs are merged and clipped lazily,
-  so a report can be written run by run without holding the set;
+  sum of the stages above; the shifted runs are merged and clipped a block
+  of partial sums at a time, so a report can be written block by block
+  without holding the set;
 * an empty-intersection witness search for pairs (t, d*t), run as a
   paired DFS over two pattern stacks so the huge hitting sets of top-level
   windows never have to be materialized.
@@ -26,13 +27,12 @@ Everything the verification layer needs reduces to three exact computations:
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
-from math import ceil, lcm
-from operator import add
+from itertools import chain, compress, repeat
+from math import lcm
+from operator import add, lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import HorizonExceeded, RankOneError
@@ -66,13 +66,18 @@ def base_slab(sched) -> SlabSet:
 # lifting to a tower
 
 
+def _scaled(x: Rat, scale: int) -> int:
+    """x on the lattice of 1/scale, whose denominator divides scale."""
+    return x.numerator * (scale // x.denominator)
+
+
 def _lift(sched, s: SlabSet, k: int, scale: int) -> list[tuple[int, int]]:
     """The levels of slab ``s`` in tower ``k`` as integer runs on 1/scale, a
     multiple of the lattice unit: its own levels scaled once, then copied
     through the column offsets of stages s.stage..k-1 and merged."""
     unit, _, _, _, offsets = _lattice(sched)
     m = scale // unit
-    runs = [(int(lo * scale), int(hi * scale)) for lo, hi in s.levels.intervals]
+    runs = [(_scaled(lo, scale), _scaled(hi, scale)) for lo, hi in s.levels.intervals]
     for st in range(s.stage, k):
         runs = list(merge_sorted([(lo + m * o, hi + m * o)
                                   for o in offsets[st] for lo, hi in runs]))
@@ -89,7 +94,8 @@ def min_valid_stage(s: SlabSet, t, sched) -> int:
     if s.levels.is_empty():
         return s.stage
     unit, _, reach, room, _ = _lattice(sched)
-    need = ceil((s.levels.intervals[-1][1] + t) * unit) - reach[s.stage - 1]
+    top = s.levels.intervals[-1][1] + t
+    need = -(-top.numerator * unit // top.denominator) - reach[s.stage - 1]
     j = bisect_left(room, need, s.stage)
     if j > sched.num_stages:
         raise HorizonExceeded(f"time {t} exceeds what the {sched.num_stages}-stage "
@@ -135,23 +141,45 @@ class PiecewiseLinear:
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
-def _merge_runs(pieces: Iterable[tuple], lo, hi) -> Iterator[tuple]:
-    """``merge_sorted(pieces)`` clipped to [lo, hi), lazily: every run
-    clipped, the empty ones dropped.  The runs come sorted and disjoint, so
-    those ending by lo are skipped and the first starting at hi ends it."""
+def _piece_columns(starts: list[int], ends: list[int]) -> tuple[list[int], list[int]]:
+    """The nonempty half-open pieces [starts[i], ends[i]), given in any
+    order, as the two columns ``_union`` takes: their starts and their
+    ends, each sorted on its own."""
+    keep = list(map(lt, starts, ends))
+    return sorted(compress(starts, keep)), sorted(compress(ends, keep))
+
+
+def _union(starts: list[int], ends: list[int]) -> tuple[list[int], list[int]]:
+    """The runs covering nonempty half-open pieces, given the pieces' starts
+    and their ends each sorted on its own, as two columns (run starts, run
+    ends).  A run closes at ``ends[i-1]`` exactly when ``ends[i-1] <
+    starts[i]``: the i pieces that start first have all ended before any
+    other starts.  The test is strict, so touching pieces merge, as
+    ``merge_sorted`` merges them."""
+    if not starts:
+        return [], []
+    rest = starts[1:]
+    gaps = list(map(lt, ends, rest))
+    return [starts[0], *compress(rest, gaps)], [*compress(ends, gaps), ends[-1]]
+
+
+def _clip(run_lo: list[int], run_hi: list[int], lo, hi) -> tuple[list[int], list[int]]:
+    """Sorted disjoint runs clipped to [lo, hi): the runs ending by lo and
+    those starting at hi or later drop, and the first and last are cut."""
     if lo >= hi:
-        return
-    for a, b in merge_sorted(pieces):
-        if b <= lo:
-            continue
-        if a >= hi:
-            return
-        yield (a if a > lo else lo), (b if b < hi else hi)
+        return [], []
+    i, i2 = bisect_right(run_hi, lo), bisect_left(run_lo, hi)
+    run_lo, run_hi = run_lo[i:i2], run_hi[i:i2]
+    if run_lo:
+        run_lo[0], run_hi[-1] = max(run_lo[0], lo), min(run_hi[-1], hi)
+    return run_lo, run_hi
 
 
-def _lattice_set(unit: int, runs: Iterable[tuple]) -> IntervalSet:
-    """The runs [lo, hi) in units of 1/unit, one ``Fraction`` per endpoint."""
-    return IntervalSet((Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in runs)
+def _lattice_set(unit: int, blocks: Iterable[tuple[list[int], list[int]]]) -> IntervalSet:
+    """The runs [lo, hi) of the (run starts, run ends) blocks in units of
+    1/unit, one ``Fraction`` per endpoint."""
+    return IntervalSet((Fraction(lo, unit), Fraction(hi, unit))
+                       for run_lo, run_hi in blocks for lo, hi in zip(run_lo, run_hi))
 
 
 def _lattice(sched) -> tuple[int, list, list[int], list[int], list[list[int]]]:
@@ -240,9 +268,9 @@ def _lattice_window(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched, skip: i
     unit, _, reach, _, _ = _lattice(sched)
     scale = lcm(unit, denominator_lcm(ends))
     las, lbs = _lift(sched, a, k, scale), _lift(sched, b, k, scale)
-    w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
+    w_lo_s, w_hi_s = _scaled(w_lo, scale), _scaled(w_hi, scale)
     low = min(k + skip, j)
-    pad = int(sched.height(k) * scale) + scale // unit * (reach[low - 1] - reach[k - 1])
+    pad = _scaled(sched.height(k), scale) + scale // unit * (reach[low - 1] - reach[k - 1])
     patterns = _pattern_sums(sched, low, j, scale, w_lo_s - pad, w_hi_s + pad)
     return j, k, scale, w_lo_s, w_hi_s, las, lbs, patterns
 
@@ -319,9 +347,16 @@ def correlation(a: SlabSet, b: SlabSet, t, sched) -> Rat:
     return sched.width(j) * Fraction(value, scale)
 
 
+# partial sums shifted and merged per block of the hitting runs: a block's
+# columns hold this many entries per template run, so the runs a report
+# holds at once are bounded by the block, not by the window
+_BLOCK = 1024
+
+
 def _hitting_runs(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
-    """The lattice scale and an iterator over the integer runs [lo, hi) of
-    ``hitting_set`` on [w_lo, w_hi], in increasing order.
+    """The lattice scale and an iterator over the runs [lo, hi) of
+    ``hitting_set`` on [w_lo, w_hi], as integer blocks (run starts, run
+    ends) in increasing order.
 
     The set is the union of the supports (p + v + c1, p + v + c4), with
     c1 = qlo - phi and c4 = qhi - plo for base intervals [plo, phi) of a
@@ -329,20 +364,42 @@ def _hitting_runs(a: SlabSet, b: SlabSet, w_lo: Rat, w_hi: Rat, sched):
     stages k+1..j-1 and v an offset difference of the pair stage k (only 0
     when k == j).  That is the union over the partials p of p + C, where the
     template C merges the supports (v + c1, v + c4): the DFS stops one stage
-    early.  Over the sorted partials, each template run (c1, c4) shifts into
-    one sorted stream; ``heapq.merge`` interleaves those few streams, so the
-    runs are merged and clipped as they are consumed and no list of them is
-    built.  The window's stage check and the DFS run before this returns."""
+    early.  The sorted partials are shifted ``_BLOCK`` at a time: each
+    template run gives the block one sorted run of starts and one of ends,
+    and one sort merges those few.  A block's runs that reach the next
+    block's least start carry into it; the others are final, clipped and
+    yielded, so no list of all the runs is built.  The window's stage check
+    and the DFS run before this returns."""
     j, k, scale, lo, hi, las, lbs, partials = _lattice_window(a, b, w_lo, w_hi, sched, 1)
     unit, diffs, _, _, _ = _lattice(sched)
     vs = [scale // unit * v for v in diffs[k][0]] if k < j else [0]
-    template = list(merge_sorted(sorted(
-        (v + qlo - phi, v + qhi - plo) for v in vs for plo, phi in las for qlo, qhi in lbs
-    )))
-    partials = sorted(partials)
-    streams = [zip(map(add, partials, repeat(c1)), map(add, partials, repeat(c4)))
-               for c1, c4 in template]
-    return scale, _merge_runs(heapq.merge(*streams), lo, hi)
+    c1s, c4s = _union(*_piece_columns(
+        [v + qlo - phi for v in vs for plo, phi in las for qlo, qhi in lbs],
+        [v + qhi - plo for v in vs for plo, phi in las for qlo, qhi in lbs]))
+    return scale, _shifted_runs(sorted(partials), c1s, c4s, lo, hi)
+
+
+def _shifted_runs(partials: list[int], c1s: list[int], c4s: list[int], lo: int, hi: int
+                  ) -> Iterator[tuple[list[int], list[int]]]:
+    """The union of p + [c1, c4) over the sorted partials p and the
+    template runs (c1s, c4s), clipped to [lo, hi), block by block."""
+    if not c1s:
+        return
+    carry_lo: list[int] = []
+    carry_hi: list[int] = []
+    for i in range(0, len(partials), _BLOCK):
+        block = partials[i:i + _BLOCK]
+        run_lo, run_hi = _union(
+            sorted(chain(carry_lo, *(map(add, block, repeat(c)) for c in c1s))),
+            sorted(chain(carry_hi, *(map(add, block, repeat(c)) for c in c4s))))
+        nxt = i + _BLOCK
+        # every later piece starts at or after the next block's least start
+        least = partials[nxt] + c1s[0] if nxt < len(partials) else hi
+        cut = bisect_left(run_hi, least) if least < hi else len(run_hi)
+        yield _clip(run_lo[:cut], run_hi[:cut], lo, hi)
+        if least >= hi:
+            return
+        carry_lo, carry_hi = run_lo[cut:], run_hi[cut:]
 
 
 def hitting_set(a: SlabSet, b: SlabSet, window, sched) -> IntervalSet:
@@ -381,9 +438,9 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
 
     # every time here is a tower height, so the lattice unit clears it
     scale, diffs, reach, _, _ = _lattice(sched)
-    w_lo_s, w_hi_s = int(w_lo * scale), int(w_hi * scale)
-    thr_s = int(threshold * scale)
-    e = int(sched.height(k) * scale)  # half-width of a base-pair trapezoid support
+    w_lo_s, w_hi_s = _scaled(w_lo, scale), _scaled(w_hi, scale)
+    thr_s = _scaled(threshold, scale)
+    e = _scaled(sched.height(k), scale)  # half-width of a base-pair trapezoid support
     p, q = d.numerator, d.denominator
 
     states: set[tuple[int, int]] = {(0, 0)}
@@ -408,7 +465,7 @@ def find_dissipativity_witness(sched, d, window_index: int) -> IntervalSet:
     # on the lattice of 1/(p*scale) every bound is an integer: a surviving
     # pair overlaps for p*t within p*e of p*delta and within q*e of q*delta2
     pe, qe = p * e, q * e
-    pieces = sorted((max(p * delta - pe, q * delta2 - qe), min(p * delta + pe, q * delta2 + qe))
-                    for delta, delta2 in states)
-    runs = _merge_runs(pieces, p * max(w_lo_s, thr_s), p * w_hi_s)
-    return _lattice_set(p * scale, runs)
+    starts = [max(p * delta - pe, q * delta2 - qe) for delta, delta2 in states]
+    ends = [min(p * delta + pe, q * delta2 + qe) for delta, delta2 in states]
+    runs = _union(*_piece_columns(starts, ends))
+    return _lattice_set(p * scale, [_clip(*runs, p * max(w_lo_s, thr_s), p * w_hi_s)])

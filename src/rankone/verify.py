@@ -29,7 +29,7 @@ import random
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, repeat
 from operator import add, floordiv, lt, sub
 from typing import Iterator, Sequence
 
@@ -554,24 +554,32 @@ def _label_cuts(landmarks: dict[str, Rat], td: int) -> tuple[list[int], list[str
     return cuts, [annotate_landmark(landmarks, Fraction(m, td)) for m in cuts]
 
 
-def _report_chunks(scale: int, runs: Iterator[tuple[int, int]], landmarks, tail: str) -> Iterator[str]:
-    """The report's text from its integer runs on 1/scale, ``_CHUNK_RUNS``
-    entries at a time: each chunk reduces its endpoints in one ``gcd`` pass,
+def _report_chunks(scale: int, blocks: Iterator[tuple[list[int], list[int]]], landmarks,
+                   tail: str) -> Iterator[str]:
+    """The report's text from its integer runs on 1/scale, given as blocks
+    of (run starts, run ends) columns, up to ``_CHUNK_RUNS`` entries at a
+    time: each chunk reduces its endpoints in one ``gcd`` pass per column,
     labels its midpoints from the window's ``_label_cuts`` (one bisection
-    per cut) and fills one template with one ``%``."""
+    per cut), lays the five fields of its entries out in one list and fills
+    one template with one ``%``."""
     cuts, names = _label_cuts(landmarks, 2 * scale)
     yield '{\n  "intervals": ['
     sep = ""
-    while chunk := list(islice(runs, _CHUNK_RUNS)):
-        ends = list(chain.from_iterable(chunk))
-        gs = list(map(math.gcd, ends, repeat(scale)))
-        fracs = chain.from_iterable(zip(map(floordiv, ends, gs), map(floordiv, repeat(scale), gs)))
-        mids = list(map(add, ends[::2], ends[1::2]))
-        starts = [bisect_left(mids, m) for m in cuts]
-        labels = chain.from_iterable(map(repeat, names, map(sub, starts[1:] + [len(mids)], starts)))
-        values = tuple(chain.from_iterable(zip(fracs, fracs, fracs, fracs, labels)))
-        yield sep + ",".join(repeat(_ENTRY, len(chunk))) % values
-        sep = ","
+    for block_lo, block_hi in blocks:
+        for i in range(0, len(block_lo), _CHUNK_RUNS):
+            los, his = block_lo[i:i + _CHUNK_RUNS], block_hi[i:i + _CHUNK_RUNS]
+            n = len(los)
+            g_lo, g_hi = list(map(math.gcd, los, repeat(scale))), list(map(math.gcd, his, repeat(scale)))
+            mids = list(map(add, los, his))
+            starts = [bisect_left(mids, m) for m in cuts]
+            values = [None] * (5 * n)
+            values[0::5] = map(floordiv, los, g_lo)
+            values[1::5] = map(floordiv, repeat(scale, n), g_lo)
+            values[2::5] = map(floordiv, his, g_hi)
+            values[3::5] = map(floordiv, repeat(scale, n), g_hi)
+            values[4::5] = chain.from_iterable(map(repeat, names, map(sub, starts[1:] + [n], starts)))
+            yield sep + ",".join(repeat(_ENTRY, n)) % tuple(values)
+            sep = ","
     yield ("\n  ]" if sep else "]") + tail
 
 
@@ -582,13 +590,13 @@ def hitting_report(sched, j: int) -> Iterator[str]:
 
     The window is checked and its runs set up before this returns, so a
     window outside 1..num_stages (refused by its number) or past the
-    horizon raises here; the runs are then merged and formatted only as
-    the chunks are consumed."""
+    horizon raises here; the runs are then merged, a block at a time, and
+    formatted only as the chunks are consumed."""
     if not 1 <= j <= sched.num_stages:
         raise RankOneError(f"window {j} not built (have 1..{sched.num_stages})")
     y = base_slab(sched)
     window = (sched.height(j), sched.height(j + 1))
-    scale, runs = _hitting_runs(y, y, *window, sched)
+    scale, blocks = _hitting_runs(y, y, *window, sched)
     w_lo, w_hi = map(rat_str, window)
     tail = f',\n  "range": [\n    "{w_lo}",\n    "{w_hi}"\n  ],\n  "window": {j}\n}}\n'
-    return _report_chunks(scale, runs, window_landmarks(sched, j), tail)
+    return _report_chunks(scale, blocks, window_landmarks(sched, j), tail)

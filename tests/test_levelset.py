@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankone import levelset, verify
+from rankone.cli import _float_samples
 from rankone.construction import (
     Schedule,
     StagePolicy,
@@ -626,10 +627,27 @@ class TestHittingSetAgainstSupport:
         with pytest.raises(AssertionError, match="Fraction per endpoint"):
             find_dissipativity_witness(broken, 2, 4)  # the patch is in effect
 
+    @pytest.mark.parametrize(
+        "name, j", [("broken", 4), ("broken", 5), ("desk", 3), ("deep16", 3)]
+    )
+    def test_block_boundaries_keep_the_runs(self, request, monkeypatch, name, j):
+        """The partial sums are merged a block at a time, the runs that reach
+        the next block carrying into it: blocks of 1, 2 and 3 partial sums
+        give the same set and the same report bytes as the default."""
+        sched = request.getfixturevalue(name)
+        y = base_slab(sched)
+        window = (sched.height(j), sched.height(j + 1))
+        want = hitting_set(y, y, window, sched), "".join(hitting_report(sched, j))
+        assert want[0]
+        for size in (1, 2, 3):
+            monkeypatch.setattr(levelset, "_BLOCK", size)
+            assert (hitting_set(y, y, window, sched), "".join(hitting_report(sched, j))) == want
+
 
 class TestMergeRuns:
-    """``_merge_runs`` against its definition: every run of ``merge_sorted``
-    clipped to [lo, hi), the empty ones dropped."""
+    """``_piece_columns``, ``_union`` and ``_clip`` against their
+    definition: every run of ``merge_sorted`` over the pieces clipped to
+    [lo, hi), the empty ones dropped."""
 
     @given(
         spans=st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 8)), max_size=12),
@@ -641,11 +659,43 @@ class TestMergeRuns:
     @example(spans=[(-4, 6), (5, 4)], lo=0, width=8)  # two runs, both clipped
     @example(spans=[(-4, 24)], lo=0, width=5)  # one run straddles both ends
     @example(spans=[(-4, 24)], lo=5, width=-2)  # hi < lo: nothing
+    @example(spans=[(0, 10), (2, 3), (4, 5)], lo=-5, width=20)  # pieces nest
+    @example(spans=[(1, 2), (1, 6), (1, 0)], lo=0, width=9)  # a shared start
+    @example(spans=[(0, 7), (5, 2), (6, 1), (9, 1)], lo=0, width=12)  # a shared end
+    @example(spans=[(0, 3), (3, 0), (3, 2), (6, 0), (7, 0)], lo=0, width=9)  # zero lengths
+    @example(spans=[(0, 2), (2, 3), (5, 2), (7, 1)], lo=0, width=9)  # touching pieces
     def test_clips_merged_runs(self, spans, lo, width):
         pieces = sorted((a, a + n) for a, n in spans)
         hi = lo + width
         clipped = [(max(a, lo), min(b, hi)) for a, b in merge_sorted(pieces)]
-        assert list(levelset._merge_runs(pieces, lo, hi)) == [(a, b) for a, b in clipped if a < b]
+        runs = levelset._union(*levelset._piece_columns([a for a, _ in spans],
+                                                         [a + n for a, n in spans]))
+        assert list(zip(*runs)) == list(merge_sorted(pieces))
+        assert list(zip(*levelset._clip(*runs, lo, hi))) == [(a, b) for a, b in clipped if a < b]
+
+    @given(
+        partials=st.lists(st.integers(-30, 30), max_size=12),
+        spans=st.lists(st.tuples(st.integers(-10, 10), st.integers(1, 6)), min_size=1, max_size=4),
+        lo=st.integers(-40, 40),
+        width=st.integers(-3, 80),
+        size=st.integers(1, 4),
+    )
+    @example(partials=[0, 5], spans=[(0, 5)], lo=-10, width=30, size=1)  # runs touch across blocks
+    @example(partials=[0, 3, 3, 9], spans=[(0, 2), (4, 2)], lo=-10, width=30, size=2)  # overlap
+    @example(partials=[0, 20, 40], spans=[(0, 5)], lo=0, width=22, size=1)  # hi stops the read
+    def test_blocks_equal_one_merge(self, partials, spans, lo, width, size):
+        """``_shifted_runs`` over blocks of 1-4 partial sums against one
+        merge of every shifted template piece, clipped to [lo, hi): runs
+        that touch or overlap across a block boundary carry and merge."""
+        c1s, c4s = levelset._union(sorted(a for a, _ in spans), sorted(a + n for a, n in spans))
+        hi = lo + width
+        pieces = sorted((p + c1, p + c4) for p in partials for c1, c4 in zip(c1s, c4s))
+        clipped = [(max(a, lo), min(b, hi)) for a, b in merge_sorted(pieces)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(levelset, "_BLOCK", size)
+            blocks = levelset._shifted_runs(sorted(partials), c1s, c4s, lo, hi)
+            got = [run for block in blocks for run in zip(*block)]
+        assert got == [(a, b) for a, b in clipped if a < b]
 
 
 class TestLandmarkLabels:
@@ -670,8 +720,8 @@ class TestLandmarkLabels:
         midpoint sum 4m, which the report reads as time 4m/(4 td)."""
         cuts, names = _label_cuts(landmarks, 4 * td)
         assert cuts == sorted(set(cuts)) and cuts[0] == 1 and len(cuts) <= 21
-        runs = iter([(2 * m - 1, 2 * m + 1) for m in mids])
-        text = "".join(verify._report_chunks(2 * td, runs, landmarks, "\n}\n"))
+        blocks = iter([([2 * m - 1 for m in mids], [2 * m + 1 for m in mids])])
+        text = "".join(verify._report_chunks(2 * td, blocks, landmarks, "\n}\n"))
         return [entry["landmark"] for entry in json.loads(text)["intervals"]]
 
     @given(data=st.data())
@@ -783,8 +833,8 @@ class TestLandmarkLabels:
         it, against ``annotate_landmark`` at the run's midpoint."""
         sched = request.getfixturevalue(name)
         y = base_slab(sched)
-        scale, runs = levelset._hitting_runs(y, y, sched.height(j), sched.height(j + 1), sched)
-        mids = [lo + hi for lo, hi in runs]
+        scale, blocks = levelset._hitting_runs(y, y, sched.height(j), sched.height(j + 1), sched)
+        mids = [lo + hi for run_lo, run_hi in blocks for lo, hi in zip(run_lo, run_hi)]
         written = json.loads("".join(hitting_report(sched, j)))["intervals"]
         landmarks = window_landmarks(sched, j)
         assert [entry["landmark"] for entry in written] == [
@@ -822,6 +872,41 @@ class TestPiecewiseLinear:
         assert pl.value_at(-5) == 2
         assert pl.value_at(5) == 4
         assert pl.value_at(F(1, 2)) == 3
+
+    @staticmethod
+    def exact_samples(pl, lo, hi, n):
+        ts = [lo + (hi - lo) * F(i, n) for i in range(n + 1)]
+        return [(float(t), float(pl.value_at(t))) for t in ts]
+
+    @given(
+        bps=st.lists(st.fractions(-50, 50, max_denominator=40), min_size=2, max_size=8, unique=True),
+        vals=st.lists(st.fractions(0, 30, max_denominator=50), min_size=8, max_size=8),
+        ends=st.tuples(st.fractions(-60, 60, max_denominator=30), st.fractions(0, 120, max_denominator=7)),
+        n=st.integers(1, 40),
+    )
+    @example(bps=[F(0), F(1), F(3)], vals=[F(1, 3), F(2, 7), F(5)] + [F(0)] * 5,
+             ends=(F(-1), F(5)), n=6)  # both ends clamped, every breakpoint a sample
+    @example(bps=[F(1, 3), F(2, 3)], vals=[F(1, 10), F(7, 9)] + [F(0)] * 6,
+             ends=(F(1, 3), F(1, 3)), n=4)  # the window is one breakpoint
+    @example(bps=[F(0), F(1, 7)], vals=[F(0), F(1, 3)] + [F(0)] * 6,
+             ends=(F(1, 7), F(0)), n=3)  # all samples on the last breakpoint
+    def test_float_samples_equal_exact_values(self, bps, vals, ends, n):
+        """The profile's CSV samples, from integers, against ``float`` of
+        the exact times and of ``value_at`` there: clamped on both sides,
+        at breakpoints and between them."""
+        bps = sorted(bps)
+        pl = PiecewiseLinear(breakpoints=tuple(bps), values=tuple(vals[:len(bps)]))
+        lo, hi = ends[0], ends[0] + ends[1]
+        assert list(_float_samples(pl, lo, hi, n)) == self.exact_samples(pl, lo, hi, n)
+
+    @pytest.mark.parametrize("name", ["desk", "broken"])
+    def test_float_samples_of_profiles(self, request, name):
+        """The default ``profile`` CSV samples, and a window off the lattice."""
+        sched = request.getfixturevalue(name)
+        y = base_slab(sched)
+        for lo, hi, n in [(F(0), sched.height(2), 512), (F(1, 3), F(1000, 7), 999)]:
+            pl = correlation_profile(y, y, (lo, hi), sched)
+            assert list(_float_samples(pl, lo, hi, n)) == self.exact_samples(pl, lo, hi, n)
 
     def test_support_excludes_zero_pieces(self):
         pl = PiecewiseLinear(
@@ -957,13 +1042,13 @@ class TestBandSlices:
         # the engine's overlap pieces, one per surviving state, before the
         # empty ones drop: a state kept or lost at a band end shows here
         seen = []
-        merge = levelset._merge_runs
+        columns = levelset._piece_columns
 
-        def recorded(pieces, lo, hi):
-            seen.append(list(pieces))
-            return merge(seen[-1], lo, hi)
+        def recorded(starts, ends):
+            seen.append(sorted(zip(starts, ends)))
+            return columns(starts, ends)
 
-        monkeypatch.setattr(levelset, "_merge_runs", recorded)
+        monkeypatch.setattr(levelset, "_piece_columns", recorded)
         budget_met = band_end_met = 0
         for sched in schedules:
             for d in sched.targets.dissipative:

@@ -522,6 +522,19 @@ class TestHittingReport:
         assert size == 9_763_736
         assert peak < size
 
+    def test_stream_peak_under_4_mb(self, broken):
+        """Consuming the report of broken window 5 (79,093 runs) chunk by
+        chunk peaks under 4 MB traced: its runs are merged a block of
+        partial sums at a time, never listed all at once."""
+        tracemalloc.start()
+        try:
+            for _ in hitting_report(broken, 5):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
     def test_no_runs_give_an_empty_list(self, desk, monkeypatch):
         import rankone.verify as verify
 
